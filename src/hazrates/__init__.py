@@ -43,7 +43,7 @@ from .frailty import (
     markov_violation_gap,
 )
 from .grid import GridFunction, cumulative, survival_from_cumulative
-from .kernels import GridKernel, HazardKernel, MarkovKernel, TwoPieceKernel, kernel_cumulative
+from .kernels import GridKernel, HazardKernel, MarkovKernel, TwoPieceKernel
 from .model import (
     CountingRow,
     IllnessDeathModel,
@@ -57,7 +57,6 @@ from .rates import OccupationSlice, occupation, ode_residual, rate_treated, rate
 from .simulate import (
     SimConfig,
     sample_frailty_cohort,
-    sample_trajectory,
     simulate_cohort,
     to_counting_rows,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "TwoPieceKernel",
     "MarkovKernel",
     "GridKernel",
-    "kernel_cumulative",
     "IllnessDeathModel",
     "Trajectory",
     "CountingRow",
@@ -103,7 +101,6 @@ __all__ = [
     "ColliderScenario",
     "collider_table",
     "SimConfig",
-    "sample_trajectory",
     "simulate_cohort",
     "sample_frailty_cohort",
     "to_counting_rows",

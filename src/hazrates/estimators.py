@@ -16,7 +16,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .model import CountingRow
+from .model import CountingRow, rows_as_arrays
 from .numerics import ConvergenceError
 
 __all__ = [
@@ -100,16 +100,6 @@ class AalenAdditiveFit:
         return iter((self.b0, self.b1))
 
 
-def _columns(rows: Sequence[CountingRow]) -> dict[str, np.ndarray]:
-    return {
-        "id": np.array([r.id for r in rows]),
-        "start": np.array([r.start for r in rows], dtype=float),
-        "stop": np.array([r.stop for r in rows], dtype=float),
-        "treat": np.array([r.treat for r in rows], dtype=int),
-        "event": np.array([r.event for r in rows], dtype=bool),
-    }
-
-
 def _risk_counts(starts_sorted: np.ndarray, stops_sorted: np.ndarray, times: np.ndarray) -> np.ndarray:
     """#{rows with start < t <= stop} for each t, via two binary searches."""
     entered = np.searchsorted(starts_sorted, times, side="left")
@@ -117,10 +107,35 @@ def _risk_counts(starts_sorted: np.ndarray, stops_sorted: np.ndarray, times: np.
     return entered - exited
 
 
-def _event_table(col: dict[str, np.ndarray], level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unique event times at a level and their multiplicities."""
-    mask = col["event"] & (col["treat"] == level)
-    return np.unique(col["stop"][mask], return_counts=True)
+def _risk_table(col: dict[str, np.ndarray]):
+    """Risk-set statistics at every unique event time, for both levels.
+
+    Returns (times, d0, d1, y0, y1): the sorted unique event stops, the
+    untreated and treated event counts there, and the untreated and
+    treated at-risk counts Y_a(t).  Every estimator except the
+    duration-augmented Cox model is a function of these five arrays.
+    """
+    ev = col["event"]
+    times, kidx = np.unique(col["stop"][ev], return_inverse=True)
+    d = np.bincount(kidx, minlength=times.size)
+    d1 = np.bincount(kidx, weights=col["treat"][ev].astype(float), minlength=times.size)
+    y0, y1 = (
+        _risk_counts(np.sort(col["start"][in_level]), np.sort(col["stop"][in_level]), times)
+        .astype(float)
+        for in_level in (col["treat"] == 0, col["treat"] == 1)
+    )
+    return times, d - d1, d1, y0, y1
+
+
+def _level_jumps(rows: Sequence[CountingRow]) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Per level: the times with a level-a event and a nonempty risk set,
+    and the ratios dN_a / Y_a there."""
+    times, d0, d1, y0, y1 = _risk_table(rows_as_arrays(rows))
+    out = {}
+    for level, d, y in ((0, d0, y0), (1, d1, y1)):
+        keep = (d > 0) & (y > 0)
+        out[level] = (times[keep], d[keep] / y[keep])
+    return out
 
 
 def nelson_aalen_by_treatment(rows: Sequence[CountingRow]) -> dict[int, StepFunction]:
@@ -129,21 +144,10 @@ def nelson_aalen_by_treatment(rows: Sequence[CountingRow]) -> dict[int, StepFunc
     Jumps dN_a(t)/Y_a(t) at each level-a event time; times with an
     empty risk set contribute nothing.  Empty strata give a flat zero.
     """
-    col = _columns(rows)
-    out: dict[int, StepFunction] = {}
-    for level in (0, 1):
-        in_level = col["treat"] == level
-        starts = np.sort(col["start"][in_level])
-        stops = np.sort(col["stop"][in_level])
-        times, d = _event_table(col, level)
-        if times.size == 0:
-            out[level] = StepFunction(np.empty(0), np.empty(0), 0.0)
-            continue
-        y = _risk_counts(starts, stops, times)
-        keep = y > 0
-        jumps = d[keep] / y[keep]
-        out[level] = StepFunction(times[keep], np.cumsum(jumps), 0.0)
-    return out
+    return {
+        level: StepFunction(times, np.cumsum(ratios), 0.0)
+        for level, (times, ratios) in _level_jumps(rows).items()
+    }
 
 
 def extended_km(rows: Sequence[CountingRow]) -> dict[int, StepFunction]:
@@ -152,21 +156,10 @@ def extended_km(rows: Sequence[CountingRow]) -> dict[int, StepFunction]:
     Multiplies (1 - dN_a/Y_a) over level-a event times, with tied
     events aggregated before the factor.  An empty stratum stays at 1.
     """
-    col = _columns(rows)
-    out: dict[int, StepFunction] = {}
-    for level in (0, 1):
-        in_level = col["treat"] == level
-        starts = np.sort(col["start"][in_level])
-        stops = np.sort(col["stop"][in_level])
-        times, d = _event_table(col, level)
-        if times.size == 0:
-            out[level] = StepFunction(np.empty(0), np.empty(0), 1.0)
-            continue
-        y = _risk_counts(starts, stops, times)
-        keep = y > 0
-        factors = 1.0 - d[keep] / y[keep]
-        out[level] = StepFunction(times[keep], np.cumprod(factors), 1.0)
-    return out
+    return {
+        level: StepFunction(times, np.cumprod(1.0 - ratios), 1.0)
+        for level, (times, ratios) in _level_jumps(rows).items()
+    }
 
 
 def _initiation_by_subject(col: dict[str, np.ndarray]) -> np.ndarray:
@@ -180,17 +173,6 @@ def _initiation_by_subject(col: dict[str, np.ndarray]) -> np.ndarray:
     treated = col["treat"] == 1
     np.minimum.at(u_by_subject, codes[treated], col["start"][treated])
     return u_by_subject[codes]
-
-
-def _prepare_events(col: dict[str, np.ndarray]):
-    """Sorted per-event arrays plus the unique-time index of each event."""
-    ev = col["event"]
-    order = np.argsort(col["stop"][ev], kind="stable")
-    ev_time = col["stop"][ev][order]
-    ev_treat = col["treat"][ev][order]
-    ev_u = _initiation_by_subject(col)[ev][order]
-    uniq, kidx, d = np.unique(ev_time, return_inverse=True, return_counts=True)
-    return ev_time, ev_treat, ev_u, uniq, kidx, d
 
 
 def _padded_cumsum(x: np.ndarray) -> np.ndarray:
@@ -212,27 +194,34 @@ def _group_by_id(ids: np.ndarray, contributions: np.ndarray) -> np.ndarray:
     )
 
 
-def _fit_current_level(col: dict[str, np.ndarray]) -> CoxFit:
-    ev_time, ev_treat, ev_u, uniq, kidx, d = _prepare_events(col)
-    d1 = np.bincount(kidx, weights=ev_treat.astype(float), minlength=uniq.size)
-    if ev_treat.sum() == 0 or ev_treat.sum() == ev_treat.size:
+def _current_level_parts(table, beta: float):
+    """(loglik, score, info, s0, xbar) of the current-level Breslow
+    partial likelihood at beta, from the risk table."""
+    _, d0, d1, y0, y1 = table
+    d = d0 + d1
+    theta = np.exp(beta)
+    s0 = y0 + theta * y1
+    xbar = theta * y1 / s0
+    loglik = float(beta * d1.sum() - np.sum(d * np.log(s0)))
+    score = float(d1.sum() - np.sum(d * xbar))
+    info = float(np.sum(d * xbar * (1.0 - xbar)))
+    return loglik, score, info, s0, xbar
+
+
+def _require_both_strata(d0: np.ndarray, d1: np.ndarray) -> None:
+    if not (d0.any() and d1.any()):
         raise ConvergenceError("all events in one stratum: monotone partial likelihood")
 
-    y = {}
-    for level in (0, 1):
-        in_level = col["treat"] == level
-        y[level] = _risk_counts(
-            np.sort(col["start"][in_level]), np.sort(col["stop"][in_level]), uniq
-        ).astype(float)
+
+def _fit_current_level(col: dict[str, np.ndarray]) -> CoxFit:
+    table = _risk_table(col)
+    uniq, d0, d1, _, _ = table
+    _require_both_strata(d0, d1)
 
     beta = 0.0
     iterations = 0
     for _ in range(_MAX_NEWTON):
-        theta = np.exp(beta)
-        s0 = y[0] + theta * y[1]
-        xbar = theta * y[1] / s0
-        score = float(d1.sum() - np.sum(d * xbar))
-        info = float(np.sum(d * xbar * (1.0 - xbar)))
+        loglik, score, info, s0, xbar = _current_level_parts(table, beta)
         if abs(score) < _SCORE_TOL:
             break
         if info <= 0 or not np.isfinite(score):
@@ -244,15 +233,10 @@ def _fit_current_level(col: dict[str, np.ndarray]) -> CoxFit:
     else:
         raise ConvergenceError(f"no convergence in {_MAX_NEWTON} Newton steps")
 
-    theta = np.exp(beta)
-    s0 = y[0] + theta * y[1]
-    xbar = theta * y[1] / s0
-    info = float(np.sum(d * xbar * (1.0 - xbar)))
-    loglik = float(beta * d1.sum() - np.sum(d * np.log(s0)))
-
     # Robust part: per-row score residuals, summed within subject.
     # Expected-part sums over event times in (start, stop] come from
     # prefix sums over the unique-time axis.
+    d = d0 + d1
     p_ds0 = _padded_cumsum(d / s0)
     p_xbar = _padded_cumsum(d * xbar / s0)
     lo = np.searchsorted(uniq, col["start"], side="right")
@@ -315,13 +299,15 @@ def _fit_duration(col: dict[str, np.ndarray]) -> CoxFit:
     e^{beta + gamma*(t - u)} = e^{beta + gamma*t} e^{-gamma*u}, so the
     risk-set sums reduce to prefix sums of e^{-gamma*u} moments.
     """
-    ev_time, ev_treat, ev_u, uniq, kidx, d = _prepare_events(col)
-    if ev_treat.sum() == 0 or ev_treat.sum() == ev_treat.size:
-        raise ConvergenceError("all events in one stratum: monotone partial likelihood")
-    in0 = col["treat"] == 0
-    y0 = _risk_counts(
-        np.sort(col["start"][in0]), np.sort(col["stop"][in0]), uniq
-    ).astype(float)
+    uniq, d0, d1, y0, _ = _risk_table(col)
+    _require_both_strata(d0, d1)
+    d = d0 + d1
+    # per-event covariates, in event-time order
+    ev = col["event"]
+    order = np.argsort(col["stop"][ev], kind="stable")
+    ev_time = col["stop"][ev][order]
+    ev_treat = col["treat"][ev][order]
+    ev_u = _initiation_by_subject(col)[ev][order]
     ev_x = np.stack([ev_treat.astype(float), np.where(ev_treat == 1, ev_time - ev_u, 0.0)], axis=1)
     sum_ev_x = ev_x.sum(axis=0)
 
@@ -419,7 +405,7 @@ def cox_fit(rows: Sequence[CountingRow], covariates: str = "current") -> CoxFit:
     """
     if covariates not in ("current", "duration"):
         raise ValueError(f"unknown covariate set {covariates!r}")
-    col = _columns(rows)
+    col = rows_as_arrays(rows)
     if not np.any(col["event"]):
         raise ValueError("need at least one event to fit")
     if covariates == "current":
@@ -433,23 +419,10 @@ def cox_loglik_parts(rows: Sequence[CountingRow], beta: float) -> tuple[float, f
     Exposed so the analytic gradient can be checked against finite
     differences of the log partial likelihood.
     """
-    col = _columns(rows)
+    col = rows_as_arrays(rows)
     if not np.any(col["event"]):
         raise ValueError("need at least one event")
-    ev_time, ev_treat, ev_u, uniq, kidx, d = _prepare_events(col)
-    d1 = np.bincount(kidx, weights=ev_treat.astype(float), minlength=uniq.size)
-    y = {}
-    for level in (0, 1):
-        in_level = col["treat"] == level
-        y[level] = _risk_counts(
-            np.sort(col["start"][in_level]), np.sort(col["stop"][in_level]), uniq
-        ).astype(float)
-    theta = np.exp(beta)
-    s0 = y[0] + theta * y[1]
-    xbar = theta * y[1] / s0
-    loglik = float(beta * d1.sum() - np.sum(d * np.log(s0)))
-    score = float(d1.sum() - np.sum(d * xbar))
-    info = float(np.sum(d * xbar * (1.0 - xbar)))
+    loglik, score, info, _, _ = _current_level_parts(_risk_table(col), beta)
     return loglik, score, info
 
 
@@ -457,27 +430,15 @@ def aalen_additive(rows: Sequence[CountingRow]) -> AalenAdditiveFit:
     """Least-squares additive increments for the two-level design.
 
     With a binary level the normal equations solve in closed form:
-    dB0 = dN0/Y0 and dB1 = dN1/Y1 - dN0/Y0, the same float divisions
-    the treatment-specific cumulative rate estimator performs, so the
-    increments match it exactly, not merely to rounding.
+    dB0 = dN0/Y0 and dB1 = dN1/Y1 - dN0/Y0.  Both come from the same
+    risk table as the treatment-specific cumulative rate estimator, on
+    the union of the event times, so B0 is that estimator's untreated
+    curve exactly, not merely to rounding.
     """
-    col = _columns(rows)
-    times0, d0 = _event_table(col, 0)
-    times1, d1 = _event_table(col, 1)
-    times = np.union1d(times0, times1)
-    n0 = np.zeros(times.size)
-    n0[np.searchsorted(times, times0)] = d0
-    n1 = np.zeros(times.size)
-    n1[np.searchsorted(times, times1)] = d1
-    y = {}
-    for level in (0, 1):
-        in_level = col["treat"] == level
-        y[level] = _risk_counts(
-            np.sort(col["start"][in_level]), np.sort(col["stop"][in_level]), times
-        ).astype(float)
-    jump0 = np.where(n0 > 0, n0 / np.where(y[0] > 0, y[0], 1.0), 0.0)
-    jump1 = np.where(n1 > 0, n1 / np.where(y[1] > 0, y[1], 1.0), 0.0)
-    singular = times[(y[0] == 0) | (y[1] == 0)]
+    times, d0, d1, y0, y1 = _risk_table(rows_as_arrays(rows))
+    jump0 = np.where(d0 > 0, d0 / np.where(y0 > 0, y0, 1.0), 0.0)
+    jump1 = np.where(d1 > 0, d1 / np.where(y1 > 0, y1, 1.0), 0.0)
+    singular = times[(y0 == 0) | (y1 == 0)]
     b0 = StepFunction(times, np.cumsum(jump0), 0.0)
     b1 = StepFunction(times, np.cumsum(jump1 - jump0), 0.0)
     return AalenAdditiveFit(b0=b0, b1=b1, singular_times=singular)

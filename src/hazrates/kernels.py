@@ -23,7 +23,6 @@ __all__ = [
     "TwoPieceKernel",
     "MarkovKernel",
     "GridKernel",
-    "kernel_cumulative",
 ]
 
 
@@ -291,9 +290,3 @@ class GridKernel(HazardKernel):
         ii = np.arange(n)[:, None]
         return np.where(ii >= jj[None, :], K, 0.0)
 
-
-def kernel_cumulative(kernel: HazardKernel, u: float, t: float) -> float:
-    """Integrated post-initiation hazard from u to t (both scalars)."""
-    if u < -NODE_TOL or t < u - NODE_TOL:
-        raise ValueError(f"need 0 <= u <= t, got u={u!r}, t={t!r}")
-    return float(kernel.cumulative(max(u, 0.0), max(t, u)))

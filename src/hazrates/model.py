@@ -125,15 +125,18 @@ class CountingRow:
 def write_counting_rows(rows: Iterable[CountingRow], path) -> None:
     """Write rows as CSV with header id,start,stop,treat,event.
 
-    Times carry six decimal places; event is 0/1.  Output is fully
-    deterministic so rewriting the same rows is byte-identical.
+    Times are written as the shortest decimal string that reads back to
+    the same float, so read_counting_rows returns the rows exactly and
+    no short interval collapses to zero length; event is 0/1.  Output
+    is fully deterministic so rewriting the same rows is byte-identical.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(COUNTING_HEADER)
         for r in rows:
+            # float() first: numpy scalars repr as "np.float64(...)"
             writer.writerow(
-                [r.id, f"{r.start:.6f}", f"{r.stop:.6f}", r.treat, int(r.event)]
+                [r.id, repr(float(r.start)), repr(float(r.stop)), r.treat, int(r.event)]
             )
 
 

@@ -1,10 +1,9 @@
-"""Small numerical utilities: quadrature on grid functions, scalar
-root finding, and inverse-transform sampling from a cumulative hazard."""
+"""Small numerical utilities: quadrature on grid functions and
+first-crossing times of a nondecreasing grid array."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -13,10 +12,7 @@ from .grid import NODE_TOL, GridFunction
 __all__ = [
     "ConvergenceError",
     "SolverConfig",
-    "NewtonResult",
     "trapz",
-    "newton_scalar",
-    "inverse_cdf_sample",
     "invert_monotone",
 ]
 
@@ -44,18 +40,6 @@ class SolverConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
         if not (0 < self.damping <= 1):
             raise ValueError(f"damping must be in (0, 1], got {self.damping!r}")
-
-
-#: Default configuration for Newton iteration on a scalar equation.
-DEFAULT_NEWTON = SolverConfig(tol=1e-10)
-
-# Derivatives smaller than this abort Newton iteration.
-_DERIV_FLOOR = 1e-14
-
-
-class NewtonResult(NamedTuple):
-    root: float
-    iterations: int
 
 
 def trapz(f: GridFunction, a: float, b: float) -> float:
@@ -94,53 +78,6 @@ def trapz(f: GridFunction, a: float, b: float) -> float:
     if b - t_hi > NODE_TOL:
         total += 0.5 * (f.values[i_hi] + f(b)) * (b - t_hi)
     return float(total)
-
-
-def newton_scalar(
-    g: Callable[[float], tuple[float, float]],
-    x0: float,
-    config: SolverConfig = DEFAULT_NEWTON,
-) -> NewtonResult:
-    """Newton iteration for a scalar root of g.
-
-    ``g(x)`` must return the pair (value, derivative).  Returns the root
-    and the number of update steps taken.  Raises ConvergenceError when
-    the iteration budget is exhausted or the derivative degenerates.
-    """
-    x = float(x0)
-    for k in range(config.max_iter + 1):
-        value, deriv = g(x)
-        if not np.isfinite(value) or not np.isfinite(deriv):
-            raise ConvergenceError(f"g returned non-finite output at x={x!r}")
-        if abs(value) < config.tol:
-            return NewtonResult(x, k)
-        if k == config.max_iter:
-            break
-        if abs(deriv) < _DERIV_FLOOR:
-            raise ConvergenceError(
-                f"derivative {deriv!r} below {_DERIV_FLOOR} at x={x!r}"
-            )
-        x = x - config.damping * value / deriv
-    raise ConvergenceError(
-        f"no root within {config.max_iter} iterations; last x={x!r}, |g|={abs(value)!r}"
-    )
-
-
-def inverse_cdf_sample(cum: GridFunction, e: float) -> Optional[float]:
-    """Smallest t with cum(t) >= e, or None when the grid never reaches e.
-
-    ``cum`` must be a nondecreasing cumulative hazard starting at 0; the
-    crossing time is located by linear interpolation inside the
-    bracketing grid cell, matching the piecewise-linear convention used
-    for the cumulative itself.
-    """
-    if e < 0:
-        raise ValueError(f"threshold must be nonnegative, got {e!r}")
-    vals = cum.values
-    if np.any(np.diff(vals) < -1e-12):
-        raise ValueError("cumulative hazard must be nondecreasing")
-    out = invert_monotone(vals, cum.step, np.asarray([e], dtype=float))[0]
-    return None if np.isnan(out) else float(out)
 
 
 def invert_monotone(values: np.ndarray, step: float, e: np.ndarray) -> np.ndarray:

@@ -25,14 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridFunction, cumulative
-from .kernels import kernel_cumulative
 from .model import IllnessDeathModel
-from .numerics import trapz
 
 __all__ = [
     "OccupationSlice",
-    "p00",
-    "p11",
     "occupation",
     "rate_treated",
     "rate_untreated",
@@ -57,17 +53,6 @@ class OccupationSlice:
     t: float
     weights: GridFunction
     p01: float
-
-
-def p00(model: IllnessDeathModel, u: float) -> float:
-    """Probability of remaining in state 0 (alive, untreated) at u."""
-    lam0 = cumulative(model.lambda01) + cumulative(model.lambda02)
-    return float(np.exp(-lam0(u)))
-
-
-def p11(model: IllnessDeathModel, u: float, t: float) -> float:
-    """Probability a subject treated at u is still alive at t >= u."""
-    return float(np.exp(-kernel_cumulative(model.lambda12, u, t)))
 
 
 def _engine(model: IllnessDeathModel) -> dict[str, np.ndarray]:
@@ -118,10 +103,8 @@ def occupation(model: IllnessDeathModel, t: float) -> OccupationSlice:
     """Initiation-time weights and occupation probability at grid node t."""
     idx = model.lambda01.node_index(t)
     eng = _engine(model)
-    w_slice = eng["W"][idx, : idx + 1]
-    weights = GridFunction(t, model.step, w_slice)
-    p01_val = trapz(weights, 0.0, t) if idx > 0 else 0.0
-    return OccupationSlice(t=t, weights=weights, p01=float(p01_val))
+    weights = GridFunction(t, model.step, eng["W"][idx, : idx + 1])
+    return OccupationSlice(t=t, weights=weights, p01=float(eng["p01"][idx]))
 
 
 def rate_treated(model: IllnessDeathModel) -> GridFunction:

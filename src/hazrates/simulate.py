@@ -26,7 +26,6 @@ from .numerics import invert_monotone
 
 __all__ = [
     "SimConfig",
-    "sample_trajectory",
     "simulate_cohort",
     "sample_frailty_cohort",
     "to_counting_rows",
@@ -170,52 +169,6 @@ def simulate_cohort(model: IllnessDeathModel, config: SimConfig) -> list[Traject
         )
     ids = np.arange(n)
     return _assemble(ids, t_exit, is_treat, t_death_treated, t_cens, z)
-
-
-def sample_trajectory(
-    model: IllnessDeathModel,
-    rng: np.random.Generator,
-    subject_id: int = 0,
-    frailty_value: Optional[float] = None,
-) -> Trajectory:
-    """Draw a single trajectory using the caller's generator.
-
-    Consumes exit clock, cause coin, and death clock in that order
-    (always all three, so the stream position does not depend on the
-    outcome).
-    """
-    e0 = rng.exponential()
-    cause_coin = rng.uniform()
-    e1 = rng.exponential()
-
-    lam01_cum = cumulative(model.lambda01).values
-    lam02_cum = cumulative(model.lambda02).values
-    z = 1.0 if frailty_value is None else float(frailty_value)
-    if frailty_value is None:
-        t_exit = invert_monotone(lam01_cum + lam02_cum, model.step, np.asarray([e0]))[0]
-    else:
-        t_exit = _exit_times(
-            lam01_cum + lam02_cum, model.step, np.asarray([e0]),
-            np.asarray([z]), lam01_cum, lam02_cum,
-        )[0]
-    t_cens = model.t_max
-    if np.isnan(t_exit):
-        return Trajectory(subject_id, None, t_cens, False, frailty_value)
-    lam01_at = model.lambda01(t_exit)
-    lam02_at = z * model.lambda02(t_exit)
-    total = lam01_at + lam02_at
-    p_treat = lam01_at / total if total > 0 else 0.0
-    if cause_coin >= p_treat:
-        if t_exit > t_cens:
-            return Trajectory(subject_id, None, t_cens, False, frailty_value)
-        return Trajectory(subject_id, None, float(t_exit), True, frailty_value)
-    u = float(t_exit)
-    if u >= t_cens:
-        return Trajectory(subject_id, None, t_cens, False, frailty_value)
-    td = float(model.lambda12.invert_cumulative(u, e1 / z))
-    if td <= t_cens:
-        return Trajectory(subject_id, u, max(td, u + _TIME_EPS), True, frailty_value)
-    return Trajectory(subject_id, u, t_cens, False, frailty_value)
 
 
 def sample_frailty_cohort(

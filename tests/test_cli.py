@@ -1,10 +1,15 @@
 import csv
+import hashlib
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hazrates
 from hazrates.cli import ExperimentConfig, load_config_file, main
 from hazrates.model import read_counting_rows
 
@@ -266,6 +271,52 @@ class TestReproduce:
         capsys.readouterr()
         assert run_cli(*args) == 0
         assert (tmp_path / "summary.txt").read_text() == first
+
+    def test_default_run_matches_golden_outputs(self, tmp_path):
+        # Goldens of the default run (n=1e5, seed 9, step 0.005).  A
+        # refactor must reproduce these bytes; a change that moves them
+        # on purpose regenerates them and explains the difference.
+        assert run_cli("reproduce") == 0
+        assert (tmp_path / "summary.txt").read_text() == GOLDEN_SUMMARY
+        assert _sha256(tmp_path / "rows.csv") == GOLDEN_ROWS_SHA256
+        assert run_cli("construct") == 0
+        assert _sha256(tmp_path / "lambda02.csv") == GOLDEN_LAMBDA02_SHA256
+
+
+GOLDEN_SUMMARY = """\
+sup_rate_ratio_deviation: 2.79269e-07
+builder_iterations: 4
+lambda02_max_abs_err_on_unit_interval: 8.88178e-16
+true_contrast: 0.22 (unrounded 0.216871)
+rate_based_contrast: 0.15 (unrounded 0.145604)
+na_sup_deviation_untreated: 0.00948785
+na_sup_deviation_treated: 0.00799818
+ekm_log_surv_ratio_t2: 0.660848
+cox_beta_hat: -0.403284
+cox_robust_se: 0.0104655
+cox_model_se: 0.0100885
+target_rate_ratio: 0.666667
+"""
+GOLDEN_LAMBDA02_SHA256 = "e487a5d9fcf0cfb54e69ba9c59ea9e56a4faebba17f6d6b9c3effadcb8bba6df"
+# times written as repr(float), which reads back to the same float
+GOLDEN_ROWS_SHA256 = "025af1487314eb4538be7aacb85149d139fe05d5a42ef86cfecb70f86ae6cbca"
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_python_dash_m_runs_the_cli():
+    # absolute path: the autouse in_tmp_dir fixture has changed directory
+    src = str(Path(hazrates.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hazrates"], capture_output=True, text=True, env=env
+    )
+    # bare invocation lacks the required subcommand: exit 1, not a traceback
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 needs_console_script = pytest.mark.skipif(

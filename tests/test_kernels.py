@@ -7,7 +7,6 @@ from hazrates.kernels import (
     HazardKernel,
     MarkovKernel,
     TwoPieceKernel,
-    kernel_cumulative,
 )
 
 
@@ -194,14 +193,6 @@ class TestGridKernel:
             kernel.value_grid(np.arange(5) * 0.1)
         with pytest.raises(ValueError):
             kernel.cumulative_grid(np.arange(5) * 0.1)
-
-
-def test_kernel_cumulative_helper(two_piece):
-    assert kernel_cumulative(two_piece, 0.0, 3.0) == pytest.approx(0.8)
-    with pytest.raises(ValueError):
-        kernel_cumulative(two_piece, -0.5, 1.0)
-    with pytest.raises(ValueError):
-        kernel_cumulative(two_piece, 1.0, 0.5)
 
 
 def test_sampled_grid_kernel_tracks_its_source(two_piece):

@@ -59,6 +59,10 @@ def test_csv_round_trip(tmp_path):
         CountingRow(0, 0.0, 1.25, 0, False),
         CountingRow(0, 1.25, 2.875, 1, True),
         CountingRow(1, 0.0, 3.0, 0, False),
+        # initiation at 3e-7 and a treated interval 1e-9 long: both
+        # vanish if times are rounded to a fixed number of decimals
+        CountingRow(2, 0.0, 3e-7, 0, False),
+        CountingRow(2, 3e-7, 3e-7 + 1e-9, 1, True),
     ]
     path = tmp_path / "rows.csv"
     write_counting_rows(rows, path)

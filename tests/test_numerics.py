@@ -3,11 +3,8 @@ import pytest
 
 from hazrates.grid import GridFunction
 from hazrates.numerics import (
-    ConvergenceError,
     SolverConfig,
-    inverse_cdf_sample,
     invert_monotone,
-    newton_scalar,
     trapz,
 )
 
@@ -42,33 +39,6 @@ def test_trapz_degenerate_and_errors():
         trapz(f, 0.5, 0.4)
     with pytest.raises(ValueError):
         trapz(f, 0.0, 1.5)
-
-
-def test_newton_scalar_finds_root_and_reports_iterations():
-    root, iters = newton_scalar(lambda x: (x * x - 2.0, 2.0 * x), 1.0)
-    assert root == pytest.approx(np.sqrt(2.0), abs=1e-9)
-    assert iters >= 1
-
-
-def test_newton_scalar_derivative_floor():
-    with pytest.raises(ConvergenceError):
-        newton_scalar(lambda x: (1.0, 0.0), 0.0)
-
-
-def test_newton_scalar_budget():
-    cfg = SolverConfig(tol=1e-16, max_iter=3)
-    with pytest.raises(ConvergenceError):
-        # oscillates: x -> -x for f = sign pattern with fixed slope
-        newton_scalar(lambda x: (x * x + 1.0, 2.0 * x if x != 0 else 1.0), 1.0, cfg)
-
-
-def test_inverse_cdf_sample():
-    cum = GridFunction.from_callable(lambda t: 0.5 * t, 2.0, 0.25)
-    assert inverse_cdf_sample(cum, 0.5) == pytest.approx(1.0, abs=1e-12)
-    assert inverse_cdf_sample(cum, 0.0) == 0.0
-    assert inverse_cdf_sample(cum, 5.0) is None
-    with pytest.raises(ValueError):
-        inverse_cdf_sample(cum, -1.0)
 
 
 def test_invert_monotone_vectorized():

@@ -4,7 +4,7 @@ import pytest
 from conftest import BETA, EARLY, LAG, LAM01, LATE, STEP, T_MAX
 
 import hazrates as hz
-from hazrates.rates import ode_residual, occupation, p00, p11, rate_treated, rate_untreated
+from hazrates.rates import ode_residual, occupation, rate_treated, rate_untreated
 
 
 @pytest.fixture(scope="module")
@@ -32,17 +32,6 @@ def test_markov_rate_equals_hazard_time_varying():
 
 def test_untreated_rate_is_lambda02(constant_markov_model):
     assert rate_untreated(constant_markov_model) is constant_markov_model.lambda02
-
-
-def test_p00_and_p11_closed_forms(constant_markov_model):
-    assert p00(constant_markov_model, 1.0) == pytest.approx(np.exp(-0.9), abs=1e-12)
-    assert p00(constant_markov_model, 0.0) == 1.0
-    assert p11(constant_markov_model, 0.5, 2.0) == pytest.approx(np.exp(-0.75), abs=1e-12)
-
-
-def test_p11_two_piece(model):
-    # 0.4 for the first unit of treated time, 0.2 afterwards
-    assert p11(model, 0.5, 2.0) == pytest.approx(np.exp(-(0.4 + 0.2 * 0.5)), abs=1e-12)
 
 
 def test_occupation_against_closed_form(constant_markov_model):

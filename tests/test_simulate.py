@@ -9,7 +9,6 @@ from hazrates.rates import occupation, rate_treated
 from hazrates.simulate import (
     SimConfig,
     sample_frailty_cohort,
-    sample_trajectory,
     simulate_cohort,
     to_counting_rows,
 )
@@ -95,18 +94,6 @@ def test_to_counting_rows_splits_at_initiation():
         hz.CountingRow(2, 0.0, 1.0, 1, False),
         hz.CountingRow(3, 0.0, 3.0, 0, False),
     ]
-
-
-def test_sample_trajectory_consumes_a_fixed_stream_slice():
-    m = _small_model()
-    g1 = np.random.Generator(np.random.Philox(5))
-    first = sample_trajectory(m, g1)
-    second = sample_trajectory(m, g1)
-
-    g2 = np.random.Generator(np.random.Philox(5))
-    g2.exponential(), g2.uniform(), g2.exponential()
-    assert sample_trajectory(m, g2) == second
-    assert first != second
 
 
 def test_frailty_draws_are_recorded():
