@@ -45,7 +45,9 @@ from .frailty import (
 from .grid import GridFunction, cumulative, survival_from_cumulative
 from .kernels import GridKernel, HazardKernel, MarkovKernel, TwoPieceKernel
 from .model import (
+    Cohort,
     CountingRow,
+    CountingTable,
     IllnessDeathModel,
     Trajectory,
     read_counting_rows,
@@ -77,6 +79,8 @@ __all__ = [
     "IllnessDeathModel",
     "Trajectory",
     "CountingRow",
+    "Cohort",
+    "CountingTable",
     "read_counting_rows",
     "write_counting_rows",
     "rows_as_arrays",

@@ -294,8 +294,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out_path = Path(args.out) if args.out else out / "rows.csv"
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_counting_rows(rows, out_path)
-    n_events = sum(r.event for r in rows)
-    n_treated = sum(1 for tr in trajectories if tr.u_init is not None)
+    n_events = int(np.count_nonzero(rows.event))
+    n_treated = int(np.count_nonzero(~np.isnan(trajectories.u_init)))
     print(f"wrote {out_path}")
     print(f"subjects {cfg.n}, treated {n_treated}, deaths {n_events}")
     return 0

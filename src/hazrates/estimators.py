@@ -260,36 +260,32 @@ def _fit_current_level(col: dict[str, np.ndarray]) -> CoxFit:
     )
 
 
-def _treated_prefix_tables(col: dict[str, np.ndarray], gamma: float):
-    """Prefix sums of e^{-gamma*u} * {1, u, u^2} over treated rows.
+def _treated_risk_sums(col: dict[str, np.ndarray], u_row: np.ndarray, times: np.ndarray):
+    """The function gamma -> (T0, T1, T2) at ``times``.
 
-    Kept in both start order and stop order so risk-set sums at a time t
-    become entered-minus-exited differences of the two tables.
+    T_k(t) sums e^{-gamma*u} * u^k over treated rows at risk at t, as
+    entered-minus-exited differences of prefix sums kept in start order
+    and in stop order.  The sort orders and the risk-set positions do
+    not depend on gamma, so they are computed once here.
     """
     treated = col["treat"] == 1
-    u = _initiation_by_subject(col)[treated]
-    starts = col["start"][treated]
-    stops = col["stop"][treated]
-    w = np.exp(-gamma * u)
-    tables = {}
-    for key, times in (("start", starts), ("stop", stops)):
-        order = np.argsort(times, kind="stable")
-        tables[key] = {
-            "times": times[order],
-            "t0": _padded_cumsum(w[order]),
-            "t1": _padded_cumsum((u * w)[order]),
-            "t2": _padded_cumsum((u * u * w)[order]),
-        }
-    return tables
+    u = u_row[treated]
+    uu = u * u
+    sides = []
+    for key in ("start", "stop"):
+        bounds = col[key][treated]
+        order = np.argsort(bounds, kind="stable")
+        sides.append((order, np.searchsorted(bounds[order], times, side="left")))
+    (in_order, entered), (out_order, exited) = sides
 
+    def sums(gamma: float):
+        w = np.exp(-gamma * u)
+        return tuple(
+            _padded_cumsum(m[in_order])[entered] - _padded_cumsum(m[out_order])[exited]
+            for m in (w, u * w, uu * w)
+        )
 
-def _treated_risk_sums(tables, times: np.ndarray):
-    ent = np.searchsorted(tables["start"]["times"], times, side="left")
-    ex = np.searchsorted(tables["stop"]["times"], times, side="left")
-    t0 = tables["start"]["t0"][ent] - tables["stop"]["t0"][ex]
-    t1 = tables["start"]["t1"][ent] - tables["stop"]["t1"][ex]
-    t2 = tables["start"]["t2"][ent] - tables["stop"]["t2"][ex]
-    return t0, t1, t2
+    return sums
 
 
 def _fit_duration(col: dict[str, np.ndarray]) -> CoxFit:
@@ -302,12 +298,14 @@ def _fit_duration(col: dict[str, np.ndarray]) -> CoxFit:
     uniq, d0, d1, y0, _ = _risk_table(col)
     _require_both_strata(d0, d1)
     d = d0 + d1
+    u_row = _initiation_by_subject(col)
+    treated_sums = _treated_risk_sums(col, u_row, uniq)
     # per-event covariates, in event-time order
     ev = col["event"]
     order = np.argsort(col["stop"][ev], kind="stable")
     ev_time = col["stop"][ev][order]
     ev_treat = col["treat"][ev][order]
-    ev_u = _initiation_by_subject(col)[ev][order]
+    ev_u = u_row[ev][order]
     ev_x = np.stack([ev_treat.astype(float), np.where(ev_treat == 1, ev_time - ev_u, 0.0)], axis=1)
     sum_ev_x = ev_x.sum(axis=0)
 
@@ -315,8 +313,7 @@ def _fit_duration(col: dict[str, np.ndarray]) -> CoxFit:
     iterations = 0
     for _ in range(_MAX_NEWTON):
         beta, gamma = theta
-        tables = _treated_prefix_tables(col, gamma)
-        t0, t1, t2 = _treated_risk_sums(tables, uniq)
+        t0, t1, t2 = treated_sums(gamma)
         w = np.exp(beta + gamma * uniq)
         s0 = y0 + w * t0
         # risk-set moments of (1, t - u) under the exponential weight
@@ -360,7 +357,6 @@ def _fit_duration(col: dict[str, np.ndarray]) -> CoxFit:
     lo = np.searchsorted(uniq, col["start"], side="right")
     hi = np.searchsorted(uniq, col["stop"], side="right")
     a = col["treat"].astype(float)
-    u_row = _initiation_by_subject(col)
     expected = np.zeros((a.size, 2))
     tr = col["treat"] == 1
     w_tr = np.exp(beta - gamma * u_row[tr])

@@ -1,17 +1,25 @@
-"""Irreversible illness-death model and subject-level data records.
+"""Irreversible illness-death model and subject-level data tables.
 
 States are 0 (alive, untreated), 1 (alive, treated) and 2 (dead).
 Treatment initiation is the 0 -> 1 transition and is never reversed, so
 a subject's treatment history is summarized by the initiation time u.
 The 1 -> 2 hazard may depend on u, which is exactly what makes the
 model non-Markov.
+
+A simulated cohort and its counting-process rows are column tables
+(``Cohort``, ``CountingTable``): one numpy array per field, validated
+once per column when the table is built.  Each table is also a
+read-only sequence of its record type (``Trajectory``, ``CountingRow``),
+so code written against lists of records works on either; records are
+made on demand and not validated again.
 """
 
 from __future__ import annotations
 
-import csv
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -22,11 +30,19 @@ __all__ = [
     "IllnessDeathModel",
     "Trajectory",
     "CountingRow",
+    "Cohort",
+    "CountingTable",
     "write_counting_rows",
     "read_counting_rows",
 ]
 
 COUNTING_HEADER = ["id", "start", "stop", "treat", "event"]
+_CSV_DTYPE = np.dtype(
+    [("id", "i8"), ("start", "f8"), ("stop", "f8"), ("treat", "i8"), ("event", "i8")]
+)
+
+# Records converted from the columns at a time.
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -122,6 +138,246 @@ class CountingRow:
             raise ValueError(f"treat must be 0 or 1, got {self.treat!r}")
 
 
+def _first_violation(rules):
+    """(index, message) of the first item that breaks a rule, or None.
+
+    ``rules`` pairs a boolean mask of the offending items with a function
+    of an item's index that returns its message.  Of the rules that item
+    breaks, the first listed gives the message, so rules listed in the
+    order a record's ``__post_init__`` checks them give that record's
+    error.
+    """
+    bad = np.logical_or.reduce([mask for mask, _ in rules])
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    return i, next(message(i) for mask, message in rules if mask[i])
+
+
+class _Table(Sequence):
+    """Equal-length columns that also read as a sequence of records.
+
+    Subclasses are frozen dataclasses whose fields are the columns, in
+    the record type's field order.  ``_record`` is that type,
+    ``_dtypes`` maps each column to its dtype, ``_optional`` names the
+    float columns where NaN stands for a record field that is None, and
+    ``_rules(columns)`` lists the per-record checks for
+    ``_first_violation``.
+    """
+
+    _record: type
+    _dtypes: dict
+    _optional: tuple = ()
+
+    def __post_init__(self) -> None:
+        n = None
+        for name, dtype in self._dtypes.items():
+            col = np.array(getattr(self, name), dtype=dtype)
+            if col.ndim != 1 or (n is not None and col.size != n):
+                raise ValueError("columns must be 1-d arrays of equal length")
+            n = col.size
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+        found = _first_violation(self._rules(self.columns))
+        if found is not None:
+            raise ValueError(found[1])
+
+    @classmethod
+    def coerce(cls, items):
+        """``items`` itself when it is this table, else a table of its records' fields."""
+        if isinstance(items, cls):
+            return items
+        items = list(items)
+        columns = {}
+        for name in cls._dtypes:
+            values = [getattr(x, name) for x in items]
+            if name in cls._optional:
+                values = [np.nan if v is None else v for v in values]
+            columns[name] = values
+        return cls(**columns)
+
+    @property
+    def columns(self) -> dict[str, np.ndarray]:
+        """The table's own (read-only) column arrays, by field name."""
+        return {name: getattr(self, name) for name in self._dtypes}
+
+    def __len__(self) -> int:
+        return self.id.size
+
+    def _records(self, lo: int, hi: int) -> list:
+        """Records lo..hi-1, from Python values of the columns.
+
+        The columns were validated when the table was built, so records
+        are made without running their __init__ and its checks again.
+        Values are converted a chunk at a time to bound the temporaries.
+        """
+        record, names = self._record, tuple(self._dtypes)
+        # object.__setattr__ keeps the fields inline, as __init__ does;
+        # filling obj.__dict__ instead would give each record a dict.
+        new, set_field = object.__new__, object.__setattr__
+        out = []
+        for first in range(lo, hi, _CHUNK):
+            values = []
+            for name, col in self.columns.items():
+                col = col[first:min(first + _CHUNK, hi)]
+                if name in self._optional:
+                    boxed = col.astype(object)
+                    boxed[np.isnan(col)] = None
+                    col = boxed
+                values.append(col.tolist())
+            for fields in zip(*values):
+                obj = new(record)
+                for name, value in zip(names, fields):
+                    set_field(obj, name, value)
+                out.append(obj)
+        return out
+
+    def __iter__(self):
+        # Tables are immutable, so the records made by the first pass
+        # are kept for later ones, as a list of records would be.
+        records = self.__dict__.get("_record_list")
+        if records is None:
+            records = self._records(0, len(self))
+            object.__setattr__(self, "_record_list", records)
+        return iter(records)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return type(self)(**{name: col[index] for name, col in self.columns.items()})
+        k = operator.index(index)
+        n = len(self)
+        if not -n <= k < n:
+            raise IndexError(f"{type(self).__name__} index {k} out of range for {n} records")
+        k %= n
+        return self._records(k, k + 1)[0]
+
+    def __eq__(self, other):
+        if isinstance(other, type(self)):
+            return all(
+                np.array_equal(col, getattr(other, name), equal_nan=name in self._optional)
+                for name, col in self.columns.items()
+            )
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __add__(self, other) -> list:
+        """Concatenation with other records gives a list of records."""
+        return list(self) + list(other)
+
+
+@dataclass(frozen=True, eq=False)
+class Cohort(_Table):
+    """Simulated subjects as columns; a read-only sequence of Trajectory.
+
+    ``u_init`` is NaN for a subject never treated and ``frailty`` is NaN
+    when no frailty was drawn; the records carry None there.
+    """
+
+    id: np.ndarray
+    u_init: np.ndarray
+    t_event: np.ndarray
+    event: np.ndarray
+    frailty: np.ndarray
+
+    _record = Trajectory
+    _dtypes = {"id": np.int64, "u_init": float, "t_event": float, "event": bool, "frailty": float}
+    _optional = ("u_init", "frailty")
+
+    @staticmethod
+    def _rules(col):
+        u, t = col["u_init"], col["t_event"]
+        treated = ~np.isnan(u)
+        return [
+            (
+                ~(np.isfinite(t) & (t > 0)),
+                lambda i: f"t_event must be positive and finite, got {float(t[i])!r}",
+            ),
+            (
+                treated & ~(np.isfinite(u) & (u >= 0)),
+                lambda i: f"u_init must be nonnegative, got {float(u[i])!r}",
+            ),
+            (
+                treated & ~(u < t),
+                lambda i: f"u_init={float(u[i])!r} must precede t_event={float(t[i])!r}",
+            ),
+        ]
+
+
+@dataclass(frozen=True, eq=False)
+class CountingTable(_Table):
+    """Counting-process rows as columns; a read-only sequence of CountingRow."""
+
+    id: np.ndarray
+    start: np.ndarray
+    stop: np.ndarray
+    treat: np.ndarray
+    event: np.ndarray
+
+    _record = CountingRow
+    _dtypes = {"id": np.int64, "start": float, "stop": float, "treat": np.int64, "event": bool}
+
+    @staticmethod
+    def _rules(col):
+        start, stop, treat = col["start"], col["stop"], col["treat"]
+        return [
+            (~(np.isfinite(start) & np.isfinite(stop)), lambda i: "start and stop must be finite"),
+            (
+                ~(start < stop),
+                lambda i: f"need start < stop, got ({float(start[i])!r}, {float(stop[i])!r}]",
+            ),
+            (start < 0, lambda i: f"start must be nonnegative, got {float(start[i])!r}"),
+            ((treat != 0) & (treat != 1), lambda i: f"treat must be 0 or 1, got {int(treat[i])!r}"),
+        ]
+
+
+def _history_rules(col):
+    """Checks that each subject's rows form one history.
+
+    In start order a subject's intervals must not overlap, only the last
+    may carry the event, and no untreated row may follow a treated one
+    (initiation is irreversible).  Each rule flags the row that breaks
+    it: the later of two overlapping rows, the row with the early event,
+    the untreated row.
+    """
+    ids, start, stop, treat, event = (col[name] for name in COUNTING_HEADER)
+    order = np.lexsort((start, ids))
+    prev, nxt = order[:-1], order[1:]
+    same = ids[prev] == ids[nxt]
+
+    def flag(rows: np.ndarray) -> np.ndarray:
+        mask = np.zeros(ids.size, dtype=bool)
+        mask[rows] = True
+        return mask
+
+    return [
+        (
+            flag(nxt[same & (start[nxt] < stop[prev])]),
+            lambda i: f"subject {int(ids[i])}: interval ({float(start[i])!r}, "
+            f"{float(stop[i])!r}] overlaps an earlier interval of the subject",
+        ),
+        (
+            flag(prev[same & event[prev]]),
+            lambda i: f"subject {int(ids[i])}: event at {float(stop[i])!r} is not on "
+            "the subject's last row",
+        ),
+        (
+            flag(nxt[same & (treat[prev] == 1) & (treat[nxt] == 0)]),
+            lambda i: f"subject {int(ids[i])}: untreated row after a treated one "
+            "(treatment is irreversible)",
+        ),
+    ]
+
+
+def rows_as_arrays(rows: Sequence[CountingRow]) -> dict[str, np.ndarray]:
+    """Column arrays for vectorized estimation code.
+
+    A CountingTable gives its own arrays, uncopied; any other sequence
+    of records is converted to one first.
+    """
+    return CountingTable.coerce(rows).columns
+
+
 def write_counting_rows(rows: Iterable[CountingRow], path) -> None:
     """Write rows as CSV with header id,start,stop,treat,event.
 
@@ -130,58 +386,64 @@ def write_counting_rows(rows: Iterable[CountingRow], path) -> None:
     no short interval collapses to zero length; event is 0/1.  Output
     is fully deterministic so rewriting the same rows is byte-identical.
     """
+    col = rows_as_arrays(rows)
+    columns = (col["id"], col["start"], col["stop"], col["treat"], col["event"].astype(np.int64))
+    text = "".join([
+        f"{i},{start!r},{stop!r},{treat},{event}\r\n"
+        for i, start, stop, treat, event in zip(*(c.tolist() for c in columns))
+    ])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COUNTING_HEADER)
-        for r in rows:
-            # float() first: numpy scalars repr as "np.float64(...)"
-            writer.writerow(
-                [r.id, repr(float(r.start)), repr(float(r.stop)), r.treat, int(r.event)]
-            )
+        fh.write(",".join(COUNTING_HEADER) + "\r\n")
+        fh.write(text)
 
 
-def read_counting_rows(path) -> list[CountingRow]:
-    """Read a counting-process CSV written by write_counting_rows."""
-    rows: list[CountingRow] = []
+def _parse_error(data: list[str], exc: ValueError) -> ValueError:
+    """The error for the first data line that does not parse.
+
+    Runs only after np.loadtxt has rejected the file, to name the line.
+    """
+    kinds = (int, float, float, int, int)
+    for lineno, line in enumerate(data, start=2):
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != len(kinds):
+            return ValueError(f"line {lineno}: expected {len(kinds)} fields, got {len(fields)}")
+        try:
+            for kind, field in zip(kinds, fields):
+                kind(field)
+        except ValueError as err:
+            return ValueError(f"line {lineno}: {err}")
+    return ValueError(f"cannot parse rows: {exc}")
+
+
+def read_counting_rows(path) -> CountingTable:
+    """Read a counting-process CSV written by write_counting_rows.
+
+    Each row must pass CountingRow's checks, and each subject's rows
+    must form one history (see _history_rules).  Errors name the
+    offending line as "line N: ...", counting blank lines.
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != COUNTING_HEADER:
-            raise ValueError(
-                f"unexpected header {header!r}; want {COUNTING_HEADER!r}"
-            )
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != 5:
-                raise ValueError(f"line {lineno}: expected 5 fields, got {len(rec)}")
-            try:
-                rows.append(
-                    CountingRow(
-                        id=int(rec[0]),
-                        start=float(rec[1]),
-                        stop=float(rec[2]),
-                        treat=int(rec[3]),
-                        event=bool(int(rec[4])),
-                    )
-                )
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from exc
-    return rows
-
-
-def rows_as_arrays(rows: Sequence[CountingRow]) -> dict[str, np.ndarray]:
-    """Column arrays for vectorized estimation code."""
-    n = len(rows)
-    ids = np.empty(n, dtype=np.int64)
-    start = np.empty(n)
-    stop = np.empty(n)
-    treat = np.empty(n, dtype=np.int64)
-    event = np.empty(n, dtype=bool)
-    for k, r in enumerate(rows):
-        ids[k] = r.id
-        start[k] = r.start
-        stop[k] = r.stop
-        treat[k] = r.treat
-        event[k] = r.event
-    return {"id": ids, "start": start, "stop": stop, "treat": treat, "event": event}
+        lines = fh.read().splitlines()
+    header = lines[0].split(",") if lines else None
+    if header != COUNTING_HEADER:
+        raise ValueError(
+            f"unexpected header {header!r}; want {COUNTING_HEADER!r}"
+        )
+    data = lines[1:]
+    # file line number of each nonblank data line
+    lineno = np.flatnonzero(np.fromiter(map(len, data), dtype=np.intp, count=len(data))) + 2
+    rec = np.empty(0, dtype=_CSV_DTYPE)
+    if lineno.size:
+        try:
+            rec = np.loadtxt(data, dtype=_CSV_DTYPE, delimiter=",", comments=None, ndmin=1)
+        except ValueError as exc:
+            raise _parse_error(data, exc) from exc
+    col = {name: rec[name] for name in COUNTING_HEADER}
+    col["event"] = col["event"] != 0
+    found = _first_violation(CountingTable._rules(col) + _history_rules(col))
+    if found is not None:
+        i, message = found
+        raise ValueError(f"line {lineno[i]}: {message}")
+    return CountingTable(**col)

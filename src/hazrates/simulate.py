@@ -21,7 +21,7 @@ import numpy as np
 
 from .frailty import ConditionalHazardSpec, FrailtySpec, TreatmentPath
 from .grid import GridFunction, cumulative
-from .model import CountingRow, IllnessDeathModel, Trajectory
+from .model import Cohort, CountingTable, IllnessDeathModel, Trajectory
 from .numerics import invert_monotone
 
 __all__ = [
@@ -105,32 +105,33 @@ def _assemble(
     t_death_treated: np.ndarray,
     t_cens: float,
     z: Optional[np.ndarray],
-) -> list[Trajectory]:
-    """Combine exit, cause, and post-initiation death into trajectories."""
-    n = ids.size
-    out: list[Trajectory] = []
-    for i in range(n):
-        zi = None if z is None else float(z[i])
-        te = t_exit[i]
-        if np.isnan(te) or te > t_cens:
-            out.append(Trajectory(int(ids[i]), None, t_cens, False, zi))
-        elif not is_treat[i]:
-            out.append(Trajectory(int(ids[i]), None, float(te), True, zi))
-        else:
-            u = float(te)
-            if u >= t_cens:
-                out.append(Trajectory(int(ids[i]), None, t_cens, False, zi))
-                continue
-            td = t_death_treated[i]
-            if td <= t_cens:
-                td = max(float(td), u + _TIME_EPS)
-                out.append(Trajectory(int(ids[i]), u, td, True, zi))
-            else:
-                out.append(Trajectory(int(ids[i]), u, t_cens, False, zi))
-    return out
+) -> Cohort:
+    """Combine exit, cause, and post-initiation death into a cohort.
+
+    A subject whose state-0 exit falls after t_cens (or never comes) is
+    censored there untreated; an untreated exit is a death; a treated
+    exit before t_cens is an initiation, followed by death at
+    max(t_death_treated, u + _TIME_EPS) or censoring at t_cens.
+    """
+    exits = ~(np.isnan(t_exit) | (t_exit > t_cens))
+    dies_untreated = exits & ~is_treat
+    initiates = exits & is_treat & (t_exit < t_cens)
+    dies_treated = initiates & (t_death_treated <= t_cens)
+    t_event = np.full(ids.size, float(t_cens))
+    t_event[dies_untreated] = t_exit[dies_untreated]
+    t_event[dies_treated] = np.maximum(
+        t_death_treated[dies_treated], t_exit[dies_treated] + _TIME_EPS
+    )
+    return Cohort(
+        id=ids,
+        u_init=np.where(initiates, t_exit, np.nan),
+        t_event=t_event,
+        event=dies_untreated | dies_treated,
+        frailty=np.full(ids.size, np.nan) if z is None else z,
+    )
 
 
-def simulate_cohort(model: IllnessDeathModel, config: SimConfig) -> list[Trajectory]:
+def simulate_cohort(model: IllnessDeathModel, config: SimConfig) -> Cohort:
     """Simulate config.n subjects from the illness-death model.
 
     Per subject the draws are: exit clock, cause coin, post-initiation
@@ -176,7 +177,7 @@ def sample_frailty_cohort(
     frailty: FrailtySpec,
     exposure_hazard: GridFunction,
     config: SimConfig,
-) -> list[Trajectory]:
+) -> Cohort:
     """Simulate the frailty cohort: Z, exposure initiation, death.
 
     Exposure initiation has hazard ``exposure_hazard`` independent of Z;
@@ -217,34 +218,39 @@ def sample_frailty_cohort(
         t1 = np.where(np.isnan(t1), np.inf, np.maximum(t1, u[treated_phase] + _TIME_EPS))
         t_dead[treated_phase] = t1
 
-    out: list[Trajectory] = []
-    for i in range(n):
-        td = t_dead[i]
-        ui = u[i]
-        t_event = min(td, t_cens)
-        event = td <= t_cens
-        if not np.isnan(ui) and ui < t_event:
-            out.append(Trajectory(i, float(ui), float(t_event), bool(event), float(z[i])))
-        else:
-            out.append(Trajectory(i, None, float(t_event), bool(event), float(z[i])))
-    return out
+    t_event = np.minimum(t_dead, t_cens)
+    treated = ~np.isnan(u) & (u < t_event)
+    return Cohort(
+        id=np.arange(n),
+        u_init=np.where(treated, u, np.nan),
+        t_event=t_event,
+        event=t_dead <= t_cens,
+        frailty=z,
+    )
 
 
-def to_counting_rows(trajectories: Sequence[Trajectory]) -> list[CountingRow]:
+def to_counting_rows(trajectories: Sequence[Trajectory]) -> CountingTable:
     """Expand trajectories into at-risk intervals split at initiation.
 
     A never-treated subject yields one untreated interval; a treated
     subject yields the untreated interval (0, u] and the treated
     interval (u, t_event].  Initiation at time zero (or within roundoff
-    of it) yields only the treated interval.
+    of it) yields only the treated interval.  Rows keep subject order,
+    each subject's untreated row before its treated one.
     """
-    rows: list[CountingRow] = []
-    for tr in trajectories:
-        if tr.u_init is None:
-            rows.append(CountingRow(tr.id, 0.0, tr.t_event, 0, tr.event))
-        elif tr.u_init <= _TIME_EPS:
-            rows.append(CountingRow(tr.id, 0.0, tr.t_event, 1, tr.event))
-        else:
-            rows.append(CountingRow(tr.id, 0.0, tr.u_init, 0, False))
-            rows.append(CountingRow(tr.id, tr.u_init, tr.t_event, 1, tr.event))
-    return rows
+    cohort = Cohort.coerce(trajectories)
+    u = cohort.u_init
+    treated = ~np.isnan(u)
+    split = treated & (u > _TIME_EPS)
+    subject = np.repeat(np.arange(len(cohort)), np.where(split, 2, 1))
+    # the second row of a split subject is its treated interval
+    second = np.zeros(subject.size, dtype=bool)
+    second[1:] = subject[1:] == subject[:-1]
+    first_of_split = split[subject] & ~second
+    return CountingTable(
+        id=cohort.id[subject],
+        start=np.where(second, u[subject], 0.0),
+        stop=np.where(first_of_split, u[subject], cohort.t_event[subject]),
+        treat=(second | (treated[subject] & ~split[subject])).astype(np.int64),
+        event=cohort.event[subject] & ~first_of_split,
+    )

@@ -157,6 +157,18 @@ class TestSimulateAndEstimate:
         assert run_cli("estimate", "--rows", "nope.csv", "--method", "na") == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_estimate_rejects_rows_that_break_a_subject_history(self, tmp_path, capsys):
+        # subject 1 is untreated again after its treated interval
+        bad = tmp_path / "bad_rows.csv"
+        bad.write_text(
+            "id,start,stop,treat,event\n0,0.0,2.0,0,1\n"
+            "1,0.0,0.5,0,0\n1,0.5,1.0,1,0\n1,1.0,3.0,0,1\n"
+        )
+        assert run_cli("estimate", "--rows", str(bad), "--method", "na") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "line 5" in err
+        assert "Traceback" not in err
+
 
 class TestFrailtyDemo:
     def test_demo_outputs(self, tmp_path, capsys):

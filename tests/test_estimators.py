@@ -15,7 +15,7 @@ from hazrates.estimators import (
     log_surv_ratio,
     nelson_aalen_by_treatment,
 )
-from hazrates.model import CountingRow
+from hazrates.model import CountingRow, CountingTable
 from hazrates.numerics import ConvergenceError
 
 
@@ -279,6 +279,44 @@ class TestAalenAdditive:
         times = fit.b0.jump_times
         np.testing.assert_array_equal(fit.b0(times), na[0](times))
         assert float(np.max(np.abs(fit.b0(times) + fit.b1(times) - na[1](times)))) <= 1e-12
+
+
+def _same_curve(a: StepFunction, b: StepFunction) -> bool:
+    return (
+        np.array_equal(a.jump_times, b.jump_times)
+        and np.array_equal(a.values, b.values)
+        and a.initial == b.initial
+    )
+
+
+class TestTableInput:
+    """Each estimator gives the same result on a CountingTable as on the
+    list of records it was built from."""
+
+    def test_curves(self, hand_rows):
+        table = CountingTable.coerce(hand_rows)
+        for estimator in (nelson_aalen_by_treatment, extended_km):
+            by_list, by_table = estimator(hand_rows), estimator(table)
+            assert by_list.keys() == by_table.keys()
+            assert all(_same_curve(by_list[k], by_table[k]) for k in by_list)
+
+    def test_aalen(self):
+        rows = [CountingRow(0, 0.0, 1.0, 0, True), CountingRow(1, 0.0, 2.0, 1, True)]
+        by_list, by_table = aalen_additive(rows), aalen_additive(CountingTable.coerce(rows))
+        assert _same_curve(by_list.b0, by_table.b0) and _same_curve(by_list.b1, by_table.b1)
+        np.testing.assert_array_equal(by_list.singular_times, by_table.singular_times)
+
+    def test_cox(self, hand_rows):
+        rows = hand_rows + [
+            CountingRow(4, 0.0, 0.4, 0, False),
+            CountingRow(4, 0.4, 2.6, 1, True),
+            CountingRow(5, 0.0, 2.2, 0, True),
+        ]
+        table = CountingTable.coerce(rows)
+        for covariates in ("current", "duration"):
+            assert cox_fit(table, covariates) == cox_fit(rows, covariates)
+        for beta in (-0.5, 0.0, 0.7):
+            assert cox_loglik_parts(table, beta) == cox_loglik_parts(rows, beta)
 
 
 class TestLogSurvRatio:

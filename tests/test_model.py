@@ -4,7 +4,9 @@ import pytest
 from hazrates.grid import GridFunction
 from hazrates.kernels import MarkovKernel, TwoPieceKernel
 from hazrates.model import (
+    Cohort,
     CountingRow,
+    CountingTable,
     IllnessDeathModel,
     Trajectory,
     read_counting_rows,
@@ -93,6 +95,26 @@ def test_read_rejects_malformed_input(tmp_path):
     with pytest.raises(ValueError, match="line 2"):
         read_counting_rows(path)
 
+    # each subject's rows must form one history: no overlapping
+    # intervals, the event on the last row only, no untreated row after
+    # a treated one
+    path.write_text("id,start,stop,treat,event\n0,0.0,1.0,0,0\n0,0.5,2.0,1,1\n")
+    with pytest.raises(ValueError, match="line 3: subject 0: .* overlaps"):
+        read_counting_rows(path)
+
+    path.write_text("id,start,stop,treat,event\n0,0.0,1.0,0,1\n0,1.0,2.0,1,0\n")
+    with pytest.raises(ValueError, match="line 2: subject 0: event"):
+        read_counting_rows(path)
+
+    path.write_text("id,start,stop,treat,event\n0,1.0,2.0,0,0\n1,0.0,1.0,0,0\n0,0.0,1.0,1,0\n")
+    with pytest.raises(ValueError, match="line 2: subject 0: untreated row after a treated"):
+        read_counting_rows(path)
+
+    # line numbers count blank lines
+    path.write_text("id,start,stop,treat,event\n0,0.0,1.0,0,1\n\n1,2.0,1.0,0,1\n")
+    with pytest.raises(ValueError, match="line 4"):
+        read_counting_rows(path)
+
 
 def test_rows_as_arrays():
     rows = [
@@ -105,3 +127,82 @@ def test_rows_as_arrays():
     np.testing.assert_array_equal(cols["treat"], [0, 1])
     np.testing.assert_array_equal(cols["event"], [False, True])
     assert cols["event"].dtype == bool
+
+
+def test_read_names_the_physical_line_of_a_parse_error(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("id,start,stop,treat,event\n0,0.0,1.0,0,1\n\n\n1,0.0,abc,0,1\n")
+    with pytest.raises(ValueError, match="line 5: could not convert string to float: 'abc'"):
+        read_counting_rows(path)
+    path.write_text("id,start,stop,treat,event\n0,0.0,1.0,0,1\n\n1,0.0,1.0,0\n")
+    with pytest.raises(ValueError, match="line 4: expected 5 fields, got 4"):
+        read_counting_rows(path)
+
+
+def test_read_gives_a_table_of_exact_rows(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text("id,start,stop,treat,event\r\n7,0.0,0.1,0,0\r\n\r\n7,0.1,0.3,1,1\r\n")
+    table = read_counting_rows(path)
+    assert isinstance(table, CountingTable)
+    assert table == [CountingRow(7, 0.0, 0.1, 0, False), CountingRow(7, 0.1, 0.3, 1, True)]
+    path.write_text("id,start,stop,treat,event\n")
+    assert read_counting_rows(path) == []
+
+
+def _error(build) -> str:
+    with pytest.raises(ValueError) as info:
+        build()
+    return str(info.value)
+
+
+def test_table_columns_are_validated_like_records():
+    ok = dict(id=[0, 1], u_init=[np.nan, 0.5], t_event=[1.0, 2.0], event=[True, False],
+              frailty=[np.nan, np.nan])
+    Cohort(**ok)
+    for column, values, record in [
+        ("t_event", [1.0, 0.0], lambda: Trajectory(1, 0.5, 0.0, False)),
+        ("u_init", [np.nan, 2.0], lambda: Trajectory(1, 2.0, 2.0, False)),
+        ("u_init", [np.nan, -0.5], lambda: Trajectory(1, -0.5, 2.0, False)),
+    ]:
+        assert _error(lambda: Cohort(**{**ok, column: values})) == _error(record)
+
+    ok = dict(id=[0, 0], start=[0.0, 1.0], stop=[1.0, 2.0], treat=[0, 1], event=[False, True])
+    CountingTable(**ok)
+    for column, values, record in [
+        ("stop", [1.0, 1.0], lambda: CountingRow(0, 1.0, 1.0, 1, True)),
+        ("start", [-0.1, 1.0], lambda: CountingRow(0, -0.1, 1.0, 0, False)),
+        ("start", [np.nan, 1.0], lambda: CountingRow(0, np.nan, 1.0, 0, False)),
+        ("treat", [0, 2], lambda: CountingRow(0, 1.0, 2.0, 2, True)),
+    ]:
+        assert _error(lambda: CountingTable(**{**ok, column: values})) == _error(record)
+    with pytest.raises(ValueError, match="equal length"):
+        CountingTable(**{**ok, "treat": [0]})
+
+
+def test_tables_read_as_record_sequences():
+    rows = [
+        CountingRow(5, 0.0, 1.0, 0, False),
+        CountingRow(5, 1.0, 1.5, 1, True),
+        CountingRow(6, 0.0, 2.0, 0, False),
+    ]
+    table = CountingTable.coerce(rows)
+    assert CountingTable.coerce(table) is table
+    assert len(table) == 3
+    assert table[0] == rows[0] and table[-1] == rows[-1] and table[-3] == rows[0]
+    assert table[1:] == rows[1:]
+    assert list(table) == rows and table == rows and rows == table
+    assert table != rows[:2] and table != CountingTable.coerce(rows[:2])
+    assert table + rows[:1] == rows + rows[:1]
+    assert type(table[0].id) is int and type(table[0].event) is bool
+    with pytest.raises(IndexError):
+        table[3]
+    # rows_as_arrays hands out the table's own read-only arrays
+    cols = rows_as_arrays(table)
+    assert cols["start"] is table.start
+    assert not table.start.flags.writeable
+
+    trajectories = [Trajectory(0, None, 1.0, True), Trajectory(1, 0.25, 2.0, False, frailty=1.5)]
+    cohort = Cohort.coerce(trajectories)
+    assert cohort == trajectories and cohort == Cohort.coerce(trajectories)
+    assert cohort[0].u_init is None and cohort[0].frailty is None
+    assert cohort[-1].u_init == 0.25 and cohort[-1].frailty == 1.5

@@ -105,6 +105,45 @@ def test_frailty_draws_are_recorded():
     assert np.unique(zs).size > 100
 
 
+def _record_rows(trajectories):
+    """Row expansion one record at a time: the reference for to_counting_rows."""
+    rows = []
+    for tr in trajectories:
+        if tr.u_init is None:
+            rows.append(hz.CountingRow(tr.id, 0.0, tr.t_event, 0, tr.event))
+        elif tr.u_init <= 1e-12:
+            rows.append(hz.CountingRow(tr.id, 0.0, tr.t_event, 1, tr.event))
+        else:
+            rows.append(hz.CountingRow(tr.id, 0.0, tr.u_init, 0, False))
+            rows.append(hz.CountingRow(tr.id, tr.u_init, tr.t_event, 1, tr.event))
+    return rows
+
+
+@pytest.mark.parametrize("frailty", [None, hz.GammaFrailty(variance=1.0)])
+def test_cohort_and_rows_read_as_validated_records(frailty):
+    cohort = simulate_cohort(_small_model(), SimConfig(n=400, seed=5, frailty=frailty))
+    assert isinstance(cohort, hz.Cohort)
+    # the same records built field by field, each validated on its own
+    records = [
+        hz.Trajectory(i, None if np.isnan(u) else u, t, e, None if np.isnan(z) else z)
+        for i, u, t, e, z in zip(*(col.tolist() for col in cohort.columns.values()))
+    ]
+    assert len(cohort) == 400
+    assert cohort[0] == records[0] and cohort[-1] == records[-1]
+    assert list(cohort) == records and cohort == records
+    assert any(tr.u_init is None for tr in cohort) and any(tr.u_init is not None for tr in cohort)
+    assert all((tr.frailty is None) == (frailty is None) for tr in cohort)
+
+    rows = to_counting_rows(cohort)
+    assert isinstance(rows, hz.CountingTable)
+    want = _record_rows(records)
+    assert len(rows) == len(want)
+    assert rows[0] == want[0] and rows[-1] == want[-1]
+    assert list(rows) == want and rows == want
+    # a list of records goes through the same expansion
+    assert to_counting_rows(records) == rows
+
+
 class TestAgainstEngine:
     """Monte Carlo cross-checks of the analytic occupation and rate code."""
 
