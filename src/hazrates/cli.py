@@ -431,10 +431,16 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     deviations = report.deviations
     lam02 = report.lambda02
 
-    s_always, s_never, s_rt, s_ru, chr_, rr = _contrast_columns(model)
+    # one rate-engine run serves the rate-based curve and the NA check
+    r12 = rate_treated(model)
     t_end = model.t_max
-    true_c = float(s_always(t_end) - s_never(t_end))
-    rate_c = float(s_rt(t_end) - s_ru(t_end))
+    true_c = float(
+        potential_survival(model, Regime.always())(t_end)
+        - potential_survival(model, Regime.never())(t_end)
+    )
+    rate_c = float(
+        rate_based_survival(r12)(t_end) - rate_based_survival(rate_untreated(model))(t_end)
+    )
 
     trajectories = simulate_cohort(model, SimConfig(n=cfg.n, seed=cfg.seed))
     rows = to_counting_rows(trajectories)
@@ -444,7 +450,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
     na = estimators.nelson_aalen_by_treatment(rows)
     check_times = model.times[model.times <= min(2.5, t_end)]
-    r12_cum = cumulative(rate_treated(model))(check_times)
+    r12_cum = cumulative(r12)(check_times)
     r02_cum = cumulative(rate_untreated(model))(check_times)
     sup0 = float(np.max(np.abs(na[0](check_times) - r02_cum)))
     sup1 = float(np.max(np.abs(na[1](check_times) - r12_cum)))

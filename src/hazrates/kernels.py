@@ -48,19 +48,14 @@ class HazardKernel(ABC):
         """(t_max, step) for grid-backed kernels, else None."""
         return None
 
+    @abstractmethod
     def value_grid(self, times: np.ndarray) -> np.ndarray:
         """Matrix V[i, j] = value(times[i], times[j]) on the lower triangle."""
-        t = times[:, None]
-        u = times[None, :]
-        return self.value(np.maximum(t, u), u)
 
+    @abstractmethod
     def cumulative_grid(self, times: np.ndarray) -> np.ndarray:
         """Matrix K[i, j] = cumulative(times[j], times[i]) on the lower
         triangle (zero above it)."""
-        out = np.zeros((times.size, times.size))
-        for j, u in enumerate(times):
-            out[j:, j] = np.asarray(self.cumulative(u, times[j:]), dtype=float)
-        return out
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,14 @@ sharded deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .frailty import ConditionalHazardSpec, FrailtySpec, TreatmentPath
+from .frailty import ConditionalHazardSpec, FrailtySpec
 from .grid import GridFunction, cumulative
+from .kernels import MarkovKernel
 from .model import Cohort, CountingTable, IllnessDeathModel, Trajectory
 from .numerics import invert_monotone
 
@@ -30,10 +31,6 @@ __all__ = [
     "sample_frailty_cohort",
     "to_counting_rows",
 ]
-
-# Chunk size for the per-subject grid scan used only when frailty
-# rescales the exit hazard (keeps the temporary matrix small).
-_CHUNK = 4096
 
 # Nudge applied when roundoff would put a death at exactly the
 # initiation instant; keeps u_init < t_event strict.
@@ -66,35 +63,41 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _exit_times(
-    lam0_cum: np.ndarray, step: float, e0: np.ndarray, z: Optional[np.ndarray],
+    step: float, e0: np.ndarray, z: Optional[np.ndarray],
     lam01_cum: np.ndarray, lam02_cum: np.ndarray,
 ) -> np.ndarray:
     """First time the state-0 exit cumulative reaches e0 (NaN if never).
 
     Without frailty the cumulative is shared, so one vectorized
-    inversion suffices; with frailty the per-subject cumulative is
-    lam01_cum + z * lam02_cum and subjects are scanned in chunks.
+    inversion suffices.  With frailty the per-subject cumulative is
+    lam01_cum + z * lam02_cum, nondecreasing along the grid, and each
+    subject's first node reaching e0 is found by a bisection over node
+    indices run for all subjects at once (O(n log G)).
     """
     if z is None:
-        return invert_monotone(lam0_cum, step, e0)
+        return invert_monotone(lam01_cum + lam02_cum, step, e0)
+    n_nodes = lam01_cum.size
+    rounds = n_nodes.bit_length()
+    # +inf padding to 2**rounds nodes keeps every probe in range, and a
+    # padded node is never below e0
+    lam01_pad = np.full(1 << rounds, np.inf)
+    lam02_pad = np.full(1 << rounds, np.inf)
+    lam01_pad[:n_nodes] = lam01_cum
+    lam02_pad[:n_nodes] = lam02_cum
+    # idx = number of nodes still below e0 = index of the first node reaching it
+    idx = np.zeros(e0.size, dtype=np.intp)
+    for k in reversed(range(rounds)):
+        half = 1 << k
+        node = idx + (half - 1)
+        idx += half * (lam01_pad[node] + z * lam02_pad[node] < e0)
     out = np.full(e0.shape, np.nan)
-    times = np.arange(lam01_cum.size) * step
-    for lo in range(0, e0.size, _CHUNK):
-        hi = min(lo + _CHUNK, e0.size)
-        L = lam01_cum[None, :] + z[lo:hi, None] * lam02_cum[None, :]
-        reached = L >= e0[lo:hi, None]
-        any_hit = reached[:, -1]
-        idx = np.argmax(reached, axis=1)
-        t = np.full(hi - lo, np.nan)
-        inner = any_hit & (idx > 0)
-        rows = np.nonzero(inner)[0]
-        if rows.size:
-            j = idx[rows]
-            v_lo = L[rows, j - 1]
-            dv = L[rows, j] - v_lo
-            t[rows] = times[j - 1] + (e0[lo:hi][rows] - v_lo) / dv * step
-        t[any_hit & (idx == 0)] = 0.0
-        out[lo:hi] = t
+    out[idx == 0] = 0.0
+    rows = np.nonzero((idx > 0) & (idx < n_nodes))[0]
+    j = idx[rows]
+    zr = z[rows]
+    v_lo = lam01_cum[j - 1] + zr * lam02_cum[j - 1]
+    dv = lam01_cum[j] + zr * lam02_cum[j] - v_lo
+    out[rows] = (j - 1) * step + (e0[rows] - v_lo) / dv * step
     return out
 
 
@@ -150,8 +153,7 @@ def simulate_cohort(model: IllnessDeathModel, config: SimConfig) -> Cohort:
 
     lam01_cum = cumulative(model.lambda01).values
     lam02_cum = cumulative(model.lambda02).values
-    lam0_cum = lam01_cum + lam02_cum
-    t_exit = _exit_times(lam0_cum, model.step, e0, z, lam01_cum, lam02_cum)
+    t_exit = _exit_times(model.step, e0, z, lam01_cum, lam02_cum)
 
     t_safe = np.where(np.isnan(t_exit), 0.0, t_exit)
     lam01_at = model.lambda01(t_safe)
@@ -181,52 +183,16 @@ def sample_frailty_cohort(
     """Simulate the frailty cohort: Z, exposure initiation, death.
 
     Exposure initiation has hazard ``exposure_hazard`` independent of Z;
-    death has hazard Z * h(t, a(t)) along the realized path.  Because
-    initiation does not depend on the death clock, the two exponential
-    races can be drawn independently and resolved afterwards.  Draw
-    order per subject: frailty, exposure clock, death clock.
+    death has hazard Z * h(t, a(t)) along the realized path.  That is
+    the illness-death model with lambda01 = exposure, lambda02 = h0 and
+    the Markov kernel h1, with Z on the death hazards only, so the
+    cohort is ``simulate_cohort`` of that model with ``config.frailty``
+    set to ``frailty`` (same draws, same seed rule).
     """
     if not exposure_hazard.same_grid(spec.h0):
         raise ValueError("exposure hazard must live on the spec grid")
-    t_cens = spec.t_max if config.t_max is None else min(config.t_max, spec.t_max)
-    rng = _rng(config.seed)
-    n = config.n
-    z = frailty.sample(rng, n)
-    e_expo = rng.exponential(size=n)
-    e_death = rng.exponential(size=n)
-
-    lam_a_cum = cumulative(exposure_hazard).values
-    h0_cum = cumulative(spec.h0).values
-    h1_cum = cumulative(spec.h1).values
-    step = spec.step
-    times = spec.h0.times
-
-    u = invert_monotone(lam_a_cum, step, e_expo)  # NaN: never initiates
-    target = e_death / z
-    h0_at_u = np.where(np.isnan(u), np.inf, np.interp(np.where(np.isnan(u), 0, u), times, h0_cum))
-
-    dies_untreated = target <= h0_at_u
-    t_dead = np.full(n, np.inf)
-    if np.any(dies_untreated):
-        t0 = invert_monotone(h0_cum, step, target[dies_untreated])
-        t_dead[dies_untreated] = np.where(np.isnan(t0), np.inf, t0)
-    treated_phase = ~dies_untreated  # implies u is a real time
-    if np.any(treated_phase):
-        h1_at_u = np.interp(u[treated_phase], times, h1_cum)
-        target2 = h1_at_u + (target[treated_phase] - h0_at_u[treated_phase])
-        t1 = invert_monotone(h1_cum, step, target2)
-        t1 = np.where(np.isnan(t1), np.inf, np.maximum(t1, u[treated_phase] + _TIME_EPS))
-        t_dead[treated_phase] = t1
-
-    t_event = np.minimum(t_dead, t_cens)
-    treated = ~np.isnan(u) & (u < t_event)
-    return Cohort(
-        id=np.arange(n),
-        u_init=np.where(treated, u, np.nan),
-        t_event=t_event,
-        event=t_dead <= t_cens,
-        frailty=z,
-    )
+    model = IllnessDeathModel(exposure_hazard, spec.h0, MarkovKernel(spec.h1))
+    return simulate_cohort(model, replace(config, frailty=frailty))
 
 
 def to_counting_rows(trajectories: Sequence[Trajectory]) -> CountingTable:
