@@ -81,7 +81,7 @@ class TwoPieceKernel(HazardKernel):
         dt = np.asarray(t, dtype=float) - np.asarray(u, dtype=float)
         if np.any(dt < -NODE_TOL):
             raise ValueError("kernel evaluated at t < u")
-        out = np.where(dt <= self.lag, self.early, self.late)
+        out = np.where(dt <= self.lag + NODE_TOL, self.early, self.late)
         return float(out) if out.ndim == 0 else out
 
     def cumulative(self, u, t):
@@ -89,12 +89,14 @@ class TwoPieceKernel(HazardKernel):
         if np.any(dt < -NODE_TOL):
             raise ValueError("kernel cumulative needs u <= t")
         dt = np.maximum(dt, 0.0)
-        out = np.where(
-            dt <= self.lag,
-            self.early * dt,
-            self.early * self.lag + self.late * (dt - self.lag),
-        )
+        out = self._cumulative_at(dt, dt <= self.lag + NODE_TOL)
         return float(out) if out.ndim == 0 else out
+
+    def _cumulative_at(self, dt, early):
+        """Cumulative over an elapsed duration dt, ``early`` marking dt within the lag."""
+        return np.where(
+            early, self.early * dt, self.early * self.lag + self.late * (dt - self.lag)
+        )
 
     def invert_cumulative(self, u, e):
         u = np.asarray(u, dtype=float)
@@ -112,17 +114,39 @@ class TwoPieceKernel(HazardKernel):
         out = np.where(e == 0, u, out)
         return float(out) if out.ndim == 0 else out
 
+    def _within_lag(self, n: int, step: float) -> np.ndarray:
+        """Node offsets k = 0..n-1 whose elapsed duration k*step counts as early.
+
+        Offsets are compared as integers, k <= floor(lag/step), so a lag
+        on a grid node is early at every node pair, whatever the roundoff
+        of t_i - t_j.
+        """
+        return np.arange(n) <= np.floor(self.lag / step + NODE_TOL)
+
+    def value_offsets(self, n: int, step: float) -> np.ndarray:
+        """value(t + k*step, t) for node offsets k = 0..n-1."""
+        return np.where(self._within_lag(n, step), self.early, self.late)
+
+    def cumulative_offsets(self, n: int, step: float) -> np.ndarray:
+        """cumulative(t, t + k*step) for node offsets k = 0..n-1."""
+        return self._cumulative_at(np.arange(n) * step, self._within_lag(n, step))
+
     def value_grid(self, times: np.ndarray) -> np.ndarray:
-        dt = times[:, None] - times[None, :]
-        return np.where(dt <= self.lag, self.early, self.late)
+        return self.value_offsets(times.size, _grid_step(times))[_node_offsets(times.size)]
 
     def cumulative_grid(self, times: np.ndarray) -> np.ndarray:
-        dt = np.maximum(times[:, None] - times[None, :], 0.0)
-        return np.where(
-            dt <= self.lag,
-            self.early * dt,
-            self.early * self.lag + self.late * (dt - self.lag),
-        )
+        return self.cumulative_offsets(times.size, _grid_step(times))[_node_offsets(times.size)]
+
+
+def _grid_step(times: np.ndarray) -> float:
+    """Spacing of uniform grid nodes (any positive value for one node)."""
+    return float(times[1] - times[0]) if times.size > 1 else 1.0
+
+
+def _node_offsets(n: int) -> np.ndarray:
+    """Matrix of node offsets i - j, clipped at 0 above the diagonal."""
+    k = np.arange(n)
+    return np.maximum(k[:, None] - k[None, :], 0)
 
 
 @dataclass(frozen=True)

@@ -296,22 +296,22 @@ class TestReproduce:
 
 
 GOLDEN_SUMMARY = """\
-sup_rate_ratio_deviation: 2.79269e-07
+sup_rate_ratio_deviation: 2.78775e-07
 builder_iterations: 4
 lambda02_max_abs_err_on_unit_interval: 8.88178e-16
-true_contrast: 0.22 (unrounded 0.216871)
-rate_based_contrast: 0.15 (unrounded 0.145604)
-na_sup_deviation_untreated: 0.00948785
+true_contrast: 0.22 (unrounded 0.216908)
+rate_based_contrast: 0.15 (unrounded 0.145601)
+na_sup_deviation_untreated: 0.00945558
 na_sup_deviation_treated: 0.00799818
-ekm_log_surv_ratio_t2: 0.660848
-cox_beta_hat: -0.403284
-cox_robust_se: 0.0104655
-cox_model_se: 0.0100885
+ekm_log_surv_ratio_t2: 0.660844
+cox_beta_hat: -0.4037
+cox_robust_se: 0.0104659
+cox_model_se: 0.0100891
 target_rate_ratio: 0.666667
 """
-GOLDEN_LAMBDA02_SHA256 = "e487a5d9fcf0cfb54e69ba9c59ea9e56a4faebba17f6d6b9c3effadcb8bba6df"
+GOLDEN_LAMBDA02_SHA256 = "cd5392a0306a3ba90631b5a52bf7a0ad554ff4d9b32f9b60765e4255a0a06125"
 # times written as repr(float), which reads back to the same float
-GOLDEN_ROWS_SHA256 = "025af1487314eb4538be7aacb85149d139fe05d5a42ef86cfecb70f86ae6cbca"
+GOLDEN_ROWS_SHA256 = "88fe6e749b9d3dfb68bd47a1044dd46c842c81af0ac20006416076481e85409b"
 
 
 def _sha256(path):

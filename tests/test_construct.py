@@ -9,7 +9,7 @@ from hazrates.numerics import SolverConfig
 
 # Deviation trace of the undamped iteration from the constant-1 start,
 # frozen from an independent run of the same scheme.
-EXPECTED_DEVIATIONS = [4.500261e-01, 6.369889e-02, 2.689600e-03, 4.383505e-05, 2.792695e-07]
+EXPECTED_DEVIATIONS = [4.500261e-01, 6.369184e-02, 2.690083e-03, 4.380691e-05, 2.787748e-07]
 
 
 def test_build_converges_with_decreasing_deviations(standard_build):
@@ -35,9 +35,9 @@ def test_lambda02_is_constant_before_the_lag(standard_build):
 def test_lambda02_frozen_values_past_the_lag(standard_build):
     _, _, report = standard_build
     lam02 = report.lambda02
-    assert lam02(1.5) == pytest.approx(0.4713118323, abs=1e-8)
-    assert lam02(2.0) == pytest.approx(0.4086541068, abs=1e-8)
-    assert lam02(3.0) == pytest.approx(0.3545358522, abs=1e-8)
+    assert lam02(1.5) == pytest.approx(0.4713110658, abs=1e-8)
+    assert lam02(2.0) == pytest.approx(0.4086523852, abs=1e-8)
+    assert lam02(3.0) == pytest.approx(0.3545318060, abs=1e-8)
     # past the lag the mix of long-treated subjects (hazard 0.2) grows,
     # pulling lambda02 strictly below its early-window value; the decay
     # is not monotone node to node (the lag kink echoes around t = 2)

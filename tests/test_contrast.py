@@ -51,7 +51,7 @@ class TestPotentialSurvival:
 
     def test_never_frozen_value(self, model):
         assert potential_survival(model, Regime.never())(3.0) == pytest.approx(
-            0.2324581650, abs=1e-9
+            0.2324212802, abs=1e-9
         )
 
     def test_initiate_at_zero_is_always(self, model):
@@ -83,12 +83,12 @@ class TestContrasts:
     def test_true_contrast_frozen(self, model):
         s_alw = potential_survival(model, Regime.always())
         s_nev = potential_survival(model, Regime.never())
-        assert s_alw(3.0) - s_nev(3.0) == pytest.approx(0.2168707991, abs=1e-9)
+        assert s_alw(3.0) - s_nev(3.0) == pytest.approx(0.2169076839, abs=1e-9)
 
     def test_rate_based_contrast_frozen(self, model):
         s_t = rate_based_survival(rate_treated(model))
         s_u = rate_based_survival(rate_untreated(model))
-        assert s_t(3.0) - s_u(3.0) == pytest.approx(0.1456039999, abs=1e-9)
+        assert s_t(3.0) - s_u(3.0) == pytest.approx(0.1456008915, abs=1e-9)
 
     def test_rate_based_transform_overstates_treated_survival(self, model):
         # exp(-cumulative rate) among the treated is not a potential
@@ -110,7 +110,7 @@ class TestCausalHazardRatio:
         t = ratio.times
         np.testing.assert_allclose(ratio.values[t <= 1.0], 2.0 / 3.0, atol=1e-12)
         assert float(np.max(ratio.values[t >= 1.05])) == pytest.approx(
-            0.56411784, abs=1e-7
+            0.56412428, abs=1e-7
         )
         assert np.all(ratio.values[t >= 1.05] < 2.0 / 3.0 - 1e-3)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hazrates.grid import GridFunction
+from hazrates.grid import GridFunction, n_intervals
 from hazrates.kernels import (
     GridKernel,
     HazardKernel,
@@ -86,6 +86,22 @@ class TestTwoPiece:
 
     def test_no_grid_spec(self, two_piece):
         assert two_piece.grid_spec() is None
+
+    @pytest.mark.parametrize("step", [0.005, 0.001])
+    def test_lag_on_a_grid_node_is_early_at_every_node_pair(self, two_piece, step):
+        # t_i - t_j rounds to either side of lag = 200 (or 1000) steps;
+        # the boundary is early, in the grid forms and the scalar form
+        times = np.arange(n_intervals(3.0, step) + 1) * step
+        k = np.subtract.outer(np.arange(times.size), np.arange(times.size))
+        within = (k >= 0) & (k <= round(two_piece.lag / step))
+        assert np.all(two_piece.value_grid(times)[within] == two_piece.early)
+        np.testing.assert_allclose(
+            two_piece.cumulative_grid(times)[within],
+            two_piece.early * k[within] * step,
+            rtol=1e-14,
+        )
+        i, j = np.nonzero(k == round(two_piece.lag / step))
+        assert np.all(two_piece.value(times[i], times[j]) == two_piece.early)
 
 
 class TestMarkov:
