@@ -42,7 +42,7 @@ from .grid import GridFunction, cumulative
 from .kernels import TwoPieceKernel
 from .model import IllnessDeathModel, read_counting_rows, write_counting_rows
 from .numerics import ConvergenceError, SolverConfig
-from .rates import rate_treated, rate_untreated
+from .rates import rate_untreated
 from .simulate import SimConfig, simulate_cohort, to_counting_rows
 
 __all__ = ["ExperimentConfig", "main", "entry_point"]
@@ -219,9 +219,9 @@ def _cmd_rates(args: argparse.Namespace) -> int:
     out = cfg.resolved_out_dir()
     model, report = _build(cfg)
     _require_converged(report)
-    r12 = rate_treated(model)
+    r12 = report.iterations[-1].rate
     r02 = rate_untreated(model)
-    ratio = construct.rate_ratio(model)
+    ratio = construct._rate_ratio(r12, r02)
     _write_csv(
         out / "rates.csv",
         ["t", "r12", "r02", "rate_ratio"],
@@ -233,13 +233,13 @@ def _cmd_rates(args: argparse.Namespace) -> int:
     return 0
 
 
-def _contrast_columns(model: IllnessDeathModel):
+def _contrast_columns(model: IllnessDeathModel, r12: GridFunction):
     s_always = potential_survival(model, Regime.always())
     s_never = potential_survival(model, Regime.never())
-    s_rate_treated = rate_based_survival(rate_treated(model))
+    s_rate_treated = rate_based_survival(r12)
     s_rate_untreated = rate_based_survival(rate_untreated(model))
     chr_ = causal_hazard_ratio(model)
-    rr = construct.rate_ratio(model)
+    rr = construct._rate_ratio(r12, rate_untreated(model))
     return s_always, s_never, s_rate_treated, s_rate_untreated, chr_, rr
 
 
@@ -248,7 +248,7 @@ def _cmd_contrast(args: argparse.Namespace) -> int:
     out = cfg.resolved_out_dir()
     model, report = _build(cfg)
     _require_converged(report)
-    s_always, s_never, s_rt, s_ru, chr_, rr = _contrast_columns(model)
+    s_always, s_never, s_rt, s_ru, chr_, rr = _contrast_columns(model, report.iterations[-1].rate)
     _write_csv(
         out / "contrast.csv",
         [
@@ -431,8 +431,8 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     deviations = report.deviations
     lam02 = report.lambda02
 
-    # one rate-engine run serves the rate-based curve and the NA check
-    r12 = rate_treated(model)
+    # the builder's last sweep already holds the final model's r12
+    r12 = report.iterations[-1].rate
     t_end = model.t_max
     true_c = float(
         potential_survival(model, Regime.always())(t_end)

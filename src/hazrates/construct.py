@@ -25,7 +25,7 @@ from .grid import GridFunction
 from .kernels import HazardKernel
 from .model import IllnessDeathModel
 from .numerics import SolverConfig
-from .rates import rate_treated, rate_untreated
+from .rates import kernel_quadrature, rate_treated, rate_untreated
 
 __all__ = ["IterationRecord", "BuildReport", "build", "rate_ratio", "DEFAULT_BUILD"]
 
@@ -104,10 +104,12 @@ def build(
     lam02 = init_lambda02
     records: list[IterationRecord] = []
     converged = False
+    # the kernel's grid arrays do not depend on lambda02
+    quadrature = kernel_quadrature(lambda12, lambda01)
 
     for index in range(config.max_iter + 1):
         model = IllnessDeathModel(lambda01, lam02, lambda12)
-        r12 = rate_treated(model)
+        r12 = rate_treated(model, quadrature)
         dev = _sup_deviation(r12, lam02, target)
         records.append(
             IterationRecord(index=index, sup_dev=dev, lambda02=lam02, rate=r12)
@@ -151,11 +153,14 @@ def rate_ratio(model: IllnessDeathModel) -> GridFunction:
     Nodes where lambda02 falls below 1e-12 have no well-defined ratio;
     they are reported in the raised error rather than silently dropped.
     """
-    r12 = rate_treated(model)
-    r02 = rate_untreated(model)
+    return _rate_ratio(rate_treated(model), rate_untreated(model))
+
+
+def _rate_ratio(r12: GridFunction, r02: GridFunction) -> GridFunction:
+    """r12 / r02, for a treated rate already computed (as ``build`` does)."""
     bad = r02.values < ZERO_DENOM
     if np.any(bad):
-        times = model.times[bad]
+        times = r02.times[bad]
         raise ValueError(
             f"rate ratio undefined where lambda02 < {ZERO_DENOM}: "
             f"t={times[:5].tolist()}{'...' if times.size > 5 else ''}"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import NODE_TOL, GridFunction, cumulative, n_intervals
-from .numerics import invert_monotone
+from .numerics import first_node_reaching, invert_monotone
 
 __all__ = [
     "HazardKernel",
@@ -56,6 +56,21 @@ class HazardKernel(ABC):
     def cumulative_grid(self, times: np.ndarray) -> np.ndarray:
         """Matrix K[i, j] = cumulative(times[j], times[i]) on the lower
         triangle (zero above it)."""
+
+    def offset_grid(self, n: int, step: float) -> tuple[np.ndarray, np.ndarray] | None:
+        """(value, cumulative) at elapsed durations k*step, k = 0..n-1,
+        for a kernel of t - u only; None for any other kernel.
+
+        With these the rate engine integrates over initiation times by
+        convolution instead of over the n-by-n grid matrices.
+        """
+        return None
+
+    def separable_grid(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """(value(t, .), c(t)) at the nodes for a kernel that ignores u,
+        whose cumulative(u, t) is c(t) - c(u); None for any other kernel.
+        """
+        return None
 
 
 @dataclass(frozen=True)
@@ -123,19 +138,26 @@ class TwoPieceKernel(HazardKernel):
         """
         return np.arange(n) <= np.floor(self.lag / step + NODE_TOL)
 
-    def value_offsets(self, n: int, step: float) -> np.ndarray:
-        """value(t + k*step, t) for node offsets k = 0..n-1."""
-        return np.where(self._within_lag(n, step), self.early, self.late)
-
-    def cumulative_offsets(self, n: int, step: float) -> np.ndarray:
-        """cumulative(t, t + k*step) for node offsets k = 0..n-1."""
-        return self._cumulative_at(np.arange(n) * step, self._within_lag(n, step))
+    def offset_grid(self, n: int, step: float) -> tuple[np.ndarray, np.ndarray]:
+        early = self._within_lag(n, step)
+        value = np.where(early, self.early, self.late)
+        return value, self._cumulative_at(np.arange(n) * step, early)
 
     def value_grid(self, times: np.ndarray) -> np.ndarray:
-        return self.value_offsets(times.size, _grid_step(times))[_node_offsets(times.size)]
+        value, _ = self.offset_grid(times.size, _grid_step(times))
+        return value[_node_offsets(times.size)]
 
     def cumulative_grid(self, times: np.ndarray) -> np.ndarray:
-        return self.cumulative_offsets(times.size, _grid_step(times))[_node_offsets(times.size)]
+        _, cum = self.offset_grid(times.size, _grid_step(times))
+        return cum[_node_offsets(times.size)]
+
+
+def _bracket(x: np.ndarray, step: float, n: int):
+    """Nodes (k0, k1) around x and weight w, x ~ (1 - w) * k0 + w * k1,
+    clamped to the grid ends."""
+    pos = np.clip(x / step, 0.0, n - 1)
+    k0 = np.clip(np.floor(pos).astype(np.intp), 0, max(n - 2, 0))
+    return k0, np.minimum(k0 + 1, n - 1), pos - k0
 
 
 def _grid_step(times: np.ndarray) -> float:
@@ -192,6 +214,9 @@ class MarkovKernel(HazardKernel):
         out = np.maximum(out, u_b)  # guard roundoff at e ~ 0
         return float(out[0]) if scalar else out
 
+    def separable_grid(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.rate(times), self._cum(times)
+
     def value_grid(self, times: np.ndarray) -> np.ndarray:
         return np.broadcast_to(self.rate(times)[:, None], (times.size, times.size)).copy()
 
@@ -225,68 +250,91 @@ class GridKernel(HazardKernel):
         self.step = float(step)
         self.values = vals
         self._times = np.arange(n) * self.step
+        # trapezoid cumulative along t of every column, from t = 0
+        cum = np.zeros_like(vals)
+        cum[1:] = np.cumsum(0.5 * (vals[1:] + vals[:-1]) * self.step, axis=0)
+        cum.flags.writeable = False
+        self._cum = cum
 
     def grid_spec(self) -> tuple[float, float] | None:
         return (self.t_max, self.step)
 
-    def _column(self, u: float) -> np.ndarray:
-        """Kernel values along t for a fixed, possibly off-node, u."""
+    def _columns(self, u: np.ndarray):
+        """Bracketing columns (j0, j1) and weight f of the kernel column
+        at initiation time u; u within NODE_TOL of a node takes that
+        node's column alone."""
+        n = self.values.shape[1]
         pos = u / self.step
-        j0 = int(np.floor(pos + NODE_TOL))
-        j0 = min(max(j0, 0), self.values.shape[1] - 1)
+        j0 = np.clip(np.floor(pos + NODE_TOL).astype(np.intp), 0, n - 1)
         frac = pos - j0
-        if frac <= NODE_TOL or j0 + 1 >= self.values.shape[1]:
-            return self.values[:, j0]
-        return (1 - frac) * self.values[:, j0] + frac * self.values[:, j0 + 1]
+        frac = np.where((frac <= NODE_TOL) | (j0 + 1 >= n), 0.0, frac)
+        return j0, np.minimum(j0 + 1, n - 1), frac
+
+    @staticmethod
+    def _blend(table: np.ndarray, rows: np.ndarray, cols) -> np.ndarray:
+        """table[rows, .] interpolated between the bracketing columns."""
+        j0, j1, f = cols
+        return (1 - f) * table[rows, j0] + f * table[rows, j1]
+
+    def _along_t(self, table: np.ndarray, t: np.ndarray, cols) -> np.ndarray:
+        """Column blend of ``table`` interpolated linearly in t (clamped
+        to the grid ends, as np.interp does)."""
+        k0, k1, w = _bracket(t, self.step, self._times.size)
+        v0 = self._blend(table, k0, cols)
+        return v0 + w * (self._blend(table, k1, cols) - v0)
 
     def value(self, t, u):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-        t_b, u_b = np.broadcast_arrays(t_arr, u_arr)
-        out = np.empty(t_b.shape)
-        for k in range(t_b.size):
-            col = self._column(u_b.flat[k])
-            out.flat[k] = np.interp(t_b.flat[k], self._times, col)
+        t_b, u_b = np.broadcast_arrays(
+            np.atleast_1d(np.asarray(t, dtype=float)), np.atleast_1d(np.asarray(u, dtype=float))
+        )
+        out = self._along_t(self.values, t_b, self._columns(u_b))
         if np.asarray(t).ndim == 0 and np.asarray(u).ndim == 0:
             return float(out[0])
         return out
 
-    def _cum_column(self, u: float) -> np.ndarray:
-        """Cumulative from u along the grid nodes, zero before u."""
-        col = self._column(u)
-        cum = np.zeros_like(col)
-        cum[1:] = np.cumsum(0.5 * (col[1:] + col[:-1]) * self.step)
-        # shift so integration starts at u, not at the node below it
-        base = np.interp(u, self._times, cum)
-        out = np.maximum(cum - base, 0.0)
-        out[self._times < u - NODE_TOL] = 0.0
-        return out
+    def _from_u(self, u: np.ndarray):
+        """Node function k -> cumulative from u to node k of u's column
+        (zero at nodes before u), for each entry of u."""
+        cols = self._columns(u)
+        base = self._along_t(self._cum, u, cols)
+
+        def at(k: np.ndarray) -> np.ndarray:
+            after = np.maximum(self._blend(self._cum, k, cols) - base, 0.0)
+            return np.where(self._times[k] < u - NODE_TOL, 0.0, after)
+
+        return at
 
     def cumulative(self, u, t):
-        u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        u_b, t_b = np.broadcast_arrays(u_arr, t_arr)
+        u_b, t_b = np.broadcast_arrays(
+            np.atleast_1d(np.asarray(u, dtype=float)), np.atleast_1d(np.asarray(t, dtype=float))
+        )
         if np.any(t_b - u_b < -NODE_TOL):
             raise ValueError("kernel cumulative needs u <= t")
-        out = np.empty(u_b.shape)
-        for k in range(u_b.size):
-            cum = self._cum_column(u_b.flat[k])
-            out.flat[k] = np.interp(t_b.flat[k], self._times, cum)
+        at = self._from_u(u_b)
+        k0, k1, w = _bracket(t_b, self.step, self._times.size)
+        c0 = at(k0)
+        out = c0 + w * (at(k1) - c0)
         if np.asarray(u).ndim == 0 and np.asarray(t).ndim == 0:
             return float(out[0])
         return out
 
     def invert_cumulative(self, u, e):
-        u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-        e_arr = np.atleast_1d(np.asarray(e, dtype=float))
-        if np.any(e_arr < 0):
+        u_b, e_b = np.broadcast_arrays(
+            np.atleast_1d(np.asarray(u, dtype=float)), np.atleast_1d(np.asarray(e, dtype=float))
+        )
+        if np.any(e_b < 0):
             raise ValueError("threshold must be nonnegative")
-        u_b, e_b = np.broadcast_arrays(u_arr, e_arr)
-        out = np.empty(u_b.shape)
-        for k in range(u_b.size):
-            cum = self._cum_column(u_b.flat[k])
-            t = invert_monotone(cum, self.step, np.asarray([e_b.flat[k]]))[0]
-            out.flat[k] = np.inf if np.isnan(t) else max(t, u_b.flat[k])
+        n = self._times.size
+        at = self._from_u(u_b)
+        idx = first_node_reaching(at, n, e_b)
+        hi = np.clip(idx, 1, n - 1)
+        v_lo = at(hi - 1)
+        # v_lo < e <= at(hi) wherever 0 < idx < n, so only the rows
+        # discarded below can divide by zero
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (hi - 1) * self.step + (e_b - v_lo) / (at(hi) - v_lo) * self.step
+        t = np.where(idx == 0, 0.0, t)
+        out = np.where(idx == n, np.inf, np.maximum(t, u_b))
         if np.asarray(u).ndim == 0 and np.asarray(e).ndim == 0:
             return float(out[0])
         return out
@@ -299,13 +347,5 @@ class GridKernel(HazardKernel):
     def cumulative_grid(self, times: np.ndarray) -> np.ndarray:
         if times.size != self._times.size or abs(times[-1] - self._times[-1]) > NODE_TOL:
             raise ValueError("grid mismatch between kernel and request")
-        cs = np.cumsum(self.values, axis=0)
-        n = times.size
-        jj = np.arange(n)
-        diag_cs = cs[jj, jj]
-        K = self.step * (
-            cs - diag_cs[None, :] + 0.5 * self.values[jj, jj][None, :] - 0.5 * self.values
-        )
-        ii = np.arange(n)[:, None]
-        return np.where(ii >= jj[None, :], K, 0.0)
+        return np.tril(self._cum - np.diag(self._cum)[None, :])
 

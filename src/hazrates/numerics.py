@@ -14,6 +14,7 @@ __all__ = [
     "SolverConfig",
     "trapz",
     "invert_monotone",
+    "first_node_reaching",
 ]
 
 
@@ -99,3 +100,22 @@ def invert_monotone(values: np.ndarray, step: float, e: np.ndarray) -> np.ndarra
         # v_lo < e <= v_hi here, so dv > 0
         out[inner] = (hi - 1) * step + (e[inner] - v_lo) / dv * step
     return out
+
+
+def first_node_reaching(value_at, n_nodes: int, e: np.ndarray) -> np.ndarray:
+    """First node index whose value reaches e, for many arrays at once.
+
+    ``value_at(node)`` gives, for an index array aligned with ``e``
+    (entries in [0, n_nodes)), each entry's own nondecreasing node
+    array at that index.  Returns n_nodes where no node reaches e.  A
+    bisection over node indices run for all entries together:
+    O(len(e) * log n_nodes) evaluations of value_at.
+    """
+    last = n_nodes - 1
+    # idx = number of nodes still below e; probes past the last node
+    # repeat it, so idx runs past last exactly when no node reaches e
+    idx = np.zeros(e.shape, dtype=np.intp)
+    for k in reversed(range(n_nodes.bit_length())):
+        half = 1 << k
+        idx += half * (value_at(np.minimum(idx + (half - 1), last)) < e)
+    return np.minimum(idx, n_nodes)

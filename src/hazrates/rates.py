@@ -16,19 +16,47 @@ and the treated rate is
 Among the untreated there is only one possible history, so the
 untreated rate coincides with lambda02.  All integrals are trapezoidal
 on the model grid.
+
+On the grid the weights are W[i, j] = a_j * p11(t_j, t_i) with
+a = p00 * lambda01, and the engine uses the kernel's structure rather
+than the n-by-n matrix (Linz, *Analytical and Numerical Methods for
+Volterra Equations*, SIAM 1985):
+
+- A kernel of t - u only (``offset_grid``) has p11(t_j, t_i) = g[i - j]
+  with g = exp(-K(k * step)), so p01 and the numerator of r12 are
+  discrete convolutions with trapezoid end corrections,
+
+      p01 = step * (conv(a, g) - (a_0 * g + a * g_0) / 2),
+
+  and the numerator is the same with g * lambda12 in place of g:
+  O(n) memory.  Such kernels classify node offsets as integers, so a
+  lag on a grid node is early at every node pair.
+- A kernel that ignores u (``separable_grid``) has p11 = exp(-c_i) *
+  exp(c_j), so p01 is one cumulative trapezoid, O(n), and r12 equals
+  the kernel's rate by construction: rates equal hazards under Markov.
+- Any other kernel (a tabulated ``GridKernel``) integrates against the
+  dense lower triangles of exp(-K) and exp(-K) * lambda12.
+
+Everything that depends on the kernel and the grid but not on lambda02
+lives in a ``KernelQuadrature``, which the fixed-point builder makes
+once and reuses across its sweeps.
 """
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import GridFunction, cumulative
+from .kernels import HazardKernel
 from .model import IllnessDeathModel
 
 __all__ = [
     "OccupationSlice",
+    "KernelQuadrature",
+    "kernel_quadrature",
     "occupation",
     "rate_treated",
     "rate_untreated",
@@ -55,66 +83,167 @@ class OccupationSlice:
     p01: float
 
 
-def _engine(model: IllnessDeathModel) -> dict[str, np.ndarray]:
-    """Shared grid computation behind occupation, rates, and the ODE check.
+class KernelQuadrature(ABC):
+    """Trapezoid rule over initiation times u <= t_i against one kernel.
 
-    Returns node arrays plus the full triangular weight matrix
-    W[i, j] = w(u_j, t_i).
+    Made by ``kernel_quadrature`` for a kernel and a grid; each method
+    takes the initiation density a = p00 * lambda01 on that grid.
     """
-    times = model.times
-    lam01 = model.lambda01.values
+
+    def __init__(self, kernel: HazardKernel, n: int, step: float) -> None:
+        self.kernel = kernel
+        self.n = n
+        self.step = step
+
+    @abstractmethod
+    def occupation(self, a: np.ndarray) -> np.ndarray:
+        """p01 at every node (not yet clipped at zero)."""
+
+    @abstractmethod
+    def treated_rate(self, a: np.ndarray) -> np.ndarray:
+        """r12 at every node, lambda12(t | t) where p01 is vacuous."""
+
+    @abstractmethod
+    def row(self, a: np.ndarray, i: int) -> np.ndarray:
+        """The weights w(t_j, t_i), j = 0..i."""
+
+
+class _Triangle(KernelQuadrature):
+    """Quadrature against p11 = exp(-K) and p11 * lambda12, stored as
+    ``survival`` and ``weighted`` in whatever shape ``_integrate`` reads.
+    """
+
+    survival: np.ndarray
+    weighted: np.ndarray
+    diagonal: np.ndarray
+
+    @abstractmethod
+    def _integrate(self, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Row-wise trapezoid of a_j * x[i, j] over j <= i."""
+
+    def occupation(self, a: np.ndarray) -> np.ndarray:
+        return self._integrate(a, self.survival)
+
+    def treated_rate(self, a: np.ndarray) -> np.ndarray:
+        p01 = np.maximum(self.occupation(a), 0.0)
+        num = self._integrate(a, self.weighted)
+        vacuous = p01 <= VACUOUS_P01
+        return np.where(vacuous, self.diagonal, num / np.where(vacuous, 1.0, p01))
+
+
+class _Convolution(_Triangle):
+    """Kernel of t - u only: survival and weighted are 1-D in the offset."""
+
+    def __init__(self, kernel, n, step, value, cum):
+        super().__init__(kernel, n, step)
+        self.survival = np.exp(-cum)
+        self.weighted = self.survival * value
+        self.diagonal = np.full(n, value[0])
+
+    def _integrate(self, a, g):
+        full = np.convolve(a, g)[: self.n]
+        return self.step * (full - 0.5 * (a[0] * g + a * g[0]))
+
+    def row(self, a, i):
+        return a[: i + 1] * self.survival[i::-1]
+
+
+class _Dense(_Triangle):
+    """Tabulated kernel: lower triangles of exp(-K) and exp(-K) * lambda12."""
+
+    def __init__(self, kernel, n, step, value, cum):
+        super().__init__(kernel, n, step)
+        self.survival = np.tril(np.exp(-cum))
+        self.weighted = self.survival * value
+        self.diagonal = np.diag(value).copy()
+
+    def _integrate(self, a, x):
+        return self.step * (x @ a - 0.5 * (a[0] * x[:, 0] + a * np.diag(x)))
+
+    def row(self, a, i):
+        return a[: i + 1] * self.survival[i, : i + 1]
+
+
+class _Separable(KernelQuadrature):
+    """Kernel that ignores u: p11(t_j, t_i) = exp(-c_i) * exp(c_j).
+
+    Finite while c(t_max) stays below about 700, that is while survival
+    on the kernel alone over the whole horizon stays above exp(-700).
+    """
+
+    def __init__(self, kernel, n, step, rate, cum):
+        super().__init__(kernel, n, step)
+        self.rate = rate
+        self.cum = cum
+
+    def occupation(self, a):
+        b = a * np.exp(self.cum)
+        return self.step * np.exp(-self.cum) * (np.cumsum(b) - 0.5 * (b[0] + b))
+
+    def treated_rate(self, a):
+        return self.rate.copy()
+
+    def row(self, a, i):
+        return a[: i + 1] * np.exp(-(self.cum[i] - self.cum[: i + 1]))
+
+
+def kernel_quadrature(kernel: HazardKernel, grid: GridFunction) -> KernelQuadrature:
+    """The quadrature for ``kernel`` on the grid of ``grid``.
+
+    Chosen by the kernel's own structure: a convolution for kernels of
+    t - u only, an O(n) cumulative for kernels that ignore u, and the
+    dense triangle otherwise.
+    """
+    n, step = grid.n_nodes, grid.step
+    offsets = kernel.offset_grid(n, step)
+    if offsets is not None:
+        return _Convolution(kernel, n, step, *offsets)
+    separable = kernel.separable_grid(grid.times)
+    if separable is not None:
+        return _Separable(kernel, n, step, *separable)
+    times = grid.times
+    return _Dense(kernel, n, step, kernel.value_grid(times), kernel.cumulative_grid(times))
+
+
+def _initiation_density(model: IllnessDeathModel) -> tuple[np.ndarray, np.ndarray]:
+    """p00 and a = p00 * lambda01 at the nodes."""
     lam0_cum = cumulative(model.lambda01).values + cumulative(model.lambda02).values
-    p00_vals = np.exp(-lam0_cum)
+    p00 = np.exp(-lam0_cum)
+    return p00, p00 * model.lambda01.values
 
-    K = model.lambda12.cumulative_grid(times)
-    P11 = np.exp(-K)
-    L12 = model.lambda12.value_grid(times)
 
-    W = p00_vals[None, :] * lam01[None, :] * P11
-    WL = W * L12
-
-    # Row-wise trapezoids over u in [0, t_i]; cumsum up to the diagonal
-    # only touches columns j <= i, so the triangle mask is implicit.
-    d = np.arange(times.size)
-    cw = np.cumsum(W, axis=1)
-    cwl = np.cumsum(WL, axis=1)
-    step = model.step
-    p01_vals = step * (cw[d, d] - 0.5 * (W[:, 0] + W[d, d]))
-    num_vals = step * (cwl[d, d] - 0.5 * (WL[:, 0] + WL[d, d]))
-    p01_vals = np.maximum(p01_vals, 0.0)
-
-    vacuous = p01_vals <= VACUOUS_P01
-    r12 = np.empty(times.size)
-    r12[~vacuous] = num_vals[~vacuous] / p01_vals[~vacuous]
-    r12[vacuous] = np.diag(L12)[vacuous]
-
-    return {
-        "times": times,
-        "p00": p00_vals,
-        "lam01": lam01,
-        "W": W,
-        "p01": p01_vals,
-        "r12": r12,
-        "vacuous": vacuous,
-    }
+def _quadrature_for(
+    model: IllnessDeathModel, quadrature: KernelQuadrature | None
+) -> KernelQuadrature:
+    if quadrature is None:
+        return kernel_quadrature(model.lambda12, model.lambda01)
+    if quadrature.kernel is not model.lambda12 or quadrature.n != model.lambda01.n_nodes:
+        raise ValueError("quadrature was made for another kernel or grid")
+    return quadrature
 
 
 def occupation(model: IllnessDeathModel, t: float) -> OccupationSlice:
     """Initiation-time weights and occupation probability at grid node t."""
     idx = model.lambda01.node_index(t)
-    eng = _engine(model)
-    weights = GridFunction(t, model.step, eng["W"][idx, : idx + 1])
-    return OccupationSlice(t=t, weights=weights, p01=float(eng["p01"][idx]))
+    _, a = _initiation_density(model)
+    row = kernel_quadrature(model.lambda12, model.lambda01).row(a, idx)
+    p01 = model.step * (row.sum() - 0.5 * (row[0] + row[-1]))
+    weights = GridFunction(t, model.step, row)
+    return OccupationSlice(t=t, weights=weights, p01=max(float(p01), 0.0))
 
 
-def rate_treated(model: IllnessDeathModel) -> GridFunction:
+def rate_treated(
+    model: IllnessDeathModel, quadrature: KernelQuadrature | None = None
+) -> GridFunction:
     """Death rate among the currently treated, on the model grid.
 
     Nodes with vacuous occupation mass (p01 <= 1e-12, always the case
-    at t = 0) use the continuity value lambda12(t | t).
+    at t = 0) use the continuity value lambda12(t | t).  ``quadrature``,
+    from ``kernel_quadrature`` for this model's kernel and grid, saves
+    rebuilding it when many models share them.
     """
-    eng = _engine(model)
-    return model.lambda01.with_values(eng["r12"])
+    _, a = _initiation_density(model)
+    return model.lambda01.with_values(_quadrature_for(model, quadrature).treated_rate(a))
 
 
 def rate_untreated(model: IllnessDeathModel) -> GridFunction:
@@ -141,12 +270,8 @@ def ode_residual(model: IllnessDeathModel, beta: float) -> GridFunction:
     from that law; it is small only when the proportional-rates
     property actually holds.
     """
-    eng = _engine(model)
-    p01_vals = eng["p01"]
+    p00, a = _initiation_density(model)
+    p01_vals = np.maximum(kernel_quadrature(model.lambda12, model.lambda01).occupation(a), 0.0)
     dp01 = np.gradient(p01_vals, model.step, edge_order=2)
-    resid = (
-        dp01
-        + np.exp(beta) * model.lambda02.values * p01_vals
-        - eng["p00"] * eng["lam01"]
-    )
+    resid = dp01 + np.exp(beta) * model.lambda02.values * p01_vals - p00 * model.lambda01.values
     return model.lambda01.with_values(resid)

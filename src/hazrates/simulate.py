@@ -23,7 +23,7 @@ from .frailty import ConditionalHazardSpec, FrailtySpec
 from .grid import GridFunction, cumulative
 from .kernels import MarkovKernel
 from .model import Cohort, CountingTable, IllnessDeathModel, Trajectory
-from .numerics import invert_monotone
+from .numerics import first_node_reaching, invert_monotone
 
 __all__ = [
     "SimConfig",
@@ -77,19 +77,7 @@ def _exit_times(
     if z is None:
         return invert_monotone(lam01_cum + lam02_cum, step, e0)
     n_nodes = lam01_cum.size
-    rounds = n_nodes.bit_length()
-    # +inf padding to 2**rounds nodes keeps every probe in range, and a
-    # padded node is never below e0
-    lam01_pad = np.full(1 << rounds, np.inf)
-    lam02_pad = np.full(1 << rounds, np.inf)
-    lam01_pad[:n_nodes] = lam01_cum
-    lam02_pad[:n_nodes] = lam02_cum
-    # idx = number of nodes still below e0 = index of the first node reaching it
-    idx = np.zeros(e0.size, dtype=np.intp)
-    for k in reversed(range(rounds)):
-        half = 1 << k
-        node = idx + (half - 1)
-        idx += half * (lam01_pad[node] + z * lam02_pad[node] < e0)
+    idx = first_node_reaching(lambda node: lam01_cum[node] + z * lam02_cum[node], n_nodes, e0)
     out = np.full(e0.shape, np.nan)
     out[idx == 0] = 0.0
     rows = np.nonzero((idx > 0) & (idx < n_nodes))[0]

@@ -298,7 +298,7 @@ class TestReproduce:
 GOLDEN_SUMMARY = """\
 sup_rate_ratio_deviation: 2.78775e-07
 builder_iterations: 4
-lambda02_max_abs_err_on_unit_interval: 8.88178e-16
+lambda02_max_abs_err_on_unit_interval: 4.44089e-16
 true_contrast: 0.22 (unrounded 0.216908)
 rate_based_contrast: 0.15 (unrounded 0.145601)
 na_sup_deviation_untreated: 0.00945558

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from hazrates.grid import GridFunction, n_intervals
+from hazrates.grid import NODE_TOL, GridFunction, n_intervals
 from hazrates.kernels import (
     GridKernel,
     HazardKernel,
     MarkovKernel,
     TwoPieceKernel,
 )
+from hazrates.numerics import invert_monotone
 
 
 @pytest.fixture
@@ -223,3 +224,68 @@ def test_sampled_grid_kernel_tracks_its_source(two_piece):
             two_piece.cumulative(u, t), abs=6e-3
         )
     assert isinstance(sampled, HazardKernel)
+
+
+class _LoopGridKernel:
+    """Per-element reference for GridKernel's value, cumulative and inverse."""
+
+    def __init__(self, kernel):
+        self.values, self.step, self.times = kernel.values, kernel.step, kernel._times
+
+    def column(self, u):
+        pos = u / self.step
+        j0 = min(max(int(np.floor(pos + NODE_TOL)), 0), self.values.shape[1] - 1)
+        frac = pos - j0
+        if frac <= NODE_TOL or j0 + 1 >= self.values.shape[1]:
+            return self.values[:, j0]
+        return (1 - frac) * self.values[:, j0] + frac * self.values[:, j0 + 1]
+
+    def cum_column(self, u):
+        col = self.column(u)
+        cum = np.zeros_like(col)
+        cum[1:] = np.cumsum(0.5 * (col[1:] + col[:-1]) * self.step)
+        out = np.maximum(cum - np.interp(u, self.times, cum), 0.0)
+        out[self.times < u - NODE_TOL] = 0.0
+        return out
+
+    def value(self, t, u):
+        return np.array([np.interp(a, self.times, self.column(b)) for a, b in zip(t, u)])
+
+    def cumulative(self, u, t):
+        return np.array([np.interp(b, self.times, self.cum_column(a)) for a, b in zip(u, t)])
+
+    def invert_cumulative(self, u, e):
+        out = []
+        for a, b in zip(u, e):
+            t = invert_monotone(self.cum_column(a), self.step, np.asarray([b]))[0]
+            out.append(np.inf if np.isnan(t) else max(t, a))
+        return np.array(out)
+
+
+def test_vectorized_grid_kernel_matches_the_loop():
+    rng = np.random.default_rng(7)
+    t_max, step = 2.0, 0.05
+    n = n_intervals(t_max, step) + 1
+    tt = np.arange(n) * step
+    vals = np.abs(rng.normal(0.5, 0.3, size=(n, n))) * (1 + (tt[:, None] > tt[None, :] + 0.7))
+    kernel = GridKernel(t_max, step, vals)
+    ref = _LoopGridKernel(kernel)
+    m = 400
+    # off-node, on-node and within-NODE_TOL-of-node initiation times
+    u = rng.uniform(0.0, t_max, size=m)
+    u[::4] = tt[rng.integers(0, n, size=u[::4].size)]
+    u[1::8] = u[1::8].round(1) + rng.choice([-1, 1], size=u[1::8].size) * 1e-11
+    u = np.clip(u, 0.0, t_max)
+    t = np.minimum(u + rng.exponential(0.5, size=m), t_max)
+    t[::5] = u[::5]
+    np.testing.assert_allclose(kernel.value(t, u), ref.value(t, u), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(
+        kernel.cumulative(u, t), ref.cumulative(u, t), rtol=1e-12, atol=1e-12
+    )
+    e = rng.exponential(0.8, size=m)
+    e[::7] = 0.0
+    got, want = kernel.invert_cumulative(u, e), ref.invert_cumulative(u, e)
+    assert np.array_equal(np.isinf(got), np.isinf(want)) and np.any(np.isinf(want))
+    finite = np.isfinite(want)
+    np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=1e-12)
+    assert kernel.cumulative(0.3, 1.7) == pytest.approx(ref.cumulative([0.3], [1.7])[0], abs=1e-12)

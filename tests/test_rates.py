@@ -1,10 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import BETA, EARLY, LAG, LAM01, LATE, STEP, T_MAX
 
 import hazrates as hz
-from hazrates.rates import ode_residual, occupation, rate_treated, rate_untreated
+from hazrates.rates import (
+    VACUOUS_P01,
+    _Dense,
+    kernel_quadrature,
+    ode_residual,
+    occupation,
+    rate_treated,
+    rate_untreated,
+)
 
 
 @pytest.fixture(scope="module")
@@ -87,3 +97,102 @@ def test_ode_residual_separates_built_from_naive(model, standard_build):
         lam01, hz.GridFunction.constant(T_MAX, STEP, 0.6), kernel
     )
     assert float(np.max(np.abs(ode_residual(naive, BETA).values))) > 0.01
+
+
+def _dense_oracle(model):
+    """The dense triangle on the kernel's full grid matrices."""
+    times = model.times
+    kernel = model.lambda12
+    return _Dense(
+        kernel, times.size, model.step, kernel.value_grid(times), kernel.cumulative_grid(times)
+    )
+
+
+def _initiation_density(model):
+    lam0_cum = hz.cumulative(model.lambda01).values + hz.cumulative(model.lambda02).values
+    return np.exp(-lam0_cum) * model.lambda01.values
+
+
+def _sweep_cases():
+    rng = np.random.default_rng(20251018)
+    for case in range(12):
+        step = float(rng.choice([0.005, 0.01, 0.02]))
+        nodes = int(rng.integers(20, 200))
+        # even cases put the lag on a grid node, odd ones between nodes
+        lag = nodes * step if case % 2 == 0 else (nodes + float(rng.uniform(0.1, 0.9))) * step
+        yield (
+            float(rng.uniform(0.05, 1.0)),
+            float(rng.uniform(0.0, 1.0)),
+            float(rng.uniform(0.0, 1.0)),
+            lag,
+            float(rng.uniform(-1.0, 0.5)),
+            step,
+        )
+
+
+@pytest.mark.parametrize("lam01, early, late, lag, beta, step", list(_sweep_cases()))
+def test_convolution_engine_matches_dense_oracle(lam01, early, late, lag, beta, step):
+    grid = hz.GridFunction.constant(T_MAX, step, lam01)
+    kernel = hz.TwoPieceKernel(early=early, late=late, lag=lag)
+    report = hz.build(grid, kernel, beta)
+    model = hz.IllnessDeathModel(grid, report.lambda02, kernel)
+    a = _initiation_density(model)
+    dense = _dense_oracle(model)
+    quad = kernel_quadrature(kernel, grid)
+    p01_dense = dense.occupation(a)
+    live = np.maximum(p01_dense, 0.0) > VACUOUS_P01
+    np.testing.assert_allclose(quad.occupation(a)[live], p01_dense[live], rtol=1e-13, atol=0)
+    r12 = rate_treated(model).values
+    np.testing.assert_allclose(r12[live], dense.treated_rate(a)[live], rtol=1e-13, atol=0)
+    assert np.array_equal(r12[~live], dense.treated_rate(a)[~live])
+    for t in (0.0, lag, T_MAX):
+        i = int(round(min(t, T_MAX) / step))
+        np.testing.assert_allclose(
+            occupation(model, i * step).weights.values, dense.row(a, i), rtol=1e-13, atol=0
+        )
+
+
+def test_markov_engine_is_separable(constant_markov_model):
+    # a time-varying kernel rate and lambda02, so nothing is constant
+    g = hz.GridFunction.from_callable(lambda t: 0.2 + 0.3 * t, T_MAX, STEP)
+    lam02 = hz.GridFunction.from_callable(lambda t: 0.6 - 0.1 * t, T_MAX, STEP)
+    model = hz.IllnessDeathModel(constant_markov_model.lambda01, lam02, hz.MarkovKernel(g))
+    a = _initiation_density(model)
+    dense = _dense_oracle(model)
+    assert np.array_equal(rate_treated(model).values, g.values)
+    p01_dense = dense.occupation(a)
+    live = p01_dense > VACUOUS_P01
+    np.testing.assert_allclose(
+        kernel_quadrature(model.lambda12, model.lambda01).occupation(a)[live],
+        p01_dense[live],
+        rtol=1e-13,
+        atol=0,
+    )
+    i = model.lambda01.node_index(2.0)
+    np.testing.assert_allclose(
+        occupation(model, 2.0).weights.values, dense.row(a, i), rtol=1e-13, atol=0
+    )
+
+
+def test_build_quadrature_must_match_the_model(model, constant_markov_model):
+    quad = kernel_quadrature(constant_markov_model.lambda12, constant_markov_model.lambda01)
+    with pytest.raises(ValueError, match="another kernel"):
+        rate_treated(model, quad)
+
+
+def test_rate_at_step_1e4_runs_in_linear_memory():
+    # 30,001 nodes: one dense float64 matrix alone would take 7.2 GB
+    lam01 = hz.GridFunction.constant(T_MAX, 1e-4, LAM01)
+    lam02 = hz.GridFunction.constant(T_MAX, 1e-4, 0.6)
+    model = hz.IllnessDeathModel(lam01, lam02, hz.TwoPieceKernel(EARLY, LATE, LAG))
+    tracemalloc.start()
+    try:
+        r12 = rate_treated(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+    assert r12.values.size == 30_001
+    idx = model.lambda01.node_index(1.0)
+    np.testing.assert_allclose(r12.values[: idx + 1], EARLY, rtol=0, atol=1e-12)
+    assert np.all(r12.values[idx + 1 :] < EARLY)
