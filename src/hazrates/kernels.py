@@ -152,14 +152,6 @@ class TwoPieceKernel(HazardKernel):
         return cum[_node_offsets(times.size)]
 
 
-def _bracket(x: np.ndarray, step: float, n: int):
-    """Nodes (k0, k1) around x and weight w, x ~ (1 - w) * k0 + w * k1,
-    clamped to the grid ends."""
-    pos = np.clip(x / step, 0.0, n - 1)
-    k0 = np.clip(np.floor(pos).astype(np.intp), 0, max(n - 2, 0))
-    return k0, np.minimum(k0 + 1, n - 1), pos - k0
-
-
 def _grid_step(times: np.ndarray) -> float:
     """Spacing of uniform grid nodes (any positive value for one node)."""
     return float(times[1] - times[0]) if times.size > 1 else 1.0
@@ -284,13 +276,9 @@ class GridKernel(HazardKernel):
         return v0 + w * (self._blend(table, k1, cols) - v0)
 
     def value(self, t, u):
-        t_b, u_b = np.broadcast_arrays(
-            np.atleast_1d(np.asarray(t, dtype=float)), np.atleast_1d(np.asarray(u, dtype=float))
-        )
+        t_b, u_b, scalar = _broadcast_pair(t, u)
         out = self._along_t(self.values, t_b, self._columns(u_b))
-        if np.asarray(t).ndim == 0 and np.asarray(u).ndim == 0:
-            return float(out[0])
-        return out
+        return float(out[0]) if scalar else out
 
     def _from_u(self, u: np.ndarray):
         """Node function k -> cumulative from u to node k of u's column
@@ -305,28 +293,22 @@ class GridKernel(HazardKernel):
         return at
 
     def cumulative(self, u, t):
-        u_b, t_b = np.broadcast_arrays(
-            np.atleast_1d(np.asarray(u, dtype=float)), np.atleast_1d(np.asarray(t, dtype=float))
-        )
+        u_b, t_b, scalar = _broadcast_pair(u, t)
         if np.any(t_b - u_b < -NODE_TOL):
             raise ValueError("kernel cumulative needs u <= t")
         at = self._from_u(u_b)
         k0, k1, w = _bracket(t_b, self.step, self._times.size)
         c0 = at(k0)
         out = c0 + w * (at(k1) - c0)
-        if np.asarray(u).ndim == 0 and np.asarray(t).ndim == 0:
-            return float(out[0])
-        return out
+        return float(out[0]) if scalar else out
 
     def invert_cumulative(self, u, e):
-        u_b, e_b = np.broadcast_arrays(
-            np.atleast_1d(np.asarray(u, dtype=float)), np.atleast_1d(np.asarray(e, dtype=float))
-        )
+        u_b, e_b, scalar = _broadcast_pair(u, e)
         if np.any(e_b < 0):
             raise ValueError("threshold must be nonnegative")
         n = self._times.size
         at = self._from_u(u_b)
-        idx = first_node_reaching(at, n, e_b)
+        idx = first_node_reaching(lambda k: at(np.minimum(k, n - 1)), n, e_b)
         hi = np.clip(idx, 1, n - 1)
         v_lo = at(hi - 1)
         # v_lo < e <= at(hi) wherever 0 < idx < n, so only the rows
@@ -335,9 +317,7 @@ class GridKernel(HazardKernel):
             t = (hi - 1) * self.step + (e_b - v_lo) / (at(hi) - v_lo) * self.step
         t = np.where(idx == 0, 0.0, t)
         out = np.where(idx == n, np.inf, np.maximum(t, u_b))
-        if np.asarray(u).ndim == 0 and np.asarray(e).ndim == 0:
-            return float(out[0])
-        return out
+        return float(out[0]) if scalar else out
 
     def value_grid(self, times: np.ndarray) -> np.ndarray:
         if times.size != self._times.size or abs(times[-1] - self._times[-1]) > NODE_TOL:
@@ -349,3 +329,19 @@ class GridKernel(HazardKernel):
             raise ValueError("grid mismatch between kernel and request")
         return np.tril(self._cum - np.diag(self._cum)[None, :])
 
+
+def _bracket(x: np.ndarray, step: float, n: int):
+    """Nodes (k0, k1) around x and weight w, x ~ (1 - w) * k0 + w * k1,
+    clamped to the grid ends."""
+    pos = np.clip(x / step, 0.0, n - 1)
+    k0 = np.clip(np.floor(pos).astype(np.intp), 0, max(n - 2, 0))
+    return k0, np.minimum(k0 + 1, n - 1), pos - k0
+
+
+def _broadcast_pair(x, y):
+    """x and y as broadcast float arrays of at least one dimension, and
+    whether both were scalars."""
+    x_b, y_b = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(y, dtype=float))
+    )
+    return x_b, y_b, np.ndim(x) == 0 and np.ndim(y) == 0

@@ -165,11 +165,10 @@ class _Dense(_Triangle):
 
 
 class _Separable(KernelQuadrature):
-    """Kernel that ignores u: p11(t_j, t_i) = exp(-c_i) * exp(c_j).
+    """Kernel that ignores u: p11(t_j, t_i) = exp(-c_i) * exp(c_j)."""
 
-    Finite while c(t_max) stays below about 700, that is while survival
-    on the kernel alone over the whole horizon stays above exp(-700).
-    """
+    # c may rise by this much within one block of nodes (exp(600) ~ 4e260)
+    _SPAN = 600.0
 
     def __init__(self, kernel, n, step, rate, cum):
         super().__init__(kernel, n, step)
@@ -177,8 +176,23 @@ class _Separable(KernelQuadrature):
         self.cum = cum
 
     def occupation(self, a):
-        b = a * np.exp(self.cum)
-        return self.step * np.exp(-self.cum) * (np.cumsum(b) - 0.5 * (b[0] + b))
+        # exp(c_j - c_i) = exp(c_j - c_s) * exp(c_s - c_i) with s the first
+        # node of a block over which c rises by at most _SPAN, so neither
+        # factor overflows; a kernel with c(t_max) <= _SPAN is one block
+        c = self.cum
+        out = np.empty_like(a)
+        carry = 0.0  # sum over j < s of a_j * exp(c_j - c_s)
+        s = 0
+        while s < c.size:
+            e = int(np.searchsorted(c, c[s] + self._SPAN, side="right"))
+            b = a[s:e] * np.exp(c[s:e] - c[s])
+            total = carry + np.cumsum(b)
+            head = a[0] * np.exp(c[0] - c[s])
+            out[s:e] = self.step * np.exp(c[s] - c[s:e]) * (total - 0.5 * (head + b))
+            if e < c.size:
+                carry = total[-1] * np.exp(c[s] - c[e])
+            s = e
+        return out
 
     def treated_rate(self, a):
         return self.rate.copy()
@@ -217,7 +231,12 @@ def _quadrature_for(
 ) -> KernelQuadrature:
     if quadrature is None:
         return kernel_quadrature(model.lambda12, model.lambda01)
-    if quadrature.kernel is not model.lambda12 or quadrature.n != model.lambda01.n_nodes:
+    grid = model.lambda01
+    if (
+        quadrature.kernel is not model.lambda12
+        or quadrature.n != grid.n_nodes
+        or quadrature.step != grid.step
+    ):
         raise ValueError("quadrature was made for another kernel or grid")
     return quadrature
 

@@ -77,7 +77,13 @@ def _exit_times(
     if z is None:
         return invert_monotone(lam01_cum + lam02_cum, step, e0)
     n_nodes = lam01_cum.size
-    idx = first_node_reaching(lambda node: lam01_cum[node] + z * lam02_cum[node], n_nodes, e0)
+    # +inf padding to 2**bit_length nodes keeps every probe in range, and
+    # a padded node is never below e0
+    lam01_pad = np.full(1 << n_nodes.bit_length(), np.inf)
+    lam02_pad = np.full(1 << n_nodes.bit_length(), np.inf)
+    lam01_pad[:n_nodes] = lam01_cum
+    lam02_pad[:n_nodes] = lam02_cum
+    idx = first_node_reaching(lambda node: lam01_pad[node] + z * lam02_pad[node], n_nodes, e0)
     out = np.full(e0.shape, np.nan)
     out[idx == 0] = 0.0
     rows = np.nonzero((idx > 0) & (idx < n_nodes))[0]

@@ -152,9 +152,11 @@ def test_convolution_engine_matches_dense_oracle(lam01, early, late, lag, beta, 
         )
 
 
-def test_markov_engine_is_separable(constant_markov_model):
-    # a time-varying kernel rate and lambda02, so nothing is constant
-    g = hz.GridFunction.from_callable(lambda t: 0.2 + 0.3 * t, T_MAX, STEP)
+@pytest.mark.parametrize("scale", [1.0, 400.0])
+def test_markov_engine_is_separable(constant_markov_model, scale):
+    # a time-varying kernel rate and lambda02, so nothing is constant;
+    # at scale 400 the kernel cumulative reaches 1,300, past exp's range
+    g = hz.GridFunction.from_callable(lambda t: scale * (0.2 + 0.3 * t), T_MAX, STEP)
     lam02 = hz.GridFunction.from_callable(lambda t: 0.6 - 0.1 * t, T_MAX, STEP)
     model = hz.IllnessDeathModel(constant_markov_model.lambda01, lam02, hz.MarkovKernel(g))
     a = _initiation_density(model)
