@@ -78,8 +78,10 @@ class TwoPieceKernel(HazardKernel):
     """Piecewise-constant hazard in elapsed duration t - u.
 
     The hazard is ``early`` while t - u <= lag (the boundary counts as
-    early) and ``late`` afterwards.  The cumulative and its inverse have
-    closed forms, so no grid is involved.
+    early: within NODE_TOL for scalar times, exactly for grid nodes,
+    whose offsets are compared as integers) and ``late`` afterwards.
+    The cumulative and its inverse have closed forms, and on a grid the
+    kernel depends on the node offset i - j alone (``offset_grid``).
     """
 
     early: float
