@@ -221,7 +221,7 @@ def _cmd_rates(args: argparse.Namespace) -> int:
     _require_converged(report)
     r12 = report.iterations[-1].rate
     r02 = rate_untreated(model)
-    ratio = construct._rate_ratio(r12, r02)
+    ratio = construct.ratio_of_rates(r12, r02)
     _write_csv(
         out / "rates.csv",
         ["t", "r12", "r02", "rate_ratio"],
@@ -233,22 +233,19 @@ def _cmd_rates(args: argparse.Namespace) -> int:
     return 0
 
 
-def _contrast_columns(model: IllnessDeathModel, r12: GridFunction):
-    s_always = potential_survival(model, Regime.always())
-    s_never = potential_survival(model, Regime.never())
-    s_rate_treated = rate_based_survival(r12)
-    s_rate_untreated = rate_based_survival(rate_untreated(model))
-    chr_ = causal_hazard_ratio(model)
-    rr = construct._rate_ratio(r12, rate_untreated(model))
-    return s_always, s_never, s_rate_treated, s_rate_untreated, chr_, rr
-
-
 def _cmd_contrast(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     out = cfg.resolved_out_dir()
     model, report = _build(cfg)
     _require_converged(report)
-    s_always, s_never, s_rt, s_ru, chr_, rr = _contrast_columns(model, report.iterations[-1].rate)
+    r12 = report.iterations[-1].rate
+    r02 = rate_untreated(model)
+    s_always = potential_survival(model, Regime.always())
+    s_never = potential_survival(model, Regime.never())
+    s_rt = rate_based_survival(r12)
+    s_ru = rate_based_survival(r02)
+    chr_ = causal_hazard_ratio(model)
+    rr = construct.ratio_of_rates(r12, r02)
     _write_csv(
         out / "contrast.csv",
         [

@@ -27,7 +27,14 @@ from .model import IllnessDeathModel
 from .numerics import SolverConfig
 from .rates import kernel_quadrature, rate_treated, rate_untreated
 
-__all__ = ["IterationRecord", "BuildReport", "build", "rate_ratio", "DEFAULT_BUILD"]
+__all__ = [
+    "IterationRecord",
+    "BuildReport",
+    "build",
+    "rate_ratio",
+    "ratio_of_rates",
+    "DEFAULT_BUILD",
+]
 
 #: Default configuration: sup-norm tolerance on the rate-ratio deviation.
 DEFAULT_BUILD = SolverConfig(tol=1e-6, max_iter=50, damping=1.0)
@@ -109,7 +116,7 @@ def build(
 
     for index in range(config.max_iter + 1):
         model = IllnessDeathModel(lambda01, lam02, lambda12)
-        r12 = rate_treated(model, quadrature)
+        r12 = quadrature.rate_treated(model)
         dev = _sup_deviation(r12, lam02, target)
         records.append(
             IterationRecord(index=index, sup_dev=dev, lambda02=lam02, rate=r12)
@@ -153,11 +160,12 @@ def rate_ratio(model: IllnessDeathModel) -> GridFunction:
     Nodes where lambda02 falls below 1e-12 have no well-defined ratio;
     they are reported in the raised error rather than silently dropped.
     """
-    return _rate_ratio(rate_treated(model), rate_untreated(model))
+    return ratio_of_rates(rate_treated(model), rate_untreated(model))
 
 
-def _rate_ratio(r12: GridFunction, r02: GridFunction) -> GridFunction:
-    """r12 / r02, for a treated rate already computed (as ``build`` does)."""
+def ratio_of_rates(r12: GridFunction, r02: GridFunction) -> GridFunction:
+    """``rate_ratio`` from rates already computed, such as the r12 of
+    the last sweep in a ``BuildReport``."""
     bad = r02.values < ZERO_DENOM
     if np.any(bad):
         times = r02.times[bad]

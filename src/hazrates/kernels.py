@@ -66,12 +66,6 @@ class HazardKernel(ABC):
         """
         return None
 
-    def separable_grid(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        """(value(t, .), c(t)) at the nodes for a kernel that ignores u,
-        whose cumulative(u, t) is c(t) - c(u); None for any other kernel.
-        """
-        return None
-
 
 @dataclass(frozen=True)
 class TwoPieceKernel(HazardKernel):
@@ -207,9 +201,6 @@ class MarkovKernel(HazardKernel):
         out = np.where(np.isnan(t), np.inf, t)
         out = np.maximum(out, u_b)  # guard roundoff at e ~ 0
         return float(out[0]) if scalar else out
-
-    def separable_grid(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.rate(times), self._cum(times)
 
     def value_grid(self, times: np.ndarray) -> np.ndarray:
         return np.broadcast_to(self.rate(times)[:, None], (times.size, times.size)).copy()

@@ -31,15 +31,13 @@ Volterra Equations*, SIAM 1985):
   and the numerator is the same with g * lambda12 in place of g:
   O(n) memory.  Such kernels classify node offsets as integers, so a
   lag on a grid node is early at every node pair.
-- A kernel that ignores u (``separable_grid``) has p11 = exp(-c_i) *
-  exp(c_j), so p01 is one cumulative trapezoid, O(n), and r12 equals
-  the kernel's rate by construction: rates equal hazards under Markov.
-- Any other kernel (a tabulated ``GridKernel``) integrates against the
-  dense lower triangles of exp(-K) and exp(-K) * lambda12.
+- Any other kernel (``MarkovKernel``, a tabulated ``GridKernel``)
+  integrates against the dense lower triangles of exp(-K) and
+  exp(-K) * lambda12.
 
 Everything that depends on the kernel and the grid but not on lambda02
 lives in a ``KernelQuadrature``, which the fixed-point builder makes
-once and reuses across its sweeps.
+once (``kernel_quadrature``) and reuses across its sweeps.
 """
 
 from __future__ import annotations
@@ -55,8 +53,6 @@ from .model import IllnessDeathModel
 
 __all__ = [
     "OccupationSlice",
-    "KernelQuadrature",
-    "kernel_quadrature",
     "occupation",
     "rate_treated",
     "rate_untreated",
@@ -87,55 +83,49 @@ class KernelQuadrature(ABC):
     """Trapezoid rule over initiation times u <= t_i against one kernel.
 
     Made by ``kernel_quadrature`` for a kernel and a grid; each method
-    takes the initiation density a = p00 * lambda01 on that grid.
-    """
-
-    def __init__(self, kernel: HazardKernel, n: int, step: float) -> None:
-        self.kernel = kernel
-        self.n = n
-        self.step = step
-
-    @abstractmethod
-    def occupation(self, a: np.ndarray) -> np.ndarray:
-        """p01 at every node (not yet clipped at zero)."""
-
-    @abstractmethod
-    def treated_rate(self, a: np.ndarray) -> np.ndarray:
-        """r12 at every node, lambda12(t | t) where p01 is vacuous."""
-
-    @abstractmethod
-    def row(self, a: np.ndarray, i: int) -> np.ndarray:
-        """The weights w(t_j, t_i), j = 0..i."""
-
-
-class _Triangle(KernelQuadrature):
-    """Quadrature against p11 = exp(-K) and p11 * lambda12, stored as
-    ``survival`` and ``weighted`` in whatever shape ``_integrate`` reads.
+    takes the initiation density a = p00 * lambda01 on that grid.  It
+    holds p11 = exp(-K) and p11 * lambda12 as ``survival`` and
+    ``weighted``, in whatever shape ``_integrate`` reads.
     """
 
     survival: np.ndarray
     weighted: np.ndarray
     diagonal: np.ndarray
 
+    def __init__(self, n: int, step: float) -> None:
+        self.n = n
+        self.step = step
+
     @abstractmethod
     def _integrate(self, a: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Row-wise trapezoid of a_j * x[i, j] over j <= i."""
 
+    @abstractmethod
+    def row(self, a: np.ndarray, i: int) -> np.ndarray:
+        """The weights w(t_j, t_i), j = 0..i."""
+
     def occupation(self, a: np.ndarray) -> np.ndarray:
+        """p01 at every node (not yet clipped at zero)."""
         return self._integrate(a, self.survival)
 
     def treated_rate(self, a: np.ndarray) -> np.ndarray:
+        """r12 at every node, lambda12(t | t) where p01 is vacuous."""
         p01 = np.maximum(self.occupation(a), 0.0)
         num = self._integrate(a, self.weighted)
         vacuous = p01 <= VACUOUS_P01
         return np.where(vacuous, self.diagonal, num / np.where(vacuous, 1.0, p01))
 
+    def rate_treated(self, model: IllnessDeathModel) -> GridFunction:
+        """``rate_treated(model)`` for a model on this kernel and grid."""
+        _, a = _initiation_density(model)
+        return model.lambda01.with_values(self.treated_rate(a))
 
-class _Convolution(_Triangle):
+
+class _Convolution(KernelQuadrature):
     """Kernel of t - u only: survival and weighted are 1-D in the offset."""
 
-    def __init__(self, kernel, n, step, value, cum):
-        super().__init__(kernel, n, step)
+    def __init__(self, n, step, value, cum):
+        super().__init__(n, step)
         self.survival = np.exp(-cum)
         self.weighted = self.survival * value
         self.diagonal = np.full(n, value[0])
@@ -148,11 +138,11 @@ class _Convolution(_Triangle):
         return a[: i + 1] * self.survival[i::-1]
 
 
-class _Dense(_Triangle):
-    """Tabulated kernel: lower triangles of exp(-K) and exp(-K) * lambda12."""
+class _Dense(KernelQuadrature):
+    """Any other kernel: lower triangles of exp(-K) and exp(-K) * lambda12."""
 
-    def __init__(self, kernel, n, step, value, cum):
-        super().__init__(kernel, n, step)
+    def __init__(self, n, step, value, cum):
+        super().__init__(n, step)
         self.survival = np.tril(np.exp(-cum))
         self.weighted = self.survival * value
         self.diagonal = np.diag(value).copy()
@@ -164,59 +154,18 @@ class _Dense(_Triangle):
         return a[: i + 1] * self.survival[i, : i + 1]
 
 
-class _Separable(KernelQuadrature):
-    """Kernel that ignores u: p11(t_j, t_i) = exp(-c_i) * exp(c_j)."""
-
-    # c may rise by this much within one block of nodes (exp(600) ~ 4e260)
-    _SPAN = 600.0
-
-    def __init__(self, kernel, n, step, rate, cum):
-        super().__init__(kernel, n, step)
-        self.rate = rate
-        self.cum = cum
-
-    def occupation(self, a):
-        # exp(c_j - c_i) = exp(c_j - c_s) * exp(c_s - c_i) with s the first
-        # node of a block over which c rises by at most _SPAN, so neither
-        # factor overflows; a kernel with c(t_max) <= _SPAN is one block
-        c = self.cum
-        out = np.empty_like(a)
-        carry = 0.0  # sum over j < s of a_j * exp(c_j - c_s)
-        s = 0
-        while s < c.size:
-            e = int(np.searchsorted(c, c[s] + self._SPAN, side="right"))
-            b = a[s:e] * np.exp(c[s:e] - c[s])
-            total = carry + np.cumsum(b)
-            head = a[0] * np.exp(c[0] - c[s])
-            out[s:e] = self.step * np.exp(c[s] - c[s:e]) * (total - 0.5 * (head + b))
-            if e < c.size:
-                carry = total[-1] * np.exp(c[s] - c[e])
-            s = e
-        return out
-
-    def treated_rate(self, a):
-        return self.rate.copy()
-
-    def row(self, a, i):
-        return a[: i + 1] * np.exp(-(self.cum[i] - self.cum[: i + 1]))
-
-
 def kernel_quadrature(kernel: HazardKernel, grid: GridFunction) -> KernelQuadrature:
     """The quadrature for ``kernel`` on the grid of ``grid``.
 
     Chosen by the kernel's own structure: a convolution for kernels of
-    t - u only, an O(n) cumulative for kernels that ignore u, and the
-    dense triangle otherwise.
+    t - u only, the dense triangle otherwise.
     """
     n, step = grid.n_nodes, grid.step
     offsets = kernel.offset_grid(n, step)
     if offsets is not None:
-        return _Convolution(kernel, n, step, *offsets)
-    separable = kernel.separable_grid(grid.times)
-    if separable is not None:
-        return _Separable(kernel, n, step, *separable)
+        return _Convolution(n, step, *offsets)
     times = grid.times
-    return _Dense(kernel, n, step, kernel.value_grid(times), kernel.cumulative_grid(times))
+    return _Dense(n, step, kernel.value_grid(times), kernel.cumulative_grid(times))
 
 
 def _initiation_density(model: IllnessDeathModel) -> tuple[np.ndarray, np.ndarray]:
@@ -224,21 +173,6 @@ def _initiation_density(model: IllnessDeathModel) -> tuple[np.ndarray, np.ndarra
     lam0_cum = cumulative(model.lambda01).values + cumulative(model.lambda02).values
     p00 = np.exp(-lam0_cum)
     return p00, p00 * model.lambda01.values
-
-
-def _quadrature_for(
-    model: IllnessDeathModel, quadrature: KernelQuadrature | None
-) -> KernelQuadrature:
-    if quadrature is None:
-        return kernel_quadrature(model.lambda12, model.lambda01)
-    grid = model.lambda01
-    if (
-        quadrature.kernel is not model.lambda12
-        or quadrature.n != grid.n_nodes
-        or quadrature.step != grid.step
-    ):
-        raise ValueError("quadrature was made for another kernel or grid")
-    return quadrature
 
 
 def occupation(model: IllnessDeathModel, t: float) -> OccupationSlice:
@@ -251,18 +185,13 @@ def occupation(model: IllnessDeathModel, t: float) -> OccupationSlice:
     return OccupationSlice(t=t, weights=weights, p01=max(float(p01), 0.0))
 
 
-def rate_treated(
-    model: IllnessDeathModel, quadrature: KernelQuadrature | None = None
-) -> GridFunction:
+def rate_treated(model: IllnessDeathModel) -> GridFunction:
     """Death rate among the currently treated, on the model grid.
 
     Nodes with vacuous occupation mass (p01 <= 1e-12, always the case
-    at t = 0) use the continuity value lambda12(t | t).  ``quadrature``,
-    from ``kernel_quadrature`` for this model's kernel and grid, saves
-    rebuilding it when many models share them.
+    at t = 0) use the continuity value lambda12(t | t).
     """
-    _, a = _initiation_density(model)
-    return model.lambda01.with_values(_quadrature_for(model, quadrature).treated_rate(a))
+    return kernel_quadrature(model.lambda12, model.lambda01).rate_treated(model)
 
 
 def rate_untreated(model: IllnessDeathModel) -> GridFunction:

@@ -103,9 +103,7 @@ def _dense_oracle(model):
     """The dense triangle on the kernel's full grid matrices."""
     times = model.times
     kernel = model.lambda12
-    return _Dense(
-        kernel, times.size, model.step, kernel.value_grid(times), kernel.cumulative_grid(times)
-    )
+    return _Dense(times.size, model.step, kernel.value_grid(times), kernel.cumulative_grid(times))
 
 
 def _initiation_density(model):
@@ -150,36 +148,6 @@ def test_convolution_engine_matches_dense_oracle(lam01, early, late, lag, beta, 
         np.testing.assert_allclose(
             occupation(model, i * step).weights.values, dense.row(a, i), rtol=1e-13, atol=0
         )
-
-
-@pytest.mark.parametrize("scale", [1.0, 400.0])
-def test_markov_engine_is_separable(constant_markov_model, scale):
-    # a time-varying kernel rate and lambda02, so nothing is constant;
-    # at scale 400 the kernel cumulative reaches 1,300, past exp's range
-    g = hz.GridFunction.from_callable(lambda t: scale * (0.2 + 0.3 * t), T_MAX, STEP)
-    lam02 = hz.GridFunction.from_callable(lambda t: 0.6 - 0.1 * t, T_MAX, STEP)
-    model = hz.IllnessDeathModel(constant_markov_model.lambda01, lam02, hz.MarkovKernel(g))
-    a = _initiation_density(model)
-    dense = _dense_oracle(model)
-    assert np.array_equal(rate_treated(model).values, g.values)
-    p01_dense = dense.occupation(a)
-    live = p01_dense > VACUOUS_P01
-    np.testing.assert_allclose(
-        kernel_quadrature(model.lambda12, model.lambda01).occupation(a)[live],
-        p01_dense[live],
-        rtol=1e-13,
-        atol=0,
-    )
-    i = model.lambda01.node_index(2.0)
-    np.testing.assert_allclose(
-        occupation(model, 2.0).weights.values, dense.row(a, i), rtol=1e-13, atol=0
-    )
-
-
-def test_build_quadrature_must_match_the_model(model, constant_markov_model):
-    quad = kernel_quadrature(constant_markov_model.lambda12, constant_markov_model.lambda01)
-    with pytest.raises(ValueError, match="another kernel"):
-        rate_treated(model, quad)
 
 
 def test_rate_at_step_1e4_runs_in_linear_memory():
