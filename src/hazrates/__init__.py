@@ -36,7 +36,6 @@ from .frailty import (
     DegenerateFrailty,
     FrailtySpec,
     GammaFrailty,
-    TreatmentPath,
     collider_table,
     invert_rate_to_h,
     marginal_hazard,
@@ -50,6 +49,7 @@ from .model import (
     CountingTable,
     IllnessDeathModel,
     Trajectory,
+    TreatmentPath,
     read_counting_rows,
     rows_as_arrays,
     write_counting_rows,

@@ -24,23 +24,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import construct, estimators
-from .contrast import (
-    Regime,
-    causal_hazard_ratio,
-    potential_survival,
-    rate_based_survival,
-)
+from .contrast import causal_hazard_ratio, potential_survival, rate_based_survival
 from .frailty import (
     ColliderScenario,
     ConditionalHazardSpec,
     GammaFrailty,
-    TreatmentPath,
     collider_table,
     marginal_hazard,
 )
 from .grid import GridFunction, cumulative
 from .kernels import TwoPieceKernel
-from .model import IllnessDeathModel, read_counting_rows, write_counting_rows
+from .model import IllnessDeathModel, TreatmentPath, read_counting_rows, write_counting_rows
 from .numerics import ConvergenceError, SolverConfig
 from .rates import rate_untreated
 from .simulate import SimConfig, simulate_cohort, to_counting_rows
@@ -240,8 +234,8 @@ def _cmd_contrast(args: argparse.Namespace) -> int:
     _require_converged(report)
     r12 = report.iterations[-1].rate
     r02 = rate_untreated(model)
-    s_always = potential_survival(model, Regime.always())
-    s_never = potential_survival(model, Regime.never())
+    s_always = potential_survival(model, TreatmentPath.always())
+    s_never = potential_survival(model, TreatmentPath.never())
     s_rt = rate_based_survival(r12)
     s_ru = rate_based_survival(r02)
     chr_ = causal_hazard_ratio(model)
@@ -432,8 +426,8 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     r12 = report.iterations[-1].rate
     t_end = model.t_max
     true_c = float(
-        potential_survival(model, Regime.always())(t_end)
-        - potential_survival(model, Regime.never())(t_end)
+        potential_survival(model, TreatmentPath.always())(t_end)
+        - potential_survival(model, TreatmentPath.never())(t_end)
     )
     rate_c = float(
         rate_based_survival(r12)(t_end) - rate_based_survival(rate_untreated(model))(t_end)

@@ -144,14 +144,18 @@ def build(
 
 def _sup_deviation(r12: GridFunction, lam02: GridFunction, target: float) -> float:
     """Sup over nodes in (0, t_max] of |r12/lambda02 - target|."""
-    denom = lam02.values[1:]
-    if np.any(denom < ZERO_DENOM):
-        bad = lam02.times[1:][denom < ZERO_DENOM]
+    _check_denominator(lam02.times[1:], lam02.values[1:])
+    return float(np.max(np.abs(r12.values[1:] / lam02.values[1:] - target)))
+
+
+def _check_denominator(times: np.ndarray, lam02: np.ndarray) -> None:
+    """Raise where lambda02 falls below ZERO_DENOM, listing the times."""
+    bad = times[lam02 < ZERO_DENOM]
+    if bad.size:
         raise ValueError(
             f"lambda02 vanishes at t={bad[:5].tolist()}{'...' if bad.size > 5 else ''}; "
             "rate ratio undefined"
         )
-    return float(np.max(np.abs(r12.values[1:] / denom - target)))
 
 
 def rate_ratio(model: IllnessDeathModel) -> GridFunction:
@@ -166,11 +170,5 @@ def rate_ratio(model: IllnessDeathModel) -> GridFunction:
 def ratio_of_rates(r12: GridFunction, r02: GridFunction) -> GridFunction:
     """``rate_ratio`` from rates already computed, such as the r12 of
     the last sweep in a ``BuildReport``."""
-    bad = r02.values < ZERO_DENOM
-    if np.any(bad):
-        times = r02.times[bad]
-        raise ValueError(
-            f"rate ratio undefined where lambda02 < {ZERO_DENOM}: "
-            f"t={times[:5].tolist()}{'...' if times.size > 5 else ''}"
-        )
+    _check_denominator(r02.times, r02.values)
     return r12.with_values(r12.values / r02.values)

@@ -11,13 +11,13 @@ hazards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .construct import ratio_of_rates
 from .grid import GridFunction, cumulative, survival_from_cumulative
-from .model import IllnessDeathModel
+from .model import IllnessDeathModel, TreatmentPath
 from .numerics import trapz
 
 __all__ = [
@@ -28,63 +28,32 @@ __all__ = [
     "duration_model_ratio",
 ]
 
-_RATIO_FLOOR = 1e-12
+
+class Regime(TreatmentPath):
+    """A ``TreatmentPath`` named by its kind: ``Regime("never")``,
+    ``Regime("always")`` or ``Regime("initiate_at", u)``."""
+
+    def __init__(self, kind: str, u: Optional[float] = None) -> None:
+        if kind not in ("never", "always", "initiate_at"):
+            raise ValueError(f"kind must be never, always or initiate_at, got {kind!r}")
+        if (kind == "initiate_at") == (u is None):
+            raise ValueError(f"u is required for initiate_at and only there; got {kind!r}, u={u!r}")
+        super().__init__({"never": None, "always": 0.0}[kind] if u is None else float(u))
 
 
-@dataclass(frozen=True)
-class Regime:
-    """Deterministic treatment regime: never, always, or initiate at u."""
-
-    kind: str
-    u: Optional[float] = None
-
-    _KINDS = ("never", "always", "initiate_at")
-
-    def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
-            raise ValueError(f"kind must be one of {self._KINDS}, got {self.kind!r}")
-        if self.kind == "initiate_at":
-            if self.u is None or not (np.isfinite(self.u) and self.u >= 0):
-                raise ValueError(f"initiate_at needs a finite u >= 0, got {self.u!r}")
-        elif self.u is not None:
-            raise ValueError(f"regime {self.kind!r} takes no initiation time")
-
-    @classmethod
-    def never(cls) -> "Regime":
-        return cls("never")
-
-    @classmethod
-    def always(cls) -> "Regime":
-        return cls("always")
-
-    @classmethod
-    def initiate_at(cls, u: float) -> "Regime":
-        return cls("initiate_at", float(u))
-
-
-def potential_survival(model: IllnessDeathModel, regime: Regime) -> GridFunction:
+def potential_survival(model: IllnessDeathModel, regime: TreatmentPath) -> GridFunction:
     """Survival of the death time when treatment follows the regime.
 
-    never: exp(-Lam02(t)); always: exp(-K12(0, t)); initiate at u:
-    exp(-Lam02(min(t, u)) - K12(u, max(t, u))).  No occupation
-    probabilities enter: the regime fixes the path, so this is the
-    correct interventional curve the rate-based transform is judged
-    against.
+    exp(-Lam02(min(t, u)) - K12(u, max(t, u))) for initiation at u, so
+    exp(-Lam02(t)) when never treated and exp(-K12(0, t)) when always
+    treated.  No occupation probabilities enter: the regime fixes the
+    path, so this is the correct interventional curve the rate-based
+    transform is judged against.
     """
-    times = model.times
-    if regime.kind == "never":
-        return survival_from_cumulative(cumulative(model.lambda02))
-    if regime.kind == "always":
-        total = np.asarray(model.lambda12.cumulative(0.0, times), dtype=float)
-    else:
-        u = float(regime.u)
-        if u > model.t_max + 1e-9:
-            raise ValueError(f"initiation time {u} beyond grid horizon {model.t_max}")
-        cum02 = cumulative(model.lambda02)
-        pre = np.minimum(cum02.values, cum02(u))
-        post = np.asarray(model.lambda12.cumulative(u, np.maximum(times, u)), dtype=float)
-        total = pre + post
-    return GridFunction(model.t_max, model.step, np.exp(-total))
+    if regime.u_init is not None and regime.u_init > model.t_max + 1e-9:
+        raise ValueError(f"initiation time {regime.u_init} beyond grid horizon {model.t_max}")
+    load = regime.load(cumulative(model.lambda02), model.lambda12, model.times)
+    return GridFunction(model.t_max, model.step, np.exp(-load))
 
 
 def rate_based_survival(rate: GridFunction) -> GridFunction:
@@ -105,14 +74,8 @@ def causal_hazard_ratio(model: IllnessDeathModel) -> GridFunction:
     lambda12(t | 0) / lambda02(t) on the grid.  This is the causally
     meaningful ratio a proportional-rates fit is mistaken for.
     """
-    times = model.times
-    denom = model.lambda02.values
-    bad = np.nonzero(denom < _RATIO_FLOOR)[0]
-    if bad.size:
-        listed = ", ".join(f"{times[i]:g}" for i in bad[:5])
-        raise ValueError(f"untreated hazard vanishes near t = {listed}; ratio undefined")
-    num = np.asarray(model.lambda12.value(times, 0.0), dtype=float)
-    return GridFunction(model.t_max, model.step, num / denom)
+    lam02 = model.lambda02
+    return ratio_of_rates(lam02.with_values(model.lambda12.value(model.times, 0.0)), lam02)
 
 
 def duration_model_ratio(lambda0: GridFunction, beta: float, gamma: float, t: float) -> float:

@@ -26,6 +26,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .grid import GridFunction, cumulative
+from .kernels import MarkovKernel
+from .model import TreatmentPath
 
 __all__ = [
     "FrailtySpec",
@@ -217,42 +219,6 @@ class CustomFrailty(FrailtySpec):
 
 
 @dataclass(frozen=True)
-class TreatmentPath:
-    """Deterministic irreversible treatment history a(t) = 1{t >= u_init}.
-
-    ``u_init=None`` is the never-treated path.
-    """
-
-    u_init: Optional[float]
-
-    def __post_init__(self) -> None:
-        if self.u_init is not None and not (
-            np.isfinite(self.u_init) and self.u_init >= 0
-        ):
-            raise ValueError(f"u_init must be nonnegative, got {self.u_init!r}")
-
-    @classmethod
-    def never(cls) -> "TreatmentPath":
-        return cls(u_init=None)
-
-    @classmethod
-    def always(cls) -> "TreatmentPath":
-        return cls(u_init=0.0)
-
-    @classmethod
-    def initiate_at(cls, u: float) -> "TreatmentPath":
-        return cls(u_init=float(u))
-
-    def level(self, t) -> np.ndarray:
-        t_arr = np.asarray(t, dtype=float)
-        if self.u_init is None:
-            out = np.zeros(t_arr.shape, dtype=int)
-        else:
-            out = (t_arr >= self.u_init).astype(int)
-        return int(out) if t_arr.ndim == 0 else out
-
-
-@dataclass(frozen=True)
 class ConditionalHazardSpec:
     """Frailty-conditional death hazard h(t, a) per treatment level.
 
@@ -270,6 +236,8 @@ class ConditionalHazardSpec:
             raise ValueError("h0 and h1 must share the same grid")
         if np.any(self.h0.values < 0) or np.any(self.h1.values < 0):
             raise ValueError("conditional hazards must be nonnegative")
+        object.__setattr__(self, "_cum0", cumulative(self.h0))
+        object.__setattr__(self, "_kernel1", MarkovKernel(self.h1))
 
     @classmethod
     def from_callable(
@@ -291,24 +259,11 @@ class ConditionalHazardSpec:
     def load_along(self, path: TreatmentPath, t) -> np.ndarray:
         """Integrated load H(t) = integral of h(s, a(s)) along the path.
 
-        Uses the exact decomposition H = H0(min(t, u)) + [H1(t) - H1(u)]+
-        rather than sampling h(s, a(s)) on nodes, so a switch between
-        nodes costs only the usual interpolation error.
+        This is ``path.load`` with H1 as a Markov kernel: the exact split
+        H0(min(t, u)) + [H1(t) - H1(u)]+, so a switch between nodes costs
+        only the usual interpolation error.
         """
-        c0 = cumulative(self.h0)
-        c1 = cumulative(self.h1)
-        t_arr = np.asarray(t, dtype=float)
-        # initiation beyond the horizon behaves like never-treated here
-        if path.u_init is None or path.u_init > self.t_max:
-            u = self.t_max + 1.0
-        else:
-            u = path.u_init
-        pre = np.asarray(c0(np.minimum(t_arr, u)), dtype=float)
-        post = np.maximum(
-            np.asarray(c1(t_arr), dtype=float) - float(c1(min(u, self.t_max))), 0.0
-        ) * (t_arr >= u)
-        out = pre + post
-        return float(out) if t_arr.ndim == 0 else out
+        return path.load(self._cum0, self._kernel1, t)
 
     def hazard_along(self, path: TreatmentPath, t) -> np.ndarray:
         """h(t, a(t)) along the path."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import NODE_TOL, GridFunction, cumulative, n_intervals
-from .numerics import first_node_reaching, invert_monotone
+from .numerics import crossing_time, first_node_reaching, invert_monotone
 
 __all__ = [
     "HazardKernel",
@@ -189,17 +189,14 @@ class MarkovKernel(HazardKernel):
         return float(out) if out.ndim == 0 else out
 
     def invert_cumulative(self, u, e):
-        scalar = np.asarray(u).ndim == 0 and np.asarray(e).ndim == 0
-        u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-        e_arr = np.atleast_1d(np.asarray(e, dtype=float))
-        if np.any(e_arr < 0):
+        u_b, e_b, scalar = _broadcast_pair(u, e)
+        if np.any(e_b < 0):
             raise ValueError("threshold must be nonnegative")
         cum = self._cum
-        u_b, e_b = np.broadcast_arrays(u_arr, e_arr)
         target = np.asarray(cum(u_b), dtype=float) + e_b
         t = invert_monotone(cum.values, cum.step, target.ravel()).reshape(u_b.shape)
-        out = np.where(np.isnan(t), np.inf, t)
-        out = np.maximum(out, u_b)  # guard roundoff at e ~ 0
+        # no crossing is +inf; the max guards roundoff at e ~ 0
+        out = np.where(np.isnan(t), np.inf, np.maximum(t, u_b))
         return float(out[0]) if scalar else out
 
     def value_grid(self, times: np.ndarray) -> np.ndarray:
@@ -301,15 +298,13 @@ class GridKernel(HazardKernel):
             raise ValueError("threshold must be nonnegative")
         n = self._times.size
         at = self._from_u(u_b)
-        idx = first_node_reaching(lambda k: at(np.minimum(k, n - 1)), n, e_b)
-        hi = np.clip(idx, 1, n - 1)
-        v_lo = at(hi - 1)
-        # v_lo < e <= at(hi) wherever 0 < idx < n, so only the rows
-        # discarded below can divide by zero
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (hi - 1) * self.step + (e_b - v_lo) / (at(hi) - v_lo) * self.step
-        t = np.where(idx == 0, 0.0, t)
-        out = np.where(idx == n, np.inf, np.maximum(t, u_b))
+
+        def value_at(k):
+            return at(np.minimum(k, n - 1))
+
+        idx = first_node_reaching(value_at, n, e_b)
+        t = crossing_time(value_at, idx, n, self.step, e_b)
+        out = np.where(np.isnan(t), np.inf, np.maximum(t, u_b))
         return float(out[0]) if scalar else out
 
     def value_grid(self, times: np.ndarray) -> np.ndarray:

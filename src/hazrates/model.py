@@ -28,6 +28,7 @@ from .kernels import HazardKernel
 
 __all__ = [
     "IllnessDeathModel",
+    "TreatmentPath",
     "Trajectory",
     "CountingRow",
     "Cohort",
@@ -83,6 +84,66 @@ class IllnessDeathModel:
     @property
     def times(self) -> np.ndarray:
         return self.lambda01.times
+
+
+@dataclass(frozen=True)
+class TreatmentPath:
+    """Deterministic irreversible treatment history a(t) = 1{t >= u_init}.
+
+    ``u_init=None`` is the never-treated path and ``u_init=0`` the
+    always-treated one; ``kind`` names the three cases.
+    """
+
+    u_init: Optional[float]
+
+    def __post_init__(self) -> None:
+        u = self.u_init
+        if u is not None and not (np.isfinite(u) and u >= 0):
+            raise ValueError(f"u_init must be nonnegative, got {u!r}")
+
+    @staticmethod
+    def never() -> "TreatmentPath":
+        return TreatmentPath(u_init=None)
+
+    @staticmethod
+    def always() -> "TreatmentPath":
+        return TreatmentPath(u_init=0.0)
+
+    @staticmethod
+    def initiate_at(u: float) -> "TreatmentPath":
+        return TreatmentPath(u_init=float(u))
+
+    @property
+    def kind(self) -> str:
+        """Name of the path: never, always (initiation at 0) or initiate_at."""
+        if self.u_init is None:
+            return "never"
+        return "always" if self.u_init == 0 else "initiate_at"
+
+    @property
+    def u(self) -> Optional[float]:
+        """The initiation time, None when never treated."""
+        return self.u_init
+
+    def level(self, t) -> np.ndarray:
+        t_arr = np.asarray(t, dtype=float)
+        if self.u_init is None:
+            out = np.zeros(t_arr.shape, dtype=int)
+        else:
+            out = (t_arr >= self.u_init).astype(int)
+        return int(out) if t_arr.ndim == 0 else out
+
+    def load(self, cum0: GridFunction, kernel: HazardKernel, t):
+        """Hazard integrated along the path, H0(min(t, u)) + K(u, max(t, u)).
+
+        ``cum0`` is the untreated cumulative H0 and ``kernel.cumulative``
+        gives K.  An initiation past the horizon of ``cum0`` counts as
+        never treated.
+        """
+        u = self.u_init
+        if u is None or u > cum0.t_max:
+            return cum0(t)
+        return cum0(np.minimum(t, u)) + kernel.cumulative(u, np.maximum(t, u))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ __all__ = [
     "trapz",
     "invert_monotone",
     "first_node_reaching",
+    "crossing_time",
 ]
 
 
@@ -88,18 +89,25 @@ def invert_monotone(values: np.ndarray, step: float, e: np.ndarray) -> np.ndarra
     linear interpolation, or NaN when the final node stays below it.
     """
     idx = np.searchsorted(values, e, side="left")
-    out = np.full(e.shape, np.nan)
-    reached = idx < values.size
-    at_zero = reached & (idx == 0)
-    out[at_zero] = 0.0
-    inner = reached & (idx > 0)
-    if np.any(inner):
-        hi = idx[inner]
-        v_lo = values[hi - 1]
-        dv = values[hi] - v_lo
-        # v_lo < e <= v_hi here, so dv > 0
-        out[inner] = (hi - 1) * step + (e[inner] - v_lo) / dv * step
-    return out
+    return crossing_time(lambda k: values[k], idx, values.size, step, e)
+
+
+def crossing_time(value_at, idx: np.ndarray, n_nodes: int, step: float, e: np.ndarray) -> np.ndarray:
+    """First time each linearly interpolated node array reaches e.
+
+    ``idx`` is each entry's first node reaching e (n_nodes where none
+    does), as ``first_node_reaching`` returns it, and ``value_at`` is as
+    there.  The crossing is interpolated within the cell ending at that
+    node; it is 0 where node 0 already reaches e and NaN where no node
+    does.
+    """
+    hi = np.clip(idx, 1, n_nodes - 1)
+    v_lo = value_at(hi - 1)
+    # v_lo < e <= value_at(hi) wherever 0 < idx < n_nodes, so only the
+    # entries replaced below can divide by zero
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (hi - 1) * step + (e - v_lo) / (value_at(hi) - v_lo) * step
+    return np.where(idx == 0, 0.0, np.where(idx < n_nodes, t, np.nan))
 
 
 def first_node_reaching(value_at, n_nodes: int, e: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from .frailty import ConditionalHazardSpec, FrailtySpec
 from .grid import GridFunction, cumulative
 from .kernels import MarkovKernel
 from .model import Cohort, CountingTable, IllnessDeathModel, Trajectory
-from .numerics import first_node_reaching, invert_monotone
+from .numerics import crossing_time, first_node_reaching, invert_monotone
 
 __all__ = [
     "SimConfig",
@@ -83,16 +83,11 @@ def _exit_times(
     lam02_pad = np.full(1 << n_nodes.bit_length(), np.inf)
     lam01_pad[:n_nodes] = lam01_cum
     lam02_pad[:n_nodes] = lam02_cum
-    idx = first_node_reaching(lambda node: lam01_pad[node] + z * lam02_pad[node], n_nodes, e0)
-    out = np.full(e0.shape, np.nan)
-    out[idx == 0] = 0.0
-    rows = np.nonzero((idx > 0) & (idx < n_nodes))[0]
-    j = idx[rows]
-    zr = z[rows]
-    v_lo = lam01_cum[j - 1] + zr * lam02_cum[j - 1]
-    dv = lam01_cum[j] + zr * lam02_cum[j] - v_lo
-    out[rows] = (j - 1) * step + (e0[rows] - v_lo) / dv * step
-    return out
+    def value_at(node):
+        return lam01_pad[node] + z * lam02_pad[node]
+
+    idx = first_node_reaching(value_at, n_nodes, e0)
+    return crossing_time(value_at, idx, n_nodes, step, e0)
 
 
 def _assemble(

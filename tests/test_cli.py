@@ -294,6 +294,17 @@ class TestReproduce:
         assert run_cli("construct") == 0
         assert _sha256(tmp_path / "lambda02.csv") == GOLDEN_LAMBDA02_SHA256
 
+    def test_default_curves_match_golden_outputs(self, tmp_path):
+        # The along-path integrals (potential survival, frailty loads)
+        # and the rate ratio behind these files must keep their bits.
+        for command, name in [
+            ("rates", "rates.csv"),
+            ("contrast", "contrast.csv"),
+            ("frailty-demo", "frailty_demo.csv"),
+        ]:
+            assert run_cli(command) == 0
+            assert _sha256(tmp_path / name) == GOLDEN_CURVES_SHA256[name], name
+
 
 GOLDEN_SUMMARY = """\
 sup_rate_ratio_deviation: 2.78775e-07
@@ -312,6 +323,11 @@ target_rate_ratio: 0.666667
 GOLDEN_LAMBDA02_SHA256 = "cd5392a0306a3ba90631b5a52bf7a0ad554ff4d9b32f9b60765e4255a0a06125"
 # times written as repr(float), which reads back to the same float
 GOLDEN_ROWS_SHA256 = "88fe6e749b9d3dfb68bd47a1044dd46c842c81af0ac20006416076481e85409b"
+GOLDEN_CURVES_SHA256 = {
+    "rates.csv": "531e40cfd42d9f8dcd967103721ed8c2fe36605865b071cdbe62dbebca323206",
+    "contrast.csv": "8b6936da377db85999e8c2082848ce48d1c6beb2509f687426b594dec7b8bd23",
+    "frailty_demo.csv": "4af03dea20eff84a545452b6322da75edf554174dd65417646378f01eb1f4f05",
+}
 
 
 def _sha256(path):

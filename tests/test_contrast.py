@@ -20,6 +20,14 @@ class TestRegime:
         assert Regime.always().kind == "always"
         assert Regime.initiate_at(1.5).u == 1.5
 
+    def test_a_regime_is_a_treatment_path(self):
+        assert type(Regime.never()) is hz.TreatmentPath
+        assert isinstance(Regime("initiate_at", 1.5), hz.TreatmentPath)
+        assert Regime("initiate_at", 1.5).u_init == Regime.initiate_at(1.5).u_init == 1.5
+        # the kind is read from the initiation time, so initiation at 0 is always
+        assert Regime.initiate_at(0.0).kind == "always"
+        assert Regime("initiate_at", 0.0).u_init == Regime("always").u_init == 0.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Regime("sometimes")
@@ -53,6 +61,12 @@ class TestPotentialSurvival:
         assert potential_survival(model, Regime.never())(3.0) == pytest.approx(
             0.2324212802, abs=1e-9
         )
+
+    def test_a_treatment_path_gives_the_regime_curve(self, model):
+        for u in (0.0, 0.7, 1.2345, T_MAX):
+            via_path = potential_survival(model, hz.TreatmentPath.initiate_at(u))
+            via_regime = potential_survival(model, Regime("initiate_at", u))
+            assert np.array_equal(via_path.values, via_regime.values)
 
     def test_initiate_at_zero_is_always(self, model):
         s0 = potential_survival(model, Regime.initiate_at(0.0))

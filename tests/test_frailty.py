@@ -148,6 +148,14 @@ class TestConditionalHazardSpec:
         want = 0.3 * np.minimum(t, 0.7) + 0.5 * np.maximum(t - 0.7, 0.0)
         np.testing.assert_allclose(demo_spec.load_along(path, t), want, atol=1e-12)
 
+    def test_load_along_is_the_path_load(self, demo_spec):
+        cum0, kernel = hz.cumulative(demo_spec.h0), hz.MarkovKernel(demo_spec.h1)
+        t = np.linspace(0.0, 3.0, 37)
+        for path in (TreatmentPath.never(), TreatmentPath.always(),
+                     TreatmentPath.initiate_at(1.2345), TreatmentPath.initiate_at(10.0)):
+            assert np.array_equal(path.load(cum0, kernel, t), demo_spec.load_along(path, t))
+            assert path.load(cum0, kernel, 2.5) == demo_spec.load_along(path, 2.5)
+
     def test_initiation_beyond_horizon_is_never(self, demo_spec):
         t = np.array([1.0, 2.0, 3.0])
         np.testing.assert_allclose(

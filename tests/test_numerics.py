@@ -4,6 +4,8 @@ import pytest
 from hazrates.grid import GridFunction
 from hazrates.numerics import (
     SolverConfig,
+    crossing_time,
+    first_node_reaching,
     invert_monotone,
     trapz,
 )
@@ -50,3 +52,17 @@ def test_invert_monotone_vectorized():
     assert out[3] == pytest.approx(1.25)
     assert out[4] == pytest.approx(1.5)  # reached only at the last node
     assert np.isnan(out[5])
+
+
+def test_crossing_time_at_the_edges():
+    values = np.array([0.5, 1.0, 2.0, 4.0])
+    e = np.array([0.0, 0.5, 1.0, 1.5, 4.0, 4.5])
+    idx = first_node_reaching(lambda k: values[np.minimum(k, 3)], 4, e)
+    out = crossing_time(lambda k: values[k], idx, 4, 0.25, e)
+    # node 0 already reaches 0 and 0.5; a node value gives that node's
+    # time exactly; a value past the last node gives NaN
+    assert out[0] == 0.0 and out[1] == 0.0
+    assert out[2] == 0.25 and out[4] == 0.75
+    assert out[3] == pytest.approx(0.375, abs=1e-15)
+    assert np.isnan(out[5])
+    assert np.array_equal(invert_monotone(values, 0.25, e), out, equal_nan=True)
