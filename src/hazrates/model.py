@@ -233,9 +233,14 @@ class _Table(Sequence):
     def __post_init__(self) -> None:
         n = None
         for name, dtype in self._dtypes.items():
-            col = np.array(getattr(self, name), dtype=dtype)
+            given = np.asarray(getattr(self, name))
+            col = np.array(given, dtype=dtype)
             if col.ndim != 1 or (n is not None and col.size != n):
                 raise ValueError("columns must be 1-d arrays of equal length")
+            # a cast to int or bool must not change a value (0.5 -> 0, 2 -> True)
+            if given.dtype != col.dtype and col.dtype.kind in "bi" and np.any(col != given):
+                bad = given[np.argmax(col != given)].item()
+                raise ValueError(f"{name} must hold {col.dtype} values, got {bad!r}")
             n = col.size
             col.flags.writeable = False
             object.__setattr__(self, name, col)

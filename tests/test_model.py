@@ -179,6 +179,18 @@ def test_table_columns_are_validated_like_records():
         CountingTable(**{**ok, "treat": [0]})
 
 
+def test_table_columns_reject_values_the_cast_would_change():
+    ok = dict(id=[0, 0], start=[0.0, 1.0], stop=[1.0, 2.0], treat=[0, 1], event=[False, True])
+    for column, values in [("id", [0.7, 0.0]), ("treat", [0.5, 1.0]), ("event", [0, 2])]:
+        with pytest.raises(ValueError, match=f"{column} must hold"):
+            CountingTable(**{**ok, column: values})
+    with pytest.raises(ValueError, match="event must hold bool"):
+        Cohort(id=[0], u_init=[np.nan], t_event=[1.0], event=[0.5], frailty=[np.nan])
+    # values the cast keeps exactly are accepted from any dtype
+    table = CountingTable(**{**ok, "id": [0.0, 0.0], "treat": [0.0, 1.0], "event": [0, 1]})
+    assert table == CountingTable(**ok)
+
+
 def test_tables_read_as_record_sequences():
     rows = [
         CountingRow(5, 0.0, 1.0, 0, False),
