@@ -176,8 +176,8 @@ def test_criterion_04_cohort_recovery(model):
 
 def _window_hazard_estimate(trajectories, t: float, b: float):
     """Nelson-Aalen increment over (t - b/2, t + b/2] divided by b, with its SE."""
-    times = np.array([tr.t_event for tr in trajectories])
-    events = np.array([tr.event for tr in trajectories])
+    times = trajectories.t_event
+    events = trajectories.event
     order = np.argsort(times, kind="stable")
     st, ev = times[order], events[order]
     at_risk = len(st) - np.arange(len(st))

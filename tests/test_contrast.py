@@ -191,8 +191,8 @@ class TestRegimeCurvesAgainstSimulation:
             hz.GridFunction.constant(T_MAX, STEP, 0.0), model.lambda02, model.lambda12
         )
         cohort = hz.simulate_cohort(frozen, hz.SimConfig(n=1_000_000, seed=34))
-        t_event = np.array([tr.t_event for tr in cohort])
-        event = np.array([tr.event for tr in cohort])
+        t_event = cohort.t_event
+        event = cohort.event
         s = potential_survival(model, Regime.never())
         for t in (0.5, 1.5, 2.5):
             frac = float(np.mean((t_event > t) | (~event & (t_event >= t))))

@@ -153,8 +153,8 @@ class TestAgainstEngine:
     def test_occupation_probability(self, model, cohort_1m):
         trajectories, _ = cohort_1m
         n = len(trajectories)
-        u = np.array([np.nan if t.u_init is None else t.u_init for t in trajectories])
-        t_event = np.array([t.t_event for t in trajectories])
+        u = trajectories.u_init  # NaN where never treated
+        t_event = trajectories.t_event
         for t in (0.5, 1.5, 2.5):
             in_state1 = np.mean((~np.isnan(u)) & (u <= t) & (t_event > t))
             want = occupation(model, t).p01
