@@ -1,12 +1,12 @@
 """Potential-outcome survival under fixed treatment regimes, and the
 rate-based transform it is contrasted with.
 
-For a deterministic regime the death hazard along the enforced path is
-known exactly, so potential survival is a plain exponentiated
-cumulative with no estimation involved.  rate_based_survival applies
-the same transform to a rate function; the difference between the two
-is the quantity of interest, since the transform is only valid for
-hazards.
+A regime is a ``TreatmentPath`` (``Regime`` builds one from a kind
+name).  Along the enforced path the death hazard is known exactly, so
+potential survival is exp(-path.load) with no estimation involved.
+rate_based_survival applies the same transform to a rate function; the
+difference between the two is the quantity of interest, since the
+transform is only valid for hazards.
 """
 
 from __future__ import annotations

@@ -8,10 +8,11 @@ Averaging over survivors turns this into the observable hazard
     m(s) = -phi'(s) / phi(s),
     H(t) = integral of h(s, a(s)) ds over [0, t],
 
-where phi is the Laplace transform of Z.  The factor m(H) is the mean
-frailty among survivors of the accumulated load H.  It depends on the
-whole path through H, so the marginal hazard remembers treatment
-history except when Z is degenerate (phi(s) = exp(-c s) gives m == c).
+where phi is the Laplace transform of Z and H is ``TreatmentPath.load``,
+the along-path integral potential survival uses.  The factor m(H) is
+the mean frailty among survivors of the load H, so the marginal hazard
+remembers treatment history through H except when Z is degenerate
+(phi(s) = exp(-c s) gives m == c).
 That selection effect, not any lagged biology, is what breaks the
 Markov property; the two-period enumeration in ``collider_table``
 isolates it in the smallest possible example.

@@ -195,8 +195,7 @@ class MarkovKernel(HazardKernel):
         cum = self._cum
         target = np.asarray(cum(u_b), dtype=float) + e_b
         t = invert_monotone(cum.values, cum.step, target.ravel()).reshape(u_b.shape)
-        # no crossing is +inf; the max guards roundoff at e ~ 0
-        out = np.where(np.isnan(t), np.inf, np.maximum(t, u_b))
+        out = np.where(np.isnan(t), np.inf, np.maximum(t, u_b))  # max: roundoff at e ~ 0
         return float(out[0]) if scalar else out
 
     def value_grid(self, times: np.ndarray) -> np.ndarray:
