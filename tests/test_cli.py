@@ -305,6 +305,18 @@ class TestReproduce:
             assert run_cli(command) == 0
             assert _sha256(tmp_path / name) == GOLDEN_CURVES_SHA256[name], name
 
+    def test_estimate_and_trace_outputs_match_golden(self, tmp_path):
+        # The curve CSVs of `estimate` on a cohort with both treatment
+        # levels, the builder trace and the collider table, as the CLI's
+        # CSV writer prints them.
+        assert run_cli("simulate", "--n", "20000", "--seed", "5") == 0
+        for method in ("na", "ekm", "aalen"):
+            assert run_cli("estimate", "--rows", "rows.csv", "--method", method) == 0
+        assert run_cli("construct") == 0
+        assert run_cli("collider") == 0
+        for name, digest in GOLDEN_TABLES_SHA256.items():
+            assert _sha256(tmp_path / name) == digest, name
+
 
 GOLDEN_SUMMARY = """\
 sup_rate_ratio_deviation: 2.78775e-07
@@ -327,6 +339,17 @@ GOLDEN_CURVES_SHA256 = {
     "rates.csv": "531e40cfd42d9f8dcd967103721ed8c2fe36605865b071cdbe62dbebca323206",
     "contrast.csv": "8b6936da377db85999e8c2082848ce48d1c6beb2509f687426b594dec7b8bd23",
     "frailty_demo.csv": "4af03dea20eff84a545452b6322da75edf554174dd65417646378f01eb1f4f05",
+}
+
+# simulate --n 20000 --seed 5, then estimate on its rows; construct and
+# collider at their defaults
+GOLDEN_TABLES_SHA256 = {
+    "rows.csv": "2ea2eeff6eb0ad61a9109c1ca621321a5d597eb2e4d5bac7c6b15f26fbaee4a5",
+    "estimate_na.csv": "6dcc4275ecdc797f6ca31e4103b4a1acc3208dc3df1f8241d9efc37ecf376f68",
+    "estimate_ekm.csv": "fe699ab509e96c62a3446fb5c243fb10f42f56841caa9fc69b3e362772434627",
+    "estimate_aalen.csv": "0413f727237f7b59b734f8bf93b10348c4eaeb98bcb10d543f90b716723246d9",
+    "iterations.csv": "f79b92c6e9bc19f4bcef70f473abe910b4e062edaa0d26906912dd759cc0aa78",
+    "collider.csv": "61856a557e11b1638b11998da1946f2a5f479ae156fc6d48aa8852100e553f5a",
 }
 
 
