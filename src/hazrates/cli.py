@@ -129,13 +129,30 @@ def _fmt(x: float) -> str:
     return f"{float(x):.6g}"
 
 
-def _write_csv(path: Path, header: Sequence[str], rows) -> None:
+# rows per %-format in _write_csv; a block's text stays a few hundred KB
+_BLOCK_ROWS = 2048
+_SPECS = {"i": "%d", "u": "%d", "f": "%.6g"}
+
+
+def _write_csv(path: Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """Write equal-length 1-d columns under a header: integers in decimal,
+    floats as %.6g (as _fmt), \\r\\n line ends, one %-format per block of rows."""
+    columns = [np.asarray(c) for c in columns]
+    if any(c.dtype.kind not in _SPECS for c in columns):
+        raise TypeError(f"cannot write columns of dtypes {[c.dtype.name for c in columns]}")
+    if len({c.shape for c in columns}) != 1 or columns[0].ndim != 1:
+        raise ValueError("columns must be 1-d arrays of equal length")
+    line = ",".join(_SPECS[c.dtype.kind] for c in columns) + "\r\n"
+    k, n = len(columns), columns[0].size
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+        csv.writer(fh).writerow(header)
+        for lo in range(0, n, _BLOCK_ROWS):
+            m = min(_BLOCK_ROWS, n - lo)
+            flat = [None] * (k * m)
+            for j, c in enumerate(columns):
+                flat[j::k] = c[lo:lo + m].tolist()
+            fh.write((line * m) % tuple(flat))
 
 
 def _solver_config(cfg: ExperimentConfig) -> SolverConfig:
@@ -193,11 +210,11 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     out = cfg.resolved_out_dir()
     model, report = _build(cfg)
     lam02 = report.lambda02
-    _write_csv(out / "lambda02.csv", ["t", "lambda02"], zip(model.times.tolist(), lam02.values.tolist()))
+    _write_csv(out / "lambda02.csv", ["t", "lambda02"], [model.times, lam02.values])
     _write_csv(
         out / "iterations.csv",
         ["iteration", "sup_deviation"],
-        [(rec.index, float(rec.sup_dev)) for rec in report.iterations],
+        [np.array([rec.index for rec in report.iterations]), report.deviations],
     )
     for rec in report.iterations:
         print(f"iteration {rec.index}: sup deviation {_fmt(rec.sup_dev)}")
@@ -219,7 +236,7 @@ def _cmd_rates(args: argparse.Namespace) -> int:
     _write_csv(
         out / "rates.csv",
         ["t", "r12", "r02", "rate_ratio"],
-        zip(model.times.tolist(), r12.values.tolist(), r02.values.tolist(), ratio.values.tolist()),
+        [model.times, r12.values, r02.values, ratio.values],
     )
     print(f"wrote {out / 'rates.csv'}")
     dev = np.max(np.abs(ratio.values[1:] - np.exp(cfg.beta)))
@@ -251,15 +268,7 @@ def _cmd_contrast(args: argparse.Namespace) -> int:
             "causal_hr",
             "rate_ratio",
         ],
-        zip(
-            model.times.tolist(),
-            s_always.values.tolist(),
-            s_never.values.tolist(),
-            s_rt.values.tolist(),
-            s_ru.values.tolist(),
-            chr_.values.tolist(),
-            rr.values.tolist(),
-        ),
+        [model.times, s_always.values, s_never.values, s_rt.values, s_ru.values, chr_.values, rr.values],
     )
     print(f"wrote {out / 'contrast.csv'}")
     t_end = model.t_max
@@ -292,11 +301,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _step_csv_rows(curves: dict[int, estimators.StepFunction]):
-    for level in sorted(curves):
-        sf = curves[level]
-        for t, v in zip(sf.jump_times.tolist(), sf.values.tolist()):
-            yield (level, float(t), float(v))
+def _step_csv_columns(curves: dict[int, estimators.StepFunction]) -> list[np.ndarray]:
+    """(level, t, value) columns of the curves' jumps, level by level."""
+    levels = sorted(curves)
+    return [
+        np.concatenate([np.full(curves[a].jump_times.size, a) for a in levels]),
+        np.concatenate([curves[a].jump_times for a in levels]),
+        np.concatenate([curves[a].values for a in levels]),
+    ]
 
 
 def _fit_summary(fit: estimators.CoxFit) -> str:
@@ -324,7 +336,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             else estimators.extended_km(rows)
         )
         path = Path(args.out) if args.out else out / f"estimate_{method}.csv"
-        _write_csv(path, ["level", "t", "value"], _step_csv_rows(curves))
+        _write_csv(path, ["level", "t", "value"], _step_csv_columns(curves))
         print(f"wrote {path}")
         return 0
     if method in ("cox", "cox-duration"):
@@ -337,11 +349,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         fit = estimators.aalen_additive(rows)
         na = estimators.nelson_aalen_by_treatment(rows)
         path = Path(args.out) if args.out else out / "estimate_aalen.csv"
-        _write_csv(
-            path,
-            ["t", "b0", "b1"],
-            zip(fit.b0.jump_times.tolist(), fit.b0.values.tolist(), fit.b1.values.tolist()),
-        )
+        _write_csv(path, ["t", "b0", "b1"], [fit.b0.jump_times, fit.b0.values, fit.b1.values])
         print(f"wrote {path}")
         times = fit.b0.jump_times
         ok = np.allclose(fit.b0(times), na[0](times), rtol=0, atol=1e-12) and np.allclose(
@@ -373,13 +381,7 @@ def _cmd_frailty_demo(args: argparse.Namespace) -> int:
     _write_csv(
         out / "frailty_demo.csv",
         ["t", "mhaz_never", "mhaz_always", f"mhaz_initiate_{u:g}", "gap"],
-        zip(
-            times.tolist(),
-            m_never.values.tolist(),
-            m_always.values.tolist(),
-            m_init.values.tolist(),
-            gap.tolist(),
-        ),
+        [times, m_never.values, m_always.values, m_init.values, gap],
     )
     print(f"wrote {out / 'frailty_demo.csv'}")
     print(f"max violation gap on [{_fmt(u)}, {_fmt(cfg.t_max)}]: {_fmt(np.max(gap))}")
@@ -403,10 +405,12 @@ def _cmd_collider(args: argparse.Namespace) -> int:
         effect=float(args.effect),
     )
     table = collider_table(scenario)
+    keys = sorted(table)
+    levels = np.array(keys)
     _write_csv(
         out / "collider.csv",
         ["a1", "a2", "p_death_given_alive"],
-        [(a1, a2, table[(a1, a2)]) for (a1, a2) in sorted(table)],
+        [levels[:, 0], levels[:, 1], np.array([table[key] for key in keys])],
     )
     print(f"wrote {out / 'collider.csv'}")
     for (a1, a2) in sorted(table):

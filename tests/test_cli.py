@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import hazrates
-from hazrates.cli import ExperimentConfig, load_config_file, main
+from hazrates.cli import _BLOCK_ROWS, ExperimentConfig, _write_csv, load_config_file, main
 from hazrates.model import read_counting_rows
 
 # coarse grid keeps the builder fast; everything else is default
@@ -203,6 +203,64 @@ class TestCollider:
     def test_rejects_bad_probs(self, capsys):
         assert run_cli("collider", "--z-probs", "0.7,0.5") == 1
         assert "error:" in capsys.readouterr().err
+
+
+def _reference_write_csv(path, header, rows):
+    # the row-at-a-time writer the columnar one replaced: the oracle
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{v:.6g}" if isinstance(v, float) else v for v in row])
+
+
+class TestWriteCsv:
+    def assert_matches_reference(self, tmp_path, columns):
+        header = [f"c{j}" for j in range(len(columns))]
+        _write_csv(tmp_path / "new.csv", header, columns)
+        rows = zip(*(np.asarray(c).tolist() for c in columns))
+        _reference_write_csv(tmp_path / "old.csv", header, rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, 2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 7]
+    )
+    def test_row_counts_around_the_block_size(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        levels = rng.integers(0, 2, n)
+        t = rng.exponential(size=n)
+        value = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        self.assert_matches_reference(tmp_path, [levels, t, value])
+
+    def test_int_columns(self, tmp_path):
+        ints = np.array([0, 1, -1, 7, 2**40, -(2**62), np.iinfo(np.int64).max])
+        self.assert_matches_reference(tmp_path, [ints, ints[::-1].copy()])
+        self.assert_matches_reference(tmp_path, [np.arange(5, dtype=np.uint8)])
+
+    def test_special_floats(self, tmp_path):
+        special = np.array(
+            [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300, 1e-300, -1e300,
+             0.1, 1 / 3, 123456.5, 1234567.0, 1e16, 2.5e-5, 0.0001, 1e-5]
+        )
+        self.assert_matches_reference(tmp_path, [np.arange(special.size), special])
+        float32 = np.array([0.1, 1 / 3, -0.0, np.nan, np.inf, 1e-40], dtype=np.float32)
+        self.assert_matches_reference(tmp_path, [float32])
+
+    def test_random_magnitudes(self, tmp_path):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(20_000) * 10.0 ** rng.uniform(-320, 308, 20_000)
+        self.assert_matches_reference(tmp_path, [x, rng.uniform(size=x.size)])
+
+    @pytest.mark.parametrize(
+        "column", [np.array([True, False]), np.array(["a", "b"]), np.array([1, None], dtype=object)]
+    )
+    def test_rejects_columns_that_are_not_numbers(self, tmp_path, column):
+        with pytest.raises(TypeError):
+            _write_csv(tmp_path / "x.csv", ["a", "b"], [np.arange(2), column])
+
+    def test_rejects_columns_of_unequal_length(self, tmp_path):
+        with pytest.raises(ValueError, match="equal length"):
+            _write_csv(tmp_path / "x.csv", ["a", "b"], [np.arange(2), np.arange(3.0)])
 
 
 class TestConfigResolution:
