@@ -16,7 +16,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .model import CountingRow, rows_as_arrays
+from .model import CountingRow, CountingTable
 from .numerics import ConvergenceError
 
 __all__ = [
@@ -107,14 +107,21 @@ def _risk_counts(starts_sorted: np.ndarray, stops_sorted: np.ndarray, times: np.
     return entered - exited
 
 
-def _risk_table(col: dict[str, np.ndarray]):
+def _risk_table(rows: Sequence[CountingRow]):
     """Risk-set statistics at every unique event time, for both levels.
 
     Returns (times, d0, d1, y0, y1): the sorted unique event stops, the
     untreated and treated event counts there, and the untreated and
     treated at-risk counts Y_a(t).  Every estimator except the
     duration-augmented Cox model is a function of these five arrays.
+    They are computed once per CountingTable and kept on it, read-only,
+    so the estimators run on one table share them.
     """
+    table = CountingTable.coerce(rows)
+    return table._cached("_risk_table", lambda: _risk_arrays(table.columns))
+
+
+def _risk_arrays(col: dict[str, np.ndarray]) -> tuple[np.ndarray, ...]:
     ev = col["event"]
     times, kidx = np.unique(col["stop"][ev], return_inverse=True)
     d = np.bincount(kidx, minlength=times.size)
@@ -124,13 +131,16 @@ def _risk_table(col: dict[str, np.ndarray]):
         .astype(float)
         for in_level in (col["treat"] == 0, col["treat"] == 1)
     )
-    return times, d - d1, d1, y0, y1
+    arrays = (times, d - d1, d1, y0, y1)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _level_jumps(rows: Sequence[CountingRow]) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Per level: the times with a level-a event and a nonempty risk set,
     and the ratios dN_a / Y_a there."""
-    times, d0, d1, y0, y1 = _risk_table(rows_as_arrays(rows))
+    times, d0, d1, y0, y1 = _risk_table(rows)
     out = {}
     for level, d, y in ((0, d0, y0), (1, d1, y1)):
         keep = (d > 0) & (y > 0)
@@ -213,8 +223,7 @@ def _require_both_strata(d0: np.ndarray, d1: np.ndarray) -> None:
         raise ConvergenceError("all events in one stratum: monotone partial likelihood")
 
 
-def _fit_current_level(col: dict[str, np.ndarray]) -> CoxFit:
-    table = _risk_table(col)
+def _fit_current_level(col: dict[str, np.ndarray], table) -> CoxFit:
     uniq, d0, d1, _, _ = table
     _require_both_strata(d0, d1)
 
@@ -288,14 +297,14 @@ def _treated_risk_sums(col: dict[str, np.ndarray], u_row: np.ndarray, times: np.
     return sums
 
 
-def _fit_duration(col: dict[str, np.ndarray]) -> CoxFit:
+def _fit_duration(col: dict[str, np.ndarray], table) -> CoxFit:
     """Two-covariate model: current level and time since initiation.
 
     At an event time t a treated row contributes weight
     e^{beta + gamma*(t - u)} = e^{beta + gamma*t} e^{-gamma*u}, so the
     risk-set sums reduce to prefix sums of e^{-gamma*u} moments.
     """
-    uniq, d0, d1, y0, _ = _risk_table(col)
+    uniq, d0, d1, y0, _ = table
     _require_both_strata(d0, d1)
     d = d0 + d1
     u_row = _initiation_by_subject(col)
@@ -401,12 +410,11 @@ def cox_fit(rows: Sequence[CountingRow], covariates: str = "current") -> CoxFit:
     """
     if covariates not in ("current", "duration"):
         raise ValueError(f"unknown covariate set {covariates!r}")
-    col = rows_as_arrays(rows)
-    if not np.any(col["event"]):
+    rows = CountingTable.coerce(rows)
+    if not np.any(rows.event):
         raise ValueError("need at least one event to fit")
-    if covariates == "current":
-        return _fit_current_level(col)
-    return _fit_duration(col)
+    fit = _fit_current_level if covariates == "current" else _fit_duration
+    return fit(rows.columns, _risk_table(rows))
 
 
 def cox_loglik_parts(rows: Sequence[CountingRow], beta: float) -> tuple[float, float, float]:
@@ -415,10 +423,10 @@ def cox_loglik_parts(rows: Sequence[CountingRow], beta: float) -> tuple[float, f
     Exposed so the analytic gradient can be checked against finite
     differences of the log partial likelihood.
     """
-    col = rows_as_arrays(rows)
-    if not np.any(col["event"]):
+    rows = CountingTable.coerce(rows)
+    if not np.any(rows.event):
         raise ValueError("need at least one event")
-    loglik, score, info, _, _ = _current_level_parts(_risk_table(col), beta)
+    loglik, score, info, _, _ = _current_level_parts(_risk_table(rows), beta)
     return loglik, score, info
 
 
@@ -431,7 +439,7 @@ def aalen_additive(rows: Sequence[CountingRow]) -> AalenAdditiveFit:
     the union of the event times, so B0 is that estimator's untreated
     curve exactly, not merely to rounding.
     """
-    times, d0, d1, y0, y1 = _risk_table(rows_as_arrays(rows))
+    times, d0, d1, y0, y1 = _risk_table(rows)
     jump0 = np.where(d0 > 0, d0 / np.where(y0 > 0, y0, 1.0), 0.0)
     jump1 = np.where(d1 > 0, d1 / np.where(y1 > 0, y1, 1.0), 0.0)
     singular = times[(y0 == 0) | (y1 == 0)]

@@ -298,14 +298,21 @@ class _Table(Sequence):
                 out.append(obj)
         return out
 
+    def _cached(self, name: str, make):
+        """``make()``, computed on the first call for ``name`` and kept.
+
+        Tables are immutable, so what is derived from the columns stays
+        valid for the table's life.
+        """
+        value = self.__dict__.get(name)
+        if value is None:
+            value = make()
+            object.__setattr__(self, name, value)
+        return value
+
     def __iter__(self):
-        # Tables are immutable, so the records made by the first pass
-        # are kept for later ones, as a list of records would be.
-        records = self.__dict__.get("_record_list")
-        if records is None:
-            records = self._records(0, len(self))
-            object.__setattr__(self, "_record_list", records)
-        return iter(records)
+        # the records made by the first pass serve later ones, as a list of records would
+        return iter(self._cached("_record_list", lambda: self._records(0, len(self))))
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -498,10 +505,8 @@ def read_counting_rows(path) -> CountingTable:
             f"unexpected header {header!r}; want {COUNTING_HEADER!r}"
         )
     data = lines[1:]
-    # file line number of each nonblank data line
-    lineno = np.flatnonzero(np.fromiter(map(len, data), dtype=np.intp, count=len(data))) + 2
     rec = np.empty(0, dtype=_CSV_DTYPE)
-    if lineno.size:
+    if any(data):
         try:
             rec = np.loadtxt(data, dtype=_CSV_DTYPE, delimiter=",", comments=None, ndmin=1)
         except ValueError as exc:
@@ -511,5 +516,7 @@ def read_counting_rows(path) -> CountingTable:
     found = _first_violation(CountingTable._rules(col) + _history_rules(col))
     if found is not None:
         i, message = found
-        raise ValueError(f"line {lineno[i]}: {message}")
+        # file line number of the i-th nonblank data line (loadtxt skips blank ones)
+        lineno = np.flatnonzero(np.fromiter(map(len, data), dtype=np.intp, count=len(data)))[i] + 2
+        raise ValueError(f"line {lineno}: {message}")
     return CountingTable(**col)

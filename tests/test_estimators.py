@@ -4,6 +4,7 @@ import pytest
 from conftest import BETA, LAM01, STEP, T_MAX
 
 import hazrates as hz
+from hazrates import estimators
 from hazrates.estimators import (
     AalenAdditiveFit,
     CoxFit,
@@ -317,6 +318,32 @@ class TestTableInput:
             assert cox_fit(table, covariates) == cox_fit(rows, covariates)
         for beta in (-0.5, 0.0, 0.7):
             assert cox_loglik_parts(table, beta) == cox_loglik_parts(rows, beta)
+
+    def test_one_risk_table_per_table(self, hand_rows, monkeypatch):
+        # every estimator run on one table reads the same risk table
+        calls = []
+        compute = estimators._risk_arrays
+        monkeypatch.setattr(
+            estimators, "_risk_arrays", lambda col: calls.append(len(col["id"])) or compute(col)
+        )
+        table = CountingTable.coerce(hand_rows + [
+            CountingRow(4, 0.0, 0.4, 0, False),
+            CountingRow(4, 0.4, 2.6, 1, True),
+            CountingRow(5, 0.0, 2.2, 0, True),
+        ])
+        nelson_aalen_by_treatment(table)
+        extended_km(table)
+        aalen_additive(table)
+        for covariates in ("current", "duration"):
+            cox_fit(table, covariates)
+        cox_loglik_parts(table, 0.3)
+        assert calls == [9]
+        cached = estimators._risk_table(table)
+        assert all(np.array_equal(a, b) for a, b in zip(cached, compute(table.columns)))
+        assert not any(a.flags.writeable for a in cached)
+        # a slice is another table, with its own
+        nelson_aalen_by_treatment(table[:3])
+        assert calls == [9, 3]
 
 
 class TestLogSurvRatio:
