@@ -125,18 +125,18 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.6g}"
-
-
-# rows per %-format in _write_csv; a block's text stays a few hundred KB
-_BLOCK_ROWS = 2048
+# %-format by dtype kind; "%.6g" is the one float format of files and stdout
 _SPECS = {"i": "%d", "u": "%d", "f": "%.6g"}
+_BLOCK_ROWS = 2048  # rows per %-format in _write_csv: a block's text stays a few hundred KB
+
+
+def _fmt(x: float) -> str:
+    return _SPECS["f"] % float(x)
 
 
 def _write_csv(path: Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
     """Write equal-length 1-d columns under a header: integers in decimal,
-    floats as %.6g (as _fmt), \\r\\n line ends, one %-format per block of rows."""
+    floats as _fmt does, \\r\\n line ends, one %-format per block of rows."""
     columns = [np.asarray(c) for c in columns]
     if any(c.dtype.kind not in _SPECS for c in columns):
         raise TypeError(f"cannot write columns of dtypes {[c.dtype.name for c in columns]}")
@@ -406,14 +406,10 @@ def _cmd_collider(args: argparse.Namespace) -> int:
     )
     table = collider_table(scenario)
     keys = sorted(table)
-    levels = np.array(keys)
-    _write_csv(
-        out / "collider.csv",
-        ["a1", "a2", "p_death_given_alive"],
-        [levels[:, 0], levels[:, 1], np.array([table[key] for key in keys])],
-    )
+    columns = [*np.array(keys).T, np.array([table[key] for key in keys])]
+    _write_csv(out / "collider.csv", ["a1", "a2", "p_death_given_alive"], columns)
     print(f"wrote {out / 'collider.csv'}")
-    for (a1, a2) in sorted(table):
+    for (a1, a2) in keys:
         print(f"P(second-period death | alive, a1={a1}, a2={a2}) = {_fmt(table[(a1, a2)])}")
     return 0
 

@@ -223,14 +223,14 @@ def _require_both_strata(d0: np.ndarray, d1: np.ndarray) -> None:
         raise ConvergenceError("all events in one stratum: monotone partial likelihood")
 
 
-def _fit_current_level(col: dict[str, np.ndarray], table) -> CoxFit:
-    uniq, d0, d1, _, _ = table
+def _fit_current_level(col: dict[str, np.ndarray], risk) -> CoxFit:
+    uniq, d0, d1, _, _ = risk
     _require_both_strata(d0, d1)
 
     beta = 0.0
     iterations = 0
     for _ in range(_MAX_NEWTON):
-        loglik, score, info, s0, xbar = _current_level_parts(table, beta)
+        loglik, score, info, s0, xbar = _current_level_parts(risk, beta)
         if abs(score) < _SCORE_TOL:
             break
         if info <= 0 or not np.isfinite(score):
@@ -297,14 +297,14 @@ def _treated_risk_sums(col: dict[str, np.ndarray], u_row: np.ndarray, times: np.
     return sums
 
 
-def _fit_duration(col: dict[str, np.ndarray], table) -> CoxFit:
+def _fit_duration(col: dict[str, np.ndarray], risk) -> CoxFit:
     """Two-covariate model: current level and time since initiation.
 
     At an event time t a treated row contributes weight
     e^{beta + gamma*(t - u)} = e^{beta + gamma*t} e^{-gamma*u}, so the
     risk-set sums reduce to prefix sums of e^{-gamma*u} moments.
     """
-    uniq, d0, d1, y0, _ = table
+    uniq, d0, d1, y0, _ = risk
     _require_both_strata(d0, d1)
     d = d0 + d1
     u_row = _initiation_by_subject(col)
