@@ -450,8 +450,8 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     log_ratio_t2 = estimators.log_surv_ratio(ekm[1], ekm[0], min(2.0, t_end))
     fit = estimators.cox_fit(rows, covariates="current")
 
-    node_1 = lam02.node_index(min(1.0, t_end))
-    lam02_err_01 = float(np.max(np.abs(lam02.values[: node_1 + 1] - 0.6)))
+    unit = model.times <= min(1.0, t_end)
+    lam02_err_01 = float(np.max(np.abs(lam02.values[unit] - 0.6)))
 
     lines = [
         f"sup_rate_ratio_deviation: {_fmt(deviations[-1])}",

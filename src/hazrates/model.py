@@ -11,7 +11,7 @@ A simulated cohort and its counting-process rows are column tables
 once per column when the table is built.  Each table is also a
 read-only sequence of its record type (``Trajectory``, ``CountingRow``),
 so code written against lists of records works on either; records are
-made on demand and not validated again.
+made on demand, a chunk of columns at a time on each pass, and not kept.
 """
 
 from __future__ import annotations
@@ -270,18 +270,18 @@ class _Table(Sequence):
     def __len__(self) -> int:
         return self.id.size
 
-    def _records(self, lo: int, hi: int) -> list:
-        """Records lo..hi-1, from Python values of the columns.
+    def _records(self, lo: int, hi: int):
+        """Yield records lo..hi-1, made from Python values of the columns.
 
-        The columns were validated when the table was built, so records
-        are made without running their __init__ and its checks again.
-        Values are converted a chunk at a time to bound the temporaries.
+        Every record read goes through here.  The columns were validated
+        when the table was built, so records are made without running
+        their __init__ and its checks again.  Values are converted a
+        chunk at a time and no record is kept: each pass makes new ones.
         """
         record, names = self._record, tuple(self._dtypes)
         # object.__setattr__ keeps the fields inline, as __init__ does;
         # filling obj.__dict__ instead would give each record a dict.
         new, set_field = object.__new__, object.__setattr__
-        out = []
         for first in range(lo, hi, _CHUNK):
             values = []
             for name, col in self.columns.items():
@@ -295,14 +295,14 @@ class _Table(Sequence):
                 obj = new(record)
                 for name, value in zip(names, fields):
                     set_field(obj, name, value)
-                out.append(obj)
-        return out
+                yield obj
 
     def _cached(self, name: str, make):
         """``make()``, computed on the first call for ``name`` and kept.
 
         Tables are immutable, so what is derived from the columns stays
-        valid for the table's life.
+        valid for the table's life.  Only column-derived arrays are kept
+        this way (the estimators' risk table); records never are.
         """
         value = self.__dict__.get(name)
         if value is None:
@@ -311,8 +311,7 @@ class _Table(Sequence):
         return value
 
     def __iter__(self):
-        # the records made by the first pass serve later ones, as a list of records would
-        return iter(self._cached("_record_list", lambda: self._records(0, len(self))))
+        return self._records(0, len(self))
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -322,7 +321,7 @@ class _Table(Sequence):
         if not -n <= k < n:
             raise IndexError(f"{type(self).__name__} index {k} out of range for {n} records")
         k %= n
-        return self._records(k, k + 1)[0]
+        return next(self._records(k, k + 1))
 
     def __eq__(self, other):
         if isinstance(other, type(self)):

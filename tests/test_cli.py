@@ -342,6 +342,15 @@ class TestReproduce:
         assert run_cli(*args) == 0
         assert (tmp_path / "summary.txt").read_text() == first
 
+    def test_step_that_does_not_divide_the_unit_interval(self, tmp_path):
+        # 1.0 is no grid node at step 0.007; the error is taken over the
+        # nodes up to 1.0, where lambda02 is flat at 0.6 (before the lag)
+        assert run_cli("reproduce", "--step", "0.007", "--n", "2000") == 0
+        summary = (tmp_path / "summary.txt").read_text()
+        key = "lambda02_max_abs_err_on_unit_interval: "
+        line = next(line for line in summary.splitlines() if line.startswith(key))
+        assert float(line[len(key):]) < 1e-12
+
     def test_default_run_matches_golden_outputs(self, tmp_path):
         # Goldens of the default run (n=1e5, seed 9, step 0.005).  A
         # refactor must reproduce these bytes; a change that moves them

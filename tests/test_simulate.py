@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from conftest import STEP, T_MAX
 
 import hazrates as hz
-from hazrates.model import rows_as_arrays
+from hazrates.model import _CHUNK, rows_as_arrays
 from hazrates.rates import occupation, rate_treated
 from hazrates.simulate import (
     SimConfig,
@@ -122,15 +123,19 @@ def _record_rows(trajectories):
     return rows
 
 
+def _field_records(cohort):
+    """The cohort's records built field by field, each validated on its own."""
+    return [
+        hz.Trajectory(i, None if np.isnan(u) else u, t, e, None if np.isnan(z) else z)
+        for i, u, t, e, z in zip(*(col.tolist() for col in cohort.columns.values()))
+    ]
+
+
 @pytest.mark.parametrize("frailty", [None, hz.GammaFrailty(variance=1.0)])
 def test_cohort_and_rows_read_as_validated_records(frailty):
     cohort = simulate_cohort(_small_model(), SimConfig(n=400, seed=5, frailty=frailty))
     assert isinstance(cohort, hz.Cohort)
-    # the same records built field by field, each validated on its own
-    records = [
-        hz.Trajectory(i, None if np.isnan(u) else u, t, e, None if np.isnan(z) else z)
-        for i, u, t, e, z in zip(*(col.tolist() for col in cohort.columns.values()))
-    ]
+    records = _field_records(cohort)
     assert len(cohort) == 400
     assert cohort[0] == records[0] and cohort[-1] == records[-1]
     assert list(cohort) == records and cohort == records
@@ -145,6 +150,35 @@ def test_cohort_and_rows_read_as_validated_records(frailty):
     assert list(rows) == want and rows == want
     # a list of records goes through the same expansion
     assert to_counting_rows(records) == rows
+
+
+def test_records_match_across_chunk_boundaries():
+    # records are made one chunk of columns at a time, NaN -> None included;
+    # each pass makes them afresh and must agree on both sides of a boundary
+    frailty = hz.GammaFrailty(variance=1.0)
+    cohort = simulate_cohort(_small_model(), SimConfig(n=2 * _CHUNK + 1, seed=8, frailty=frailty))
+    records = _field_records(cohort)
+    rows = to_counting_rows(cohort)
+    for table, want in [(cohort, records), (rows, _record_rows(records))]:
+        assert len(table) == len(want) > 2 * _CHUNK
+        for _ in range(2):
+            assert list(table) == want
+        for k in (_CHUNK - 1, _CHUNK, -1):
+            assert table[k] == want[k]
+
+
+def test_iteration_keeps_no_records():
+    cohort = simulate_cohort(_small_model(), SimConfig(n=100_000, seed=9))
+    tracemalloc.start()
+    try:
+        events = sum(tr.event for tr in cohort)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert events == int(cohort.event.sum())
+    # a pass holds about one chunk of records; all 1e5 of them take about 18 MB
+    assert peak < 4e6, f"one pass peaked at {peak / 1e6:.1f} MB"
+    assert kept < 1e5, f"{kept / 1e6:.1f} MB still allocated after the pass"
 
 
 class TestAgainstEngine:

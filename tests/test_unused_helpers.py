@@ -1,0 +1,69 @@
+"""Every private module-level name in the library is used in the library.
+
+A private name (``_name``, not a dunder) is defined at the top of a
+module as a function, a class or a constant.  Helpers that no code in
+``src/hazrates`` calls get deleted, not maintained, so each one must be
+loaded somewhere in the package; a use only in the tests does not
+count.  Like the unused-imports check, this parses each module with
+``ast`` and needs no linter.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "hazrates"
+
+
+def _private_definitions(tree):
+    """Private module-level name -> line of its definition."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                names[name] = node.lineno
+    return names
+
+
+def unused_private_names(src: Path) -> list[str]:
+    """``module.py:line name`` for each private name no module of ``src`` loads."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(src.glob("*.py"))}
+    loaded = {
+        node.id
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"{module}:{line} {name}"
+        for module, tree in trees.items()
+        for name, line in _private_definitions(tree).items()
+        if name not in loaded
+    ]
+
+
+def test_package_uses_every_private_name():
+    unused = unused_private_names(SRC)
+    assert not unused, "private names no code in src/hazrates uses: " + ", ".join(unused)
+
+
+def test_an_unused_helper_is_found(tmp_path):
+    (tmp_path / "used.py").write_text(
+        "_LIMIT = 3\n\n\nclass _Box:\n    pass\n\n\n"
+        "def _helper():\n    return _LIMIT\n\n\n"
+        "def public():\n    return _Box(), _helper()\n"
+    )
+    (tmp_path / "dead.py").write_text(
+        "from .used import _helper\n\n\n"
+        "def _unused(x):\n    return _helper() + x\n\n\n"
+        "_unused_table: dict = {}\n__all__ = []\n"
+    )
+    assert unused_private_names(tmp_path) == ["dead.py:4 _unused", "dead.py:8 _unused_table"]
