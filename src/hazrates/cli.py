@@ -34,7 +34,13 @@ from .frailty import (
 )
 from .grid import GridFunction, cumulative
 from .kernels import TwoPieceKernel
-from .model import IllnessDeathModel, TreatmentPath, read_counting_rows, write_counting_rows
+from .model import (
+    IllnessDeathModel,
+    TreatmentPath,
+    read_counting_rows,
+    write_counting_rows,
+    write_rows,
+)
 from .numerics import ConvergenceError, SolverConfig
 from .rates import rate_untreated
 from .simulate import SimConfig, simulate_cohort, to_counting_rows
@@ -127,7 +133,6 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 
 # %-format by dtype kind; "%.6g" is the one float format of files and stdout
 _SPECS = {"i": "%d", "u": "%d", "f": "%.6g"}
-_BLOCK_ROWS = 2048  # rows per %-format in _write_csv: a block's text stays a few hundred KB
 
 
 def _fmt(x: float) -> str:
@@ -136,23 +141,17 @@ def _fmt(x: float) -> str:
 
 def _write_csv(path: Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
     """Write equal-length 1-d columns under a header: integers in decimal,
-    floats as _fmt does, \\r\\n line ends, one %-format per block of rows."""
+    floats as _fmt does, \\r\\n line ends, a block of rows at a time."""
     columns = [np.asarray(c) for c in columns]
     if any(c.dtype.kind not in _SPECS for c in columns):
         raise TypeError(f"cannot write columns of dtypes {[c.dtype.name for c in columns]}")
     if len({c.shape for c in columns}) != 1 or columns[0].ndim != 1:
         raise ValueError("columns must be 1-d arrays of equal length")
     line = ",".join(_SPECS[c.dtype.kind] for c in columns) + "\r\n"
-    k, n = len(columns), columns[0].size
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        for lo in range(0, n, _BLOCK_ROWS):
-            m = min(_BLOCK_ROWS, n - lo)
-            flat = [None] * (k * m)
-            for j, c in enumerate(columns):
-                flat[j::k] = c[lo:lo + m].tolist()
-            fh.write((line * m) % tuple(flat))
+        write_rows(fh, line, columns)
 
 
 def _solver_config(cfg: ExperimentConfig) -> SolverConfig:

@@ -16,6 +16,7 @@ made on demand, a chunk of columns at a time on each pass, and not kept.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -42,7 +43,8 @@ _CSV_DTYPE = np.dtype(
     [("id", "i8"), ("start", "f8"), ("stop", "f8"), ("treat", "i8"), ("event", "i8")]
 )
 
-# Records converted from the columns at a time.
+# Rows converted from the columns to Python values at a time: records
+# when a table is read as a sequence, CSV lines when it is written.
 _CHUNK = 4096
 
 
@@ -450,32 +452,67 @@ def rows_as_arrays(rows: Sequence[CountingRow]) -> dict[str, np.ndarray]:
     return CountingTable.coerce(rows).columns
 
 
+def write_rows(fh, line: str, columns: Sequence[np.ndarray]) -> None:
+    """Write the rows of equal-length 1-d columns to ``fh`` as ``line % row``.
+
+    ``line`` is a %-format template with one field per column and its
+    own line end.  One %-format runs per block of _CHUNK rows, so Python
+    values exist for at most one block at a time.
+    """
+    k, n = len(columns), columns[0].size
+    for lo in range(0, n, _CHUNK):
+        m = min(_CHUNK, n - lo)
+        flat = [None] * (k * m)
+        for j, c in enumerate(columns):
+            flat[j::k] = c[lo:lo + m].tolist()
+        fh.write((line * m) % tuple(flat))
+
+
 def write_counting_rows(rows: Iterable[CountingRow], path) -> None:
     """Write rows as CSV with header id,start,stop,treat,event.
 
     Times are written as the shortest decimal string that reads back to
-    the same float, so read_counting_rows returns the rows exactly and
-    no short interval collapses to zero length; event is 0/1.  Output
-    is fully deterministic so rewriting the same rows is byte-identical.
+    the same float (``%r``), so read_counting_rows returns the rows
+    exactly and no short interval collapses to zero length; event is
+    0/1.  Output is fully deterministic so rewriting the same rows is
+    byte-identical.
     """
     col = rows_as_arrays(rows)
-    columns = (col["id"], col["start"], col["stop"], col["treat"], col["event"].astype(np.int64))
-    text = "".join([
-        f"{i},{start!r},{stop!r},{treat},{event}\r\n"
-        for i, start, stop, treat, event in zip(*(c.tolist() for c in columns))
-    ])
     with open(path, "w", newline="") as fh:
         fh.write(",".join(COUNTING_HEADER) + "\r\n")
-        fh.write(text)
+        write_rows(fh, "%d,%r,%r,%d,%d\r\n", [col[name] for name in COUNTING_HEADER])
 
 
-def _parse_error(data: list[str], exc: ValueError) -> ValueError:
+_INT64 = np.iinfo(np.int64)
+
+
+def _parse_int64(field: str) -> int:
+    """``int(field)``, rejecting values outside int64 as np.loadtxt does."""
+    value = int(field)
+    if not _INT64.min <= value <= _INT64.max:
+        raise ValueError(f"{field.strip()} does not fit in a 64-bit integer")
+    return value
+
+
+def _data_lines(fh):
+    """(line number, text) of each data line of the open CSV, blank ones too.
+
+    Rereads the file from its start, splitting lines as np.loadtxt sees
+    them; only the error paths call it, to name a line.
+    """
+    fh.seek(0)
+    fh.readline()
+    for lineno, line in enumerate(fh, start=2):
+        yield lineno, line.rstrip("\r\n")
+
+
+def _parse_error(fh, exc: ValueError) -> ValueError:
     """The error for the first data line that does not parse.
 
     Runs only after np.loadtxt has rejected the file, to name the line.
     """
-    kinds = (int, float, float, int, int)
-    for lineno, line in enumerate(data, start=2):
+    kinds = (_parse_int64, float, float, _parse_int64, _parse_int64)
+    for lineno, line in _data_lines(fh):
         if not line:
             continue
         fields = line.split(",")
@@ -489,33 +526,53 @@ def _parse_error(data: list[str], exc: ValueError) -> ValueError:
     return ValueError(f"cannot parse rows: {exc}")
 
 
+def _load_rows(fh) -> np.ndarray:
+    """The data rows from the current position of the open CSV to its end."""
+    # np.loadtxt warns on input with no rows, so step over blank lines
+    # to the first row and stop there if there is none
+    while True:
+        first = fh.tell()
+        line = fh.readline()
+        if not line:
+            return np.empty(0, dtype=_CSV_DTYPE)
+        if line.rstrip("\r\n"):
+            break
+    fh.seek(first)
+    try:
+        return np.loadtxt(fh, dtype=_CSV_DTYPE, delimiter=",", comments=None, ndmin=1)
+    except ValueError as exc:
+        raise _parse_error(fh, exc) from exc
+
+
 def read_counting_rows(path) -> CountingTable:
     """Read a counting-process CSV written by write_counting_rows.
 
-    Each row must pass CountingRow's checks, and each subject's rows
-    must form one history (see _history_rules).  Errors name the
-    offending line as "line N: ...", counting blank lines.
+    The file is parsed as it is read, never held as text or lines.
+    Each row must pass CountingRow's checks and have event 0 or 1, and
+    each subject's rows must form one history (see _history_rules).
+    Errors name the offending line as "line N: ...", counting blank
+    lines.
     """
     with open(path, newline="") as fh:
-        lines = fh.read().splitlines()
-    header = lines[0].split(",") if lines else None
-    if header != COUNTING_HEADER:
-        raise ValueError(
-            f"unexpected header {header!r}; want {COUNTING_HEADER!r}"
+        line = fh.readline()
+        header = line.rstrip("\r\n").split(",") if line else None
+        if header != COUNTING_HEADER:
+            raise ValueError(
+                f"unexpected header {header!r}; want {COUNTING_HEADER!r}"
+            )
+        rec = _load_rows(fh)
+        col = {name: rec[name] for name in COUNTING_HEADER}
+        event = col["event"]
+        col["event"] = event == 1
+        bad_event = (
+            (event != 0) & (event != 1),
+            lambda i: f"event must be 0 or 1, got {int(event[i])!r}",
         )
-    data = lines[1:]
-    rec = np.empty(0, dtype=_CSV_DTYPE)
-    if any(data):
-        try:
-            rec = np.loadtxt(data, dtype=_CSV_DTYPE, delimiter=",", comments=None, ndmin=1)
-        except ValueError as exc:
-            raise _parse_error(data, exc) from exc
-    col = {name: rec[name] for name in COUNTING_HEADER}
-    col["event"] = col["event"] != 0
-    found = _first_violation(CountingTable._rules(col) + _history_rules(col))
-    if found is not None:
-        i, message = found
-        # file line number of the i-th nonblank data line (loadtxt skips blank ones)
-        lineno = np.flatnonzero(np.fromiter(map(len, data), dtype=np.intp, count=len(data)))[i] + 2
-        raise ValueError(f"line {lineno}: {message}")
+        found = _first_violation(CountingTable._rules(col) + [bad_event] + _history_rules(col))
+        if found is not None:
+            i, message = found
+            # the i-th nonblank data line: loadtxt skips blank ones
+            nonblank = (lineno for lineno, text in _data_lines(fh) if text)
+            lineno = next(itertools.islice(nonblank, i, None))
+            raise ValueError(f"line {lineno}: {message}")
     return CountingTable(**col)

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import hazrates
-from hazrates.cli import _BLOCK_ROWS, ExperimentConfig, _write_csv, load_config_file, main
-from hazrates.model import read_counting_rows
+from hazrates.cli import ExperimentConfig, _write_csv, load_config_file, main
+from hazrates.model import _CHUNK, read_counting_rows
 
 # coarse grid keeps the builder fast; everything else is default
 FAST = ["--step", "0.05"]
@@ -222,9 +222,7 @@ class TestWriteCsv:
         _reference_write_csv(tmp_path / "old.csv", header, rows)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
-    @pytest.mark.parametrize(
-        "n", [0, 1, 2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 7]
-    )
+    @pytest.mark.parametrize("n", [0, 1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
     def test_row_counts_around_the_block_size(self, tmp_path, n):
         rng = np.random.default_rng(n)
         levels = rng.integers(0, 2, n)
