@@ -201,6 +201,25 @@ class TestCoxDuration:
         assert np.all(np.isfinite(fit.robust_se))
 
 
+def test_both_fits_match_their_recorded_values_exactly(model):
+    # every field, bit for bit: a change in the order of any sum shows here
+    rows = hz.to_counting_rows(hz.simulate_cohort(model, hz.SimConfig(n=20_000, seed=5)))
+    assert cox_fit(rows, "current") == CoxFit(
+        beta_hat=-0.437462723381645,
+        model_se=0.022607182512497295,
+        robust_se=0.023377936153850334,
+        iterations=4,
+        loglik=-136364.4057998226,
+    )
+    assert cox_fit(rows, "duration") == CoxFit(
+        beta_hat=(-0.2333314376604748, -0.25926720316958707),
+        model_se=(0.03190273456221326, 0.03046113462683311),
+        robust_se=(0.032125738555334016, 0.030371053262584442),
+        iterations=4,
+        loglik=-136327.25948158227,
+    )
+
+
 class TestRobustVariance:
     @staticmethod
     def _split_rows(rows):
