@@ -303,12 +303,15 @@ class _Table(Sequence):
         """``make()``, computed on the first call for ``name`` and kept.
 
         Tables are immutable, so what is derived from the columns stays
-        valid for the table's life.  Only column-derived arrays are kept
-        this way (the estimators' risk table); records never are.
+        valid for the table's life.  Only tuples of column-derived arrays
+        are kept this way (the estimators' risk table and row index), made
+        read-only; records never are.
         """
         value = self.__dict__.get(name)
         if value is None:
             value = make()
+            for a in value:
+                a.flags.writeable = False
             object.__setattr__(self, name, value)
         return value
 
@@ -520,6 +523,9 @@ def _parse_error(fh, exc: ValueError) -> ValueError:
             return ValueError(f"line {lineno}: expected {len(kinds)} fields, got {len(fields)}")
         try:
             for kind, field in zip(kinds, fields):
+                # int and float take digit separators and non-ASCII digits; loadtxt does not
+                if "_" in field or not field.strip().isascii():
+                    raise ValueError(f"could not convert string {field!r} to a number")
                 kind(field)
         except ValueError as err:
             return ValueError(f"line {lineno}: {err}")

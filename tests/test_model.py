@@ -333,6 +333,19 @@ def test_read_of_a_file_without_rows_gives_an_empty_table(tmp_path, text):
         # rows that parse but hold an event other than 0/1 or an integer past int64
         ("0,0.0,1.0,0,0\n\n1,0.0,1.0,0,2\n", "line 4: event must be 0 or 1, got 2"),
         ("0,0.0,1.0,0,0\n\n1,0.0,1.0,0,-1\n", "line 4: event must be 0 or 1, got -1"),
+        # fields Python's int and float read but loadtxt does not: digit
+        # separators and non-ASCII digits
+        *[
+            (
+                "0,0.0,1.0,0,1\n\n" + bad + "\n",
+                f"line 4: could not convert string {field!r} to a number",
+            )
+            for bad, field in [
+                ("1,0.0,1_0.0,0,1", "1_0.0"),
+                ("1_0,0.0,1.0,0,1", "1_0"),
+                ("1,0.0,\uff11.0,0,1", "\uff11.0"),
+            ]
+        ],
         *[
             (
                 "0,0.0,1.0,0,1\n\n" + bad + "\n",
