@@ -82,14 +82,15 @@ class ExperimentConfig:
         return Path(os.environ.get(OUT_DIR_ENV, "."))
 
 
-_INT_KEYS = {"max_iter", "n", "seed"}
-_STR_KEYS = {"out_dir"}
+# config-file key -> parser of its value, from the field's annotation
+_PARSE = {
+    f.name: {"float": float, "int": int, "str": str}[f.type] for f in fields(ExperimentConfig)
+}
 
 
 def load_config_file(path: str) -> dict:
     """Parse a flat key=value file; blank lines and # comments ignored."""
     values: dict = {}
-    known = {f.name for f in fields(ExperimentConfig)}
     try:
         text = Path(path).read_text()
     except OSError as err:
@@ -103,15 +104,10 @@ def load_config_file(path: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         value = value.strip()
-        if key not in known:
+        if key not in _PARSE:
             raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            if key in _STR_KEYS:
-                values[key] = value
-            elif key in _INT_KEYS:
-                values[key] = int(value)
-            else:
-                values[key] = float(value)
+            values[key] = _PARSE[key](value)
         except ValueError as err:
             raise CliError(f"{path}:{lineno}: bad value for {key}: {value!r}") from err
     return values
@@ -168,6 +164,19 @@ def _build(cfg: ExperimentConfig) -> tuple[IllnessDeathModel, construct.BuildRep
     report = construct.build(lam01, kernel, cfg.beta, config=_solver_config(cfg))
     model = IllnessDeathModel(lambda01=lam01, lambda02=report.lambda02, lambda12=kernel)
     return model, report
+
+
+def _survival_contrasts(model: IllnessDeathModel, r12: GridFunction, r02: GridFunction):
+    """(S always, S never, rate-based S treated, untreated) and the true
+    and rate-based contrasts at t_max, each treated minus untreated."""
+    curves = (
+        potential_survival(model, TreatmentPath.always()),
+        potential_survival(model, TreatmentPath.never()),
+        rate_based_survival(r12),
+        rate_based_survival(r02),
+    )
+    s_always, s_never, s_rt, s_ru = (s(model.t_max) for s in curves)
+    return curves, (float(s_always - s_never), float(s_rt - s_ru))
 
 
 def _require_converged(report: construct.BuildReport) -> None:
@@ -250,10 +259,7 @@ def _cmd_contrast(args: argparse.Namespace) -> int:
     _require_converged(report)
     r12 = report.iterations[-1].rate
     r02 = rate_untreated(model)
-    s_always = potential_survival(model, TreatmentPath.always())
-    s_never = potential_survival(model, TreatmentPath.never())
-    s_rt = rate_based_survival(r12)
-    s_ru = rate_based_survival(r02)
+    curves, (true_c, rate_c) = _survival_contrasts(model, r12, r02)
     chr_ = causal_hazard_ratio(model)
     rr = construct.ratio_of_rates(r12, r02)
     _write_csv(
@@ -267,12 +273,10 @@ def _cmd_contrast(args: argparse.Namespace) -> int:
             "causal_hr",
             "rate_ratio",
         ],
-        [model.times, s_always.values, s_never.values, s_rt.values, s_ru.values, chr_.values, rr.values],
+        [model.times, *(s.values for s in curves), chr_.values, rr.values],
     )
     print(f"wrote {out / 'contrast.csv'}")
     t_end = model.t_max
-    true_c = float(s_always(t_end) - s_never(t_end))
-    rate_c = float(s_rt(t_end) - s_ru(t_end))
     print(f"true contrast at t={_fmt(t_end)}: {true_c:.2f} (unrounded {_fmt(true_c)})")
     print(f"rate-based contrast at t={_fmt(t_end)}: {rate_c:.2f} (unrounded {_fmt(rate_c)})")
     return 0
@@ -423,25 +427,19 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
     # the builder's last sweep already holds the final model's r12
     r12 = report.iterations[-1].rate
+    r02 = rate_untreated(model)
     t_end = model.t_max
-    true_c = float(
-        potential_survival(model, TreatmentPath.always())(t_end)
-        - potential_survival(model, TreatmentPath.never())(t_end)
-    )
-    rate_c = float(
-        rate_based_survival(r12)(t_end) - rate_based_survival(rate_untreated(model))(t_end)
-    )
+    _, (true_c, rate_c) = _survival_contrasts(model, r12, r02)
 
     trajectories = simulate_cohort(model, SimConfig(n=cfg.n, seed=cfg.seed))
     rows = to_counting_rows(trajectories)
-    rows_path = out / "rows.csv"
-    rows_path.parent.mkdir(parents=True, exist_ok=True)
-    write_counting_rows(rows, rows_path)
+    out.mkdir(parents=True, exist_ok=True)
+    write_counting_rows(rows, out / "rows.csv")
 
     na = estimators.nelson_aalen_by_treatment(rows)
     check_times = model.times[model.times <= min(2.5, t_end)]
     r12_cum = cumulative(r12)(check_times)
-    r02_cum = cumulative(rate_untreated(model))(check_times)
+    r02_cum = cumulative(r02)(check_times)
     sup0 = float(np.max(np.abs(na[0](check_times) - r02_cum)))
     sup1 = float(np.max(np.abs(na[1](check_times) - r12_cum)))
 
@@ -467,7 +465,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         f"target_rate_ratio: {_fmt(np.exp(cfg.beta))}",
     ]
     summary_path = out / "summary.txt"
-    summary_path.parent.mkdir(parents=True, exist_ok=True)
     summary_path.write_text("\n".join(lines) + "\n")
     for line in lines:
         print(line)
