@@ -6,7 +6,9 @@ interval, so Y_a(t) counts rows with start < t <= stop.  Events sit at
 row stops, and the level "at" an event time is the level recorded on
 the row where the event occurs.  Risk sets are evaluated by binary
 search over the sorted start and stop arrays, which keeps every
-estimator O(n log n) in the number of rows.
+estimator O(n log n) in the number of rows.  Both Cox models (current
+level, and with time since initiation) also share one row index, kept
+on the table like the risk table once a fit first asks for it.
 """
 
 from __future__ import annotations
@@ -60,11 +62,6 @@ class StepFunction:
         padded = np.concatenate([[self.initial], self.values])
         out = padded[idx]
         return float(out) if np.asarray(t).ndim == 0 else out
-
-    @property
-    def increments(self) -> np.ndarray:
-        """Jump sizes, aligned with jump_times."""
-        return np.diff(np.concatenate([[self.initial], self.values]))
 
 
 @dataclass(frozen=True)
@@ -131,10 +128,20 @@ def _risk_arrays(col: dict[str, np.ndarray]) -> tuple[np.ndarray, ...]:
         .astype(float)
         for in_level in (col["treat"] == 0, col["treat"] == 1)
     )
-    arrays = (times, d - d1, d1, y0, y1)
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+    return times, d - d1, d1, y0, y1
+
+
+def _index_arrays(col: dict[str, np.ndarray], times: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The Cox fits' row index (lo, hi, event_k, subject): times[lo:hi]
+    are the event times in each row's (start, stop], event_k is each
+    event row's event-time index, and subject codes the ids 0, 1, ...
+    """
+    lo = np.searchsorted(times, col["start"], side="right")
+    hi = np.searchsorted(times, col["stop"], side="right")
+    # an event row's stop is itself an event time, the last one <= stop
+    event_k = hi[col["event"]] - 1
+    _, subject = np.unique(col["id"], return_inverse=True)
+    return lo, hi, event_k, subject
 
 
 def _level_jumps(rows: Sequence[CountingRow]) -> dict[int, tuple[np.ndarray, np.ndarray]]:
@@ -172,17 +179,16 @@ def extended_km(rows: Sequence[CountingRow]) -> dict[int, StepFunction]:
     }
 
 
-def _initiation_by_subject(col: dict[str, np.ndarray]) -> np.ndarray:
+def _initiation_by_subject(col: dict[str, np.ndarray], subject: np.ndarray) -> np.ndarray:
     """Per-row initiation time: the subject's earliest treated-row start.
 
     Untreated rows of never-treated subjects get +inf (never used: the
     duration covariate is zero off treatment).
     """
-    ids, codes = np.unique(col["id"], return_inverse=True)
-    u_by_subject = np.full(ids.size, np.inf)
+    u_by_subject = np.full(subject.max() + 1, np.inf)
     treated = col["treat"] == 1
-    np.minimum.at(u_by_subject, codes[treated], col["start"][treated])
-    return u_by_subject[codes]
+    np.minimum.at(u_by_subject, subject[treated], col["start"][treated])
+    return u_by_subject[subject]
 
 
 def _padded_cumsum(x: np.ndarray) -> np.ndarray:
@@ -193,15 +199,9 @@ def _range_sums(prefix: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarra
     return prefix[hi] - prefix[lo]
 
 
-def _group_by_id(ids: np.ndarray, contributions: np.ndarray) -> np.ndarray:
-    """Sum per-row score contributions within subject id."""
-    _, codes = np.unique(ids, return_inverse=True)
-    if contributions.ndim == 1:
-        return np.bincount(codes, weights=contributions)
-    return np.stack(
-        [np.bincount(codes, weights=contributions[:, j]) for j in range(contributions.shape[1])],
-        axis=1,
-    )
+def _group_by_subject(subject: np.ndarray, contributions: np.ndarray) -> np.ndarray:
+    """Sum per-row score contributions, one column per covariate, within subject."""
+    return np.stack([np.bincount(subject, weights=c) for c in contributions.T], axis=1)
 
 
 def _current_level_parts(table, beta: float):
@@ -223,8 +223,8 @@ def _require_both_strata(d0: np.ndarray, d1: np.ndarray) -> None:
         raise ConvergenceError("all events in one stratum: monotone partial likelihood")
 
 
-def _fit_current_level(col: dict[str, np.ndarray], risk) -> CoxFit:
-    uniq, d0, d1, _, _ = risk
+def _fit_current_level(col: dict[str, np.ndarray], risk, index) -> CoxFit:
+    _, d0, d1, _, _ = risk
     _require_both_strata(d0, d1)
 
     beta = 0.0
@@ -248,17 +248,15 @@ def _fit_current_level(col: dict[str, np.ndarray], risk) -> CoxFit:
     d = d0 + d1
     p_ds0 = _padded_cumsum(d / s0)
     p_xbar = _padded_cumsum(d * xbar / s0)
-    lo = np.searchsorted(uniq, col["start"], side="right")
-    hi = np.searchsorted(uniq, col["stop"], side="right")
+    lo, hi, event_k, subject = index
     a = col["treat"].astype(float)
     expected = np.exp(beta * a) * (
         a * _range_sums(p_ds0, lo, hi) - _range_sums(p_xbar, lo, hi)
     )
     observed = np.zeros(a.size)
-    ev_rows = np.nonzero(col["event"])[0]
-    k_of_row = np.searchsorted(uniq, col["stop"][ev_rows])
-    observed[ev_rows] = a[ev_rows] - xbar[k_of_row]
-    u_i = _group_by_id(col["id"], observed - expected)
+    ev = col["event"]
+    observed[ev] = a[ev] - xbar[event_k]
+    u_i = _group_by_subject(subject, (observed - expected)[:, None])
     robust_var = float(np.sum(u_i**2)) / info**2
     return CoxFit(
         beta_hat=float(beta),
@@ -297,7 +295,7 @@ def _treated_risk_sums(col: dict[str, np.ndarray], u_row: np.ndarray, times: np.
     return sums
 
 
-def _fit_duration(col: dict[str, np.ndarray], risk) -> CoxFit:
+def _fit_duration(col: dict[str, np.ndarray], risk, index) -> CoxFit:
     """Two-covariate model: current level and time since initiation.
 
     At an event time t a treated row contributes weight
@@ -305,17 +303,18 @@ def _fit_duration(col: dict[str, np.ndarray], risk) -> CoxFit:
     risk-set sums reduce to prefix sums of e^{-gamma*u} moments.
     """
     uniq, d0, d1, y0, _ = risk
+    lo, hi, event_k, subject = index
     _require_both_strata(d0, d1)
     d = d0 + d1
-    u_row = _initiation_by_subject(col)
+    u_row = _initiation_by_subject(col, subject)
     treated_sums = _treated_risk_sums(col, u_row, uniq)
-    # per-event covariates, in event-time order
+    # per-event covariates (level, time since initiation) in row order,
+    # and in event-time order for the score and log-likelihood sums
     ev = col["event"]
-    order = np.argsort(col["stop"][ev], kind="stable")
-    ev_time = col["stop"][ev][order]
-    ev_treat = col["treat"][ev][order]
-    ev_u = u_row[ev][order]
-    ev_x = np.stack([ev_treat.astype(float), np.where(ev_treat == 1, ev_time - ev_u, 0.0)], axis=1)
+    a = col["treat"].astype(float)
+    tr = col["treat"] == 1
+    x_ev = np.stack([a[ev], np.where(tr[ev], col["stop"][ev] - u_row[ev], 0.0)], axis=1)
+    ev_x = x_ev[np.argsort(event_k, kind="stable")]
     sum_ev_x = ev_x.sum(axis=0)
 
     theta = np.zeros(2)
@@ -363,32 +362,20 @@ def _fit_duration(col: dict[str, np.ndarray], risk) -> CoxFit:
         "px1": _padded_cumsum(d * xbar[:, 0] / s0),
         "px2": _padded_cumsum(d * xbar[:, 1] / s0),
     }
-    lo = np.searchsorted(uniq, col["start"], side="right")
-    hi = np.searchsorted(uniq, col["stop"], side="right")
-    a = col["treat"].astype(float)
     expected = np.zeros((a.size, 2))
-    tr = col["treat"] == 1
+    lo_tr, hi_tr = lo[tr], hi[tr]
+    q0 = _range_sums(p["q0"], lo_tr, hi_tr)
     w_tr = np.exp(beta - gamma * u_row[tr])
-    expected[tr, 0] = w_tr * (
-        _range_sums(p["q0"], lo[tr], hi[tr]) - _range_sums(p["qx1"], lo[tr], hi[tr])
-    )
+    expected[tr, 0] = w_tr * (q0 - _range_sums(p["qx1"], lo_tr, hi_tr))
     expected[tr, 1] = w_tr * (
-        _range_sums(p["qt"], lo[tr], hi[tr])
-        - _range_sums(p["qx2"], lo[tr], hi[tr])
-        - u_row[tr] * _range_sums(p["q0"], lo[tr], hi[tr])
+        _range_sums(p["qt"], lo_tr, hi_tr) - _range_sums(p["qx2"], lo_tr, hi_tr) - u_row[tr] * q0
     )
     un = ~tr
     expected[un, 0] = -_range_sums(p["px1"], lo[un], hi[un])
     expected[un, 1] = -_range_sums(p["px2"], lo[un], hi[un])
     observed = np.zeros((a.size, 2))
-    ev_rows = np.nonzero(col["event"])[0]
-    k_of_row = np.searchsorted(uniq, col["stop"][ev_rows])
-    x_ev = np.stack(
-        [a[ev_rows], np.where(tr[ev_rows], col["stop"][ev_rows] - u_row[ev_rows], 0.0)],
-        axis=1,
-    )
-    observed[ev_rows] = x_ev - xbar[k_of_row]
-    u_i = _group_by_id(col["id"], observed - expected)
+    observed[ev] = x_ev - xbar[event_k]
+    u_i = _group_by_subject(subject, observed - expected)
     meat = u_i.T @ u_i
     cov_robust = cov_model @ meat @ cov_model
     return CoxFit(
@@ -414,7 +401,9 @@ def cox_fit(rows: Sequence[CountingRow], covariates: str = "current") -> CoxFit:
     if not np.any(rows.event):
         raise ValueError("need at least one event to fit")
     fit = _fit_current_level if covariates == "current" else _fit_duration
-    return fit(rows.columns, _risk_table(rows))
+    risk = _risk_table(rows)
+    index = rows._cached("_row_index", lambda: _index_arrays(rows.columns, risk[0]))
+    return fit(rows.columns, risk, index)
 
 
 def cox_loglik_parts(rows: Sequence[CountingRow], beta: float) -> tuple[float, float, float]:

@@ -1,9 +1,13 @@
-"""Every private module-level name in the library is used in the library.
+"""Every private module-level name and every public method in the
+library is used in the library.
 
 A private name (``_name``, not a dunder) is defined at the top of a
-module as a function, a class or a constant.  Helpers that no code in
-``src/hazrates`` calls get deleted, not maintained, so each one must be
-loaded somewhere in the package; a use only in the tests does not
+module as a function, a class or a constant.  A public method or
+property is one whose name does not start with ``_``, defined in a
+class of the package.  Helpers that no code in ``src/hazrates`` calls
+get deleted, not maintained, so each private name must be loaded
+somewhere in the package, and each public method's name must be read
+as an attribute somewhere in it; a use only in the tests does not
 count.  Like the unused-imports check, this parses each module with
 ``ast`` and needs no linter.
 """
@@ -12,6 +16,15 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hazrates"
+
+# Methods that code outside the package calls by name: argparse calls
+# the parser's ``error`` hook on a bad command line.
+CALLED_FROM_OUTSIDE = {"cli.py _Parser.error"}
+
+
+def _modules(src: Path) -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(src.glob("*.py"))}
 
 
 def _private_definitions(tree):
@@ -34,8 +47,7 @@ def _private_definitions(tree):
 
 def unused_private_names(src: Path) -> list[str]:
     """``module.py:line name`` for each private name no module of ``src`` loads."""
-    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
-             for path in sorted(src.glob("*.py"))}
+    trees = _modules(src)
     loaded = {
         node.id
         for tree in trees.values()
@@ -47,6 +59,30 @@ def unused_private_names(src: Path) -> list[str]:
         for module, tree in trees.items()
         for name, line in _private_definitions(tree).items()
         if name not in loaded
+    ]
+
+
+def unused_public_methods(src: Path) -> list[str]:
+    """``module.py:line Class.name`` for each public method or property
+    of a class in ``src`` whose name no module of ``src`` reads as an
+    attribute."""
+    trees = _modules(src)
+    loaded = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"{module}:{item.lineno} {cls.name}.{item.name}"
+        for module, tree in trees.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("_")
+        and item.name not in loaded
+        and f"{module} {cls.name}.{item.name}" not in CALLED_FROM_OUTSIDE
     ]
 
 
@@ -67,3 +103,22 @@ def test_an_unused_helper_is_found(tmp_path):
         "_unused_table: dict = {}\n__all__ = []\n"
     )
     assert unused_private_names(tmp_path) == ["dead.py:4 _unused", "dead.py:8 _unused_table"]
+
+
+def test_package_uses_every_public_method():
+    unused = unused_public_methods(SRC)
+    assert not unused, "public methods no code in src/hazrates uses: " + ", ".join(unused)
+
+
+def test_an_unused_method_is_found(tmp_path):
+    (tmp_path / "shapes.py").write_text(
+        "class Box:\n"
+        "    def __len__(self):\n        return 1\n\n"
+        "    @property\n    def width(self):\n        return 2\n\n"
+        "    def area(self):\n        return self.width\n\n"
+        "    @staticmethod\n    def unit():\n        return Box()\n\n"
+        "    def _scale(self):\n        return 3\n\n\n"
+        "def make():\n    return Box.unit().area()\n"
+    )
+    (tmp_path / "plain.py").write_text("class Dot:\n    def size(self):\n        return 0\n")
+    assert unused_public_methods(tmp_path) == ["plain.py:2 Dot.size"]
