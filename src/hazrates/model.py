@@ -523,8 +523,10 @@ def _parse_error(fh, exc: ValueError) -> ValueError:
             return ValueError(f"line {lineno}: expected {len(kinds)} fields, got {len(fields)}")
         try:
             for kind, field in zip(kinds, fields):
-                # int and float take digit separators and non-ASCII digits; loadtxt does not
-                if "_" in field or not field.strip().isascii():
+                # loadtxt strips what str.strip does, but unlike int and
+                # float rejects digit separators and non-ASCII digits
+                field = field.strip()
+                if "_" in field or not field.isascii():
                     raise ValueError(f"could not convert string {field!r} to a number")
                 kind(field)
         except ValueError as err:

@@ -346,6 +346,11 @@ def test_read_of_a_file_without_rows_gives_an_empty_table(tmp_path, text):
                 ("1,0.0,\uff11.0,0,1", "\uff11.0"),
             ]
         ],
+        # loadtxt takes a field padded with whitespace that float alone does not
+        (
+            "0,0.0,1.0\x1c,0,1\n\n1,0.0,abc,0,1\n",
+            "line 4: could not convert string to float: 'abc'",
+        ),
         *[
             (
                 "0,0.0,1.0,0,1\n\n" + bad + "\n",
