@@ -7,8 +7,8 @@ row stops, and the level "at" an event time is the level recorded on
 the row where the event occurs.  Risk sets are evaluated by binary
 search over the sorted start and stop arrays, which keeps every
 estimator O(n log n) in the number of rows.  Both Cox models (current
-level, and with time since initiation) also share one row index, kept
-on the table like the risk table once a fit first asks for it.
+level, and with time since initiation) also read one row index, built
+by each fit from the risk table's event times.
 """
 
 from __future__ import annotations
@@ -402,8 +402,7 @@ def cox_fit(rows: Sequence[CountingRow], covariates: str = "current") -> CoxFit:
         raise ValueError("need at least one event to fit")
     fit = _fit_current_level if covariates == "current" else _fit_duration
     risk = _risk_table(rows)
-    index = rows._cached("_row_index", lambda: _index_arrays(rows.columns, risk[0]))
-    return fit(rows.columns, risk, index)
+    return fit(rows.columns, risk, _index_arrays(rows.columns, risk[0]))
 
 
 def cox_loglik_parts(rows: Sequence[CountingRow], beta: float) -> tuple[float, float, float]:

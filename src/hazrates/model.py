@@ -304,8 +304,8 @@ class _Table(Sequence):
 
         Tables are immutable, so what is derived from the columns stays
         valid for the table's life.  Only tuples of column-derived arrays
-        are kept this way (the estimators' risk table and row index), made
-        read-only; records never are.
+        are kept this way (the estimators' risk table), made read-only;
+        records never are.
         """
         value = self.__dict__.get(name)
         if value is None:

@@ -338,18 +338,11 @@ class TestTableInput:
             assert cox_loglik_parts(table, beta) == cox_loglik_parts(rows, beta)
 
     def test_one_risk_table_per_table(self, hand_rows, monkeypatch):
-        # every estimator run on one table reads the same risk table, and
-        # both Cox fits the same row index, which the others never build
-        calls, index_calls = [], []
+        # every estimator run on one table reads the same risk table
+        calls = []
         compute = estimators._risk_arrays
-        index = estimators._index_arrays
         monkeypatch.setattr(
             estimators, "_risk_arrays", lambda col: calls.append(len(col["id"])) or compute(col)
-        )
-        monkeypatch.setattr(
-            estimators,
-            "_index_arrays",
-            lambda col, times: index_calls.append(len(col["id"])) or index(col, times),
         )
         table = CountingTable.coerce(hand_rows + [
             CountingRow(4, 0.0, 0.4, 0, False),
@@ -359,25 +352,18 @@ class TestTableInput:
         nelson_aalen_by_treatment(table)
         extended_km(table)
         aalen_additive(table)
-        assert index_calls == []
         for covariates in ("current", "duration"):
             cox_fit(table, covariates)
         cox_loglik_parts(table, 0.3)
         assert calls == [9]
-        assert index_calls == [9]
         cached = estimators._risk_table(table)
         assert all(np.array_equal(a, b) for a, b in zip(cached, compute(table.columns)))
         assert not any(a.flags.writeable for a in cached)
-        kept = table._row_index
-        assert all(np.array_equal(a, b) for a, b in zip(kept, index(table.columns, cached[0])))
-        assert not any(a.flags.writeable for a in kept)
         # a slice is another table, with its own
         nelson_aalen_by_treatment(table[:3])
         assert calls == [9, 3]
-        assert index_calls == [9]
         cox_fit(table[:4])
         assert calls == [9, 3, 4]
-        assert index_calls == [9, 4]
 
 
 class TestLogSurvRatio:
