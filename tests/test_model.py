@@ -195,6 +195,15 @@ def test_table_columns_reject_values_the_cast_would_change():
     assert table == CountingTable(**ok)
 
 
+def test_records_reject_values_their_table_rejects():
+    for build, message in [
+        (lambda: CountingRow(0, 0.0, 1.0, 0, 2), "event must hold bool values, got 2"),
+        (lambda: CountingRow(1.5, 0.0, 1.0, 0, True), "id must hold int64 values, got 1.5"),
+        (lambda: Trajectory(0, None, 1.0, 3), "event must hold bool values, got 3"),
+    ]:
+        assert _error(build) == message
+
+
 def test_tables_read_as_record_sequences():
     rows = [
         CountingRow(5, 0.0, 1.0, 0, False),
