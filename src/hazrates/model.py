@@ -165,15 +165,8 @@ class Trajectory:
     frailty: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.t_event) and self.t_event > 0):
-            raise ValueError(f"t_event must be positive and finite, got {self.t_event!r}")
-        if self.u_init is not None:
-            if not (np.isfinite(self.u_init) and 0 <= self.u_init):
-                raise ValueError(f"u_init must be nonnegative, got {self.u_init!r}")
-            if not self.u_init < self.t_event:
-                raise ValueError(
-                    f"u_init={self.u_init!r} must precede t_event={self.t_event!r}"
-                )
+        # a record holds exactly what its table would hold
+        Cohort.coerce([self])
 
 
 @dataclass(frozen=True)
@@ -191,14 +184,8 @@ class CountingRow:
     event: bool
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.start) and np.isfinite(self.stop)):
-            raise ValueError("start and stop must be finite")
-        if not self.start < self.stop:
-            raise ValueError(f"need start < stop, got ({self.start!r}, {self.stop!r}]")
-        if self.start < 0:
-            raise ValueError(f"start must be nonnegative, got {self.start!r}")
-        if self.treat not in (0, 1):
-            raise ValueError(f"treat must be 0 or 1, got {self.treat!r}")
+        # a record holds exactly what its table would hold
+        CountingTable.coerce([self])
 
 
 def _first_violation(rules):
@@ -206,9 +193,7 @@ def _first_violation(rules):
 
     ``rules`` pairs a boolean mask of the offending items with a function
     of an item's index that returns its message.  Of the rules that item
-    breaks, the first listed gives the message, so rules listed in the
-    order a record's ``__post_init__`` checks them give that record's
-    error.
+    breaks, the first listed gives the message.
     """
     bad = np.logical_or.reduce([mask for mask, _ in rules])
     if not bad.any():
