@@ -32,7 +32,6 @@ from .estimators import (
 from .frailty import (
     ColliderScenario,
     ConditionalHazardSpec,
-    CustomFrailty,
     DegenerateFrailty,
     FrailtySpec,
     GammaFrailty,
@@ -51,7 +50,6 @@ from .model import (
     Trajectory,
     TreatmentPath,
     read_counting_rows,
-    rows_as_arrays,
     write_counting_rows,
 )
 from .numerics import ConvergenceError, SolverConfig
@@ -83,7 +81,6 @@ __all__ = [
     "CountingTable",
     "read_counting_rows",
     "write_counting_rows",
-    "rows_as_arrays",
     "OccupationSlice",
     "occupation",
     "rate_treated",
@@ -96,7 +93,6 @@ __all__ = [
     "FrailtySpec",
     "DegenerateFrailty",
     "GammaFrailty",
-    "CustomFrailty",
     "TreatmentPath",
     "ConditionalHazardSpec",
     "marginal_hazard",

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "FrailtySpec",
     "DegenerateFrailty",
     "GammaFrailty",
-    "CustomFrailty",
     "TreatmentPath",
     "ConditionalHazardSpec",
     "marginal_hazard",
@@ -44,24 +43,17 @@ __all__ = [
     "collider_table",
 ]
 
-_UNDERFLOW = 1e-300
-
-
 class FrailtySpec(ABC):
     """Distribution of the positive multiplicative frailty Z.
 
     A frailty is characterized by its Laplace transform
-    phi(s) = E[exp(-Z s)] together with the derivative and the inverse,
-    which is all the marginalization formulas need.
+    phi(s) = E[exp(-Z s)]; the marginalization formulas need its
+    inverse and the survivor mean -phi'/phi, both in closed form.
     """
 
     @abstractmethod
     def laplace(self, s):
         """phi(s) for scalar or array s >= 0."""
-
-    @abstractmethod
-    def laplace_derivative(self, s):
-        """phi'(s), negative for nondegenerate loads."""
 
     @abstractmethod
     def laplace_inverse(self, p):
@@ -71,20 +63,9 @@ class FrailtySpec(ABC):
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n frailty values."""
 
+    @abstractmethod
     def conditional_mean(self, s):
-        """Mean frailty among survivors of integrated load s: -phi'/phi.
-
-        Subclasses with a closed form override this to avoid evaluating
-        phi deep in its tail.
-        """
-        den = np.asarray(self.laplace(s), dtype=float)
-        if np.any(den < _UNDERFLOW):
-            bad = np.atleast_1d(np.asarray(s))[np.atleast_1d(den) < _UNDERFLOW]
-            raise ValueError(
-                f"laplace transform underflow at integrated load s={bad.flat[0]!r}"
-            )
-        out = -np.asarray(self.laplace_derivative(s), dtype=float) / den
-        return float(out) if out.ndim == 0 else out
+        """Mean frailty among survivors of integrated load s: -phi'(s)/phi(s)."""
 
     def check_inverse_domain(self, p) -> None:
         p_arr = np.asarray(p, dtype=float)
@@ -109,9 +90,6 @@ class DegenerateFrailty(FrailtySpec):
 
     def laplace(self, s):
         return np.exp(-self.value * np.asarray(s, dtype=float))
-
-    def laplace_derivative(self, s):
-        return -self.value * np.exp(-self.value * np.asarray(s, dtype=float))
 
     def laplace_inverse(self, p):
         self.check_inverse_domain(p)
@@ -144,10 +122,6 @@ class GammaFrailty(FrailtySpec):
         v = self.variance
         return (1.0 + v * np.asarray(s, dtype=float)) ** (-1.0 / v)
 
-    def laplace_derivative(self, s):
-        v = self.variance
-        return -((1.0 + v * np.asarray(s, dtype=float)) ** (-1.0 / v - 1.0))
-
     def laplace_inverse(self, p):
         self.check_inverse_domain(p)
         v = self.variance
@@ -161,62 +135,6 @@ class GammaFrailty(FrailtySpec):
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         shape = 1.0 / self.variance
         return rng.gamma(shape, self.variance, size=n)
-
-
-class CustomFrailty(FrailtySpec):
-    """Frailty given by user-supplied Laplace-transform callables.
-
-    The callables are spot-checked at construction: phi(0) = 1, phi
-    decreasing (negative derivative consistent with finite differences),
-    and phi(laplace_inverse(p)) = p on a probe grid.
-    """
-
-    def __init__(
-        self,
-        laplace: Callable,
-        laplace_derivative: Callable,
-        laplace_inverse: Callable,
-        sampler: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None,
-    ) -> None:
-        self._laplace = laplace
-        self._derivative = laplace_derivative
-        self._inverse = laplace_inverse
-        self._sampler = sampler
-        self._validate()
-
-    def _validate(self) -> None:
-        if abs(float(self._laplace(0.0)) - 1.0) > 1e-9:
-            raise ValueError("laplace(0) must equal 1")
-        probes = np.array([0.1, 0.5, 1.0, 2.0, 5.0])
-        eps = 1e-6
-        fd = (self._laplace(probes + eps) - self._laplace(probes - eps)) / (2 * eps)
-        an = np.asarray(self._derivative(probes), dtype=float)
-        if np.any(an >= 0):
-            raise ValueError("laplace_derivative must be negative on s > 0")
-        rel = np.abs(fd - an) / np.maximum(np.abs(an), 1e-12)
-        if np.any(rel > 1e-4):
-            raise ValueError(
-                "laplace_derivative inconsistent with finite differences of laplace"
-            )
-        ps = np.array([0.9, 0.5, 0.2])
-        back = np.asarray(self._laplace(np.asarray(self._inverse(ps))), dtype=float)
-        if np.any(np.abs(back - ps) > 1e-6):
-            raise ValueError("laplace_inverse is not an inverse of laplace")
-
-    def laplace(self, s):
-        return self._laplace(s)
-
-    def laplace_derivative(self, s):
-        return self._derivative(s)
-
-    def laplace_inverse(self, p):
-        self.check_inverse_domain(p)
-        return self._inverse(p)
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if self._sampler is None:
-            raise ValueError("this CustomFrailty was built without a sampler")
-        return np.asarray(self._sampler(rng, n), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -283,12 +201,7 @@ def marginal_hazard(
     survivor mean frailty and H the integrated load along the path.
     """
     times = spec.h0.times
-    load = spec.load_along(path, times)
-    try:
-        mean = np.asarray(frailty.conditional_mean(load), dtype=float)
-    except ValueError as exc:
-        bad_idx = int(np.argmin(np.asarray(frailty.laplace(load)) >= _UNDERFLOW))
-        raise ValueError(f"{exc} (t={times[bad_idx]:.6g})") from exc
+    mean = np.asarray(frailty.conditional_mean(spec.load_along(path, times)), dtype=float)
     vals = mean * spec.hazard_along(path, times)
     return spec.h0.with_values(vals)
 
@@ -372,8 +285,9 @@ class ColliderScenario:
     Each subject has frailty Z from a finite distribution and may be
     treated in period 1 and/or 2; conditional on Z = z and current
     level a the death probability in a period is z * p1 * effect**a.
-    ``a_policy = (q1, q2)`` gives the initiation probability per period
-    (irreversible, independent of Z).  Construction fails if any
+    Initiation is irreversible and independent of Z, so its
+    probabilities cancel from ``collider_table`` and are not
+    parameters.  Construction fails if any
     frailty level would push a death probability outside [0, 1], rather
     than clamping it silently.
     """
@@ -382,7 +296,6 @@ class ColliderScenario:
     z_probs: tuple
     p1: float
     effect: float
-    a_policy: tuple = (0.5, 0.5)
 
     def __post_init__(self) -> None:
         z = np.asarray(self.z_levels, dtype=float)
@@ -397,9 +310,6 @@ class ColliderScenario:
             raise ValueError(f"p1 must lie in (0, 1], got {self.p1!r}")
         if not (np.isfinite(self.effect) and self.effect > 0):
             raise ValueError(f"effect must be positive, got {self.effect!r}")
-        q = np.asarray(self.a_policy, dtype=float)
-        if q.shape != (2,) or np.any(q < 0) or np.any(q > 1):
-            raise ValueError("a_policy must be two probabilities")
         worst = z.max() * self.p1 * max(1.0, self.effect)
         if worst > 1.0 + 1e-12:
             raise ValueError(

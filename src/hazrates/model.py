@@ -93,7 +93,7 @@ class TreatmentPath:
     """Deterministic irreversible treatment history a(t) = 1{t >= u_init}.
 
     ``u_init=None`` is the never-treated path and ``u_init=0`` the
-    always-treated one; ``kind`` names the three cases.
+    always-treated one.
     """
 
     u_init: Optional[float]
@@ -114,18 +114,6 @@ class TreatmentPath:
     @staticmethod
     def initiate_at(u: float) -> "TreatmentPath":
         return TreatmentPath(u_init=float(u))
-
-    @property
-    def kind(self) -> str:
-        """Name of the path: never, always (initiation at 0) or initiate_at."""
-        if self.u_init is None:
-            return "never"
-        return "always" if self.u_init == 0 else "initiate_at"
-
-    @property
-    def u(self) -> Optional[float]:
-        """The initiation time, None when never treated."""
-        return self.u_init
 
     def level(self, t) -> np.ndarray:
         t_arr = np.asarray(t, dtype=float)
@@ -431,15 +419,6 @@ def _history_rules(col):
     ]
 
 
-def rows_as_arrays(rows: Sequence[CountingRow]) -> dict[str, np.ndarray]:
-    """Column arrays for vectorized estimation code.
-
-    A CountingTable gives its own arrays, uncopied; any other sequence
-    of records is converted to one first.
-    """
-    return CountingTable.coerce(rows).columns
-
-
 def write_rows(fh, line: str, columns: Sequence[np.ndarray]) -> None:
     """Write the rows of equal-length 1-d columns to ``fh`` as ``line % row``.
 
@@ -465,7 +444,7 @@ def write_counting_rows(rows: Iterable[CountingRow], path) -> None:
     0/1.  Output is fully deterministic so rewriting the same rows is
     byte-identical.
     """
-    col = rows_as_arrays(rows)
+    col = CountingTable.coerce(rows).columns
     with open(path, "w", newline="") as fh:
         fh.write(",".join(COUNTING_HEADER) + "\r\n")
         write_rows(fh, "%d,%r,%r,%d,%d\r\n", [col[name] for name in COUNTING_HEADER])

@@ -16,16 +16,16 @@ from hazrates.rates import rate_treated, rate_untreated
 
 class TestRegime:
     def test_constructors(self):
-        assert Regime.never().kind == "never"
-        assert Regime.always().kind == "always"
-        assert Regime.initiate_at(1.5).u == 1.5
+        assert Regime.never().u_init is None
+        assert Regime.always().u_init == 0.0
+        assert Regime.initiate_at(1.5).u_init == 1.5
 
     def test_a_regime_is_a_treatment_path(self):
         assert type(Regime.never()) is hz.TreatmentPath
         assert isinstance(Regime("initiate_at", 1.5), hz.TreatmentPath)
         assert Regime("initiate_at", 1.5).u_init == Regime.initiate_at(1.5).u_init == 1.5
-        # the kind is read from the initiation time, so initiation at 0 is always
-        assert Regime.initiate_at(0.0).kind == "always"
+        # initiation at 0 is the always-treated path
+        assert Regime.initiate_at(0.0) == Regime.always()
         assert Regime("initiate_at", 0.0).u_init == Regime("always").u_init == 0.0
 
     def test_validation(self):

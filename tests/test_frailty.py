@@ -5,7 +5,6 @@ import hazrates as hz
 from hazrates.frailty import (
     ColliderScenario,
     ConditionalHazardSpec,
-    CustomFrailty,
     DegenerateFrailty,
     GammaFrailty,
     TreatmentPath,
@@ -26,11 +25,14 @@ class TestFrailtySpecs:
         p = np.array([1.0, 0.8, 0.05])
         np.testing.assert_allclose(fr.laplace(fr.laplace_inverse(p)), p, atol=1e-12)
 
-    def test_gamma_conditional_mean_matches_generic_formula(self):
-        fr = GammaFrailty(variance=2.0)
-        s = np.array([0.1, 1.0, 4.0])
-        generic = -np.asarray(fr.laplace_derivative(s)) / np.asarray(fr.laplace(s))
-        np.testing.assert_allclose(fr.conditional_mean(s), generic, rtol=1e-12)
+    @pytest.mark.parametrize(
+        "fr", [GammaFrailty(variance=2.0), DegenerateFrailty(value=1.3)], ids=["gamma", "degenerate"]
+    )
+    def test_conditional_mean_matches_generic_formula(self, fr):
+        # -phi'/phi with phi' a central difference of the Laplace transform
+        s, h = np.array([0.1, 1.0, 4.0]), 1e-6
+        slope = (fr.laplace(s + h) - fr.laplace(s - h)) / (2 * h)
+        np.testing.assert_allclose(fr.conditional_mean(s), -slope / fr.laplace(s), rtol=1e-7)
 
     def test_gamma_validation(self):
         with pytest.raises(ValueError):
@@ -62,53 +64,6 @@ class TestFrailtySpecs:
         np.testing.assert_array_equal(
             DegenerateFrailty(2.0).sample(rng, 5), np.full(5, 2.0)
         )
-
-
-class TestCustomFrailty:
-    @staticmethod
-    def _gamma1_callables():
-        return (
-            lambda s: (1.0 + np.asarray(s, dtype=float)) ** -1.0,
-            lambda s: -((1.0 + np.asarray(s, dtype=float)) ** -2.0),
-            lambda p: 1.0 / np.asarray(p, dtype=float) - 1.0,
-        )
-
-    def test_accepts_consistent_callables(self):
-        lap, dlap, inv = self._gamma1_callables()
-        fr = CustomFrailty(lap, dlap, inv)
-        ref = GammaFrailty(variance=1.0)
-        s = np.array([0.2, 1.0, 3.0])
-        np.testing.assert_allclose(fr.conditional_mean(s), ref.conditional_mean(s), rtol=1e-12)
-
-    def test_rejects_wrong_normalization(self):
-        lap, dlap, inv = self._gamma1_callables()
-        with pytest.raises(ValueError, match="laplace\\(0\\)"):
-            CustomFrailty(lambda s: 0.9 * lap(s), dlap, inv)
-
-    def test_rejects_nonnegative_derivative(self):
-        lap, dlap, inv = self._gamma1_callables()
-        with pytest.raises(ValueError, match="negative"):
-            CustomFrailty(lap, lambda s: -dlap(s), inv)
-
-    def test_rejects_inconsistent_derivative(self):
-        lap, dlap, inv = self._gamma1_callables()
-        with pytest.raises(ValueError, match="finite differences"):
-            CustomFrailty(lap, lambda s: 0.5 * dlap(s), inv)
-
-    def test_rejects_broken_inverse(self):
-        lap, dlap, inv = self._gamma1_callables()
-        with pytest.raises(ValueError, match="inverse"):
-            CustomFrailty(lap, dlap, lambda p: 2.0 * inv(p))
-
-    def test_sampler_is_optional(self):
-        lap, dlap, inv = self._gamma1_callables()
-        fr = CustomFrailty(lap, dlap, inv)
-        with pytest.raises(ValueError, match="sampler"):
-            fr.sample(np.random.default_rng(0), 3)
-        with_sampler = CustomFrailty(
-            lap, dlap, inv, sampler=lambda rng, n: rng.gamma(1.0, 1.0, n)
-        )
-        assert with_sampler.sample(np.random.default_rng(0), 4).shape == (4,)
 
 
 class TestTreatmentPath:

@@ -14,7 +14,6 @@ from hazrates.model import (
     IllnessDeathModel,
     Trajectory,
     read_counting_rows,
-    rows_as_arrays,
     write_counting_rows,
 )
 
@@ -125,7 +124,7 @@ def test_rows_as_arrays():
         CountingRow(5, 0.0, 1.0, 0, False),
         CountingRow(5, 1.0, 1.5, 1, True),
     ]
-    cols = rows_as_arrays(rows)
+    cols = CountingTable.coerce(rows).columns
     np.testing.assert_array_equal(cols["id"], [5, 5])
     np.testing.assert_allclose(cols["stop"], [1.0, 1.5])
     np.testing.assert_array_equal(cols["treat"], [0, 1])
@@ -221,8 +220,8 @@ def test_tables_read_as_record_sequences():
     assert type(table[0].id) is int and type(table[0].event) is bool
     with pytest.raises(IndexError):
         table[3]
-    # rows_as_arrays hands out the table's own read-only arrays
-    cols = rows_as_arrays(table)
+    # a table's columns are its own read-only arrays
+    cols = table.columns
     assert cols["start"] is table.start
     assert not table.start.flags.writeable
 
@@ -238,7 +237,7 @@ HEADER = "id,start,stop,treat,event"
 
 def _old_write_counting_rows(rows, path):
     # the whole-file f-string writer the block writer replaced: the oracle
-    col = rows_as_arrays(rows)
+    col = CountingTable.coerce(rows).columns
     columns = (col["id"], col["start"], col["stop"], col["treat"], col["event"].astype(np.int64))
     text = "".join([
         f"{i},{start!r},{stop!r},{treat},{event}\r\n"

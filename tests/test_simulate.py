@@ -8,7 +8,7 @@ import pytest
 from conftest import STEP, T_MAX
 
 import hazrates as hz
-from hazrates.model import _CHUNK, rows_as_arrays
+from hazrates.model import _CHUNK, CountingTable
 from hazrates.rates import occupation, rate_treated
 from hazrates.simulate import (
     SimConfig,
@@ -202,7 +202,7 @@ class TestAgainstEngine:
         # empirical hazard among the currently treated over a centered
         # window, compared to the analytic survivor-averaged rate
         _, rows = cohort_1m
-        cols = rows_as_arrays(rows)
+        cols = CountingTable.coerce(rows).columns
         sel = cols["treat"] == 1
         starts = np.sort(cols["start"][sel])
         stops = np.sort(cols["stop"][sel])

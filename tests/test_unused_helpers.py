@@ -10,6 +10,11 @@ somewhere in the package, and each public method's name must be read
 as an attribute somewhere in it; a use only in the tests does not
 count.  Like the unused-imports check, this parses each module with
 ``ast`` and needs no linter.
+
+The method check matches attribute names only, not the objects they
+are read from.  A method whose name some other object's attribute
+shares therefore counts as used: a ``kind`` property would pass on
+``dtype.kind`` and a ``u`` property on ``args.u``.
 """
 
 import ast
@@ -18,8 +23,17 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "hazrates"
 
 # Methods that code outside the package calls by name: argparse calls
-# the parser's ``error`` hook on a bad command line.
-CALLED_FROM_OUTSIDE = {"cli.py _Parser.error"}
+# the parser's ``error`` hook on a bad command line, and the frailty
+# benchmark workload checks its closed forms against the Laplace
+# transform (perfbench/workloads.py), which no module of the package
+# reads now that both frailty laws give their survivor mean in closed
+# form.
+CALLED_FROM_OUTSIDE = {
+    "cli.py _Parser.error",
+    "frailty.py FrailtySpec.laplace",
+    "frailty.py DegenerateFrailty.laplace",
+    "frailty.py GammaFrailty.laplace",
+}
 
 
 def _modules(src: Path) -> dict[str, ast.Module]:

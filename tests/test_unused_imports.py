@@ -1,10 +1,13 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and
+every name a module exports in ``__all__`` exists.
 
-``__init__.py`` only re-exports, so it is not checked.  No linter is
-needed: the check parses each module with ``ast``.
+``__init__.py`` only re-exports, so the import check skips it; its
+``__all__`` is checked with the modules'.  No linter is needed: the
+import check parses each module with ``ast``.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -36,3 +39,13 @@ def test_module_uses_every_import(path):
     assert not unused, f"{path.name}: unused imports " + ", ".join(
         f"{name} (line {line})" for line, name in unused
     )
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["hazrates"] + [f"hazrates.{p.stem}" for p in MODULES if p.stem != "__main__"],
+)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not missing, f"{module}.__all__ names what the module lacks: " + ", ".join(missing)
