@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,8 +11,17 @@ import numpy as np
 import pytest
 
 import hazrates
-from hazrates.cli import ExperimentConfig, _write_csv, load_config_file, main
+from hazrates.cli import (
+    CliError,
+    ExperimentConfig,
+    _build_parser,
+    _write_csv,
+    load_config_file,
+    main,
+)
 from hazrates.model import _CHUNK, read_counting_rows
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # coarse grid keeps the builder fast; everything else is default
 FAST = ["--step", "0.05"]
@@ -312,6 +322,18 @@ class TestErrors:
     def test_unknown_flag(self, capsys):
         assert run_cli("construct", "--paper", "x") == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_reproduce_accepts_every_flag_the_readme_lists(self):
+        paragraph = README.read_text().split("Common flags:", 1)[1].split("\n\n", 1)[0]
+        listed = re.findall(r"`(--[a-z0-9-]+)`", paragraph)
+        assert listed
+        parser, rejected = _build_parser(), []
+        for flag in listed:
+            try:
+                parser.parse_args(["reproduce", flag, "1"])
+            except CliError:
+                rejected.append(flag)
+        assert not rejected, f"README lists flags reproduce rejects: {rejected}"
 
 
 class TestReproduce:
