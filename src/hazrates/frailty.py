@@ -201,7 +201,8 @@ def marginal_hazard(
     survivor mean frailty and H the integrated load along the path.
     """
     times = spec.h0.times
-    mean = np.asarray(frailty.conditional_mean(spec.load_along(path, times)), dtype=float)
+    load = spec.load_along(path, times)
+    mean = np.asarray(frailty.conditional_mean(load), dtype=float)
     vals = mean * spec.hazard_along(path, times)
     return spec.h0.with_values(vals)
 
@@ -286,10 +287,9 @@ class ColliderScenario:
     treated in period 1 and/or 2; conditional on Z = z and current
     level a the death probability in a period is z * p1 * effect**a.
     Initiation is irreversible and independent of Z, so its
-    probabilities cancel from ``collider_table`` and are not
-    parameters.  Construction fails if any
-    frailty level would push a death probability outside [0, 1], rather
-    than clamping it silently.
+    probabilities cancel from ``collider_table`` and are not parameters.
+    Construction fails if any frailty level would push a death
+    probability outside [0, 1], rather than clamping it silently.
     """
 
     z_levels: tuple

@@ -26,7 +26,9 @@ class TestFrailtySpecs:
         np.testing.assert_allclose(fr.laplace(fr.laplace_inverse(p)), p, atol=1e-12)
 
     @pytest.mark.parametrize(
-        "fr", [GammaFrailty(variance=2.0), DegenerateFrailty(value=1.3)], ids=["gamma", "degenerate"]
+        "fr",
+        [GammaFrailty(variance=2.0), DegenerateFrailty(value=1.3)],
+        ids=["gamma", "degenerate"],
     )
     def test_conditional_mean_matches_generic_formula(self, fr):
         # -phi'/phi with phi' a central difference of the Laplace transform

@@ -24,10 +24,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "hazrates"
 
 # Methods that code outside the package calls by name: argparse calls
 # the parser's ``error`` hook on a bad command line, and the frailty
-# benchmark workload checks its closed forms against the Laplace
-# transform (perfbench/workloads.py), which no module of the package
-# reads now that both frailty laws give their survivor mean in closed
-# form.
+# benchmark workload (perfbench/workloads.py) checks its closed forms
+# against the Laplace transform, which no module of the package reads.
 CALLED_FROM_OUTSIDE = {
     "cli.py _Parser.error",
     "frailty.py FrailtySpec.laplace",
