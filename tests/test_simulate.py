@@ -285,4 +285,39 @@ def test_gamma_frailty_cohort_golden():
     assert digest.hexdigest() == GOLDEN_GAMMA_COHORT_SHA256
 
 
+def test_frailty_cohort_with_time_varying_h1_golden():
+    # the golden of the Markov-kernel inversion after initiation, with
+    # the gamma bisection before it
+    spec = hz.ConditionalHazardSpec.from_callable(
+        lambda t, a: 0.2 + 0.3 * t if a else 0.4, T_MAX, STEP
+    )
+    expo = hz.GridFunction.constant(T_MAX, STEP, 0.5)
+    cohort = sample_frailty_cohort(
+        spec, hz.GammaFrailty(variance=0.8), expo, SimConfig(n=2_000, seed=12)
+    )
+    assert _columns_sha256(cohort) == GOLDEN_MARKOV_KERNEL_COHORT_SHA256
+
+
+def test_grid_kernel_cohort_golden():
+    # the golden of the GridKernel inversion at off-node initiation times
+    times = np.arange(hz.GridFunction.constant(T_MAX, STEP, 0.0).n_nodes) * STEP
+    table = hz.TwoPieceKernel(0.4, 0.2, 1.0).value_grid(times) * (1 + 0.5 * np.sin(times)[:, None])
+    model = hz.IllnessDeathModel(
+        hz.GridFunction.constant(T_MAX, STEP, 0.3),
+        hz.GridFunction.constant(T_MAX, STEP, 0.6),
+        hz.GridKernel(T_MAX, STEP, table),
+    )
+    cohort = simulate_cohort(model, SimConfig(n=2_000, seed=7))
+    assert _columns_sha256(cohort) == GOLDEN_GRID_KERNEL_COHORT_SHA256
+
+
+def _columns_sha256(cohort) -> str:
+    digest = hashlib.sha256()
+    for col in cohort.columns.values():
+        digest.update(col.tobytes())
+    return digest.hexdigest()
+
+
 GOLDEN_GAMMA_COHORT_SHA256 = "ecea83d859e78f4fc04027aebb66f140f4fcd03c2f774701301fb7da1143d144"
+GOLDEN_MARKOV_KERNEL_COHORT_SHA256 = "f14750e5af76d25ee8df2f85bad5f68539639634857de08e136c6dc7badd815f"
+GOLDEN_GRID_KERNEL_COHORT_SHA256 = "10a1c244ec89d475f235536f64a4e899716cf00512c20544689ca27c7a9ad599"
