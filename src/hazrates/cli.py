@@ -187,7 +187,7 @@ def _require_converged(report: construct.BuildReport) -> None:
         )
 
 
-def _load_lambda02(path: str, cfg: ExperimentConfig) -> GridFunction:
+def _load_lambda02(path: str) -> GridFunction:
     """Read a t,lambda02 CSV (as written by `construct`) back into a grid."""
     try:
         with open(path, newline="") as fh:
@@ -204,6 +204,8 @@ def _load_lambda02(path: str, cfg: ExperimentConfig) -> GridFunction:
         raise CliError(f"{path}: need at least two grid nodes")
     t = np.array([d[0] for d in data])
     v = np.array([d[1] for d in data])
+    if abs(t[0]) > 1e-9:
+        raise CliError(f"{path}: grid times must start at 0")
     steps = np.diff(t)
     if np.any(np.abs(steps - steps[0]) > 1e-9):
         raise CliError(f"{path}: grid times must be evenly spaced")
@@ -286,7 +288,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     out = cfg.resolved_out_dir()
     if args.model:
-        lam02 = _load_lambda02(args.model, cfg)
+        lam02 = _load_lambda02(args.model)
         lam01 = GridFunction.constant(lam02.t_max, lam02.step, cfg.lam01)
         model = IllnessDeathModel(lambda01=lam01, lambda02=lam02, lambda12=_kernel(cfg))
     else:

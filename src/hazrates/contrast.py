@@ -1,24 +1,21 @@
 """Potential-outcome survival under fixed treatment regimes, and the
 rate-based transform it is contrasted with.
 
-A regime is a ``TreatmentPath`` (``Regime`` builds one from a kind
-name).  Along the enforced path the death hazard is known exactly, so
-potential survival is exp(-path.load) with no estimation involved.
-rate_based_survival applies the same transform to a rate function; the
-difference between the two is the quantity of interest, since the
-transform is only valid for hazards.
+A regime is a ``TreatmentPath``, also named ``Regime``.  Along the
+enforced path the death hazard is known exactly, so potential survival
+is exp(-path.load) with no estimation involved.  rate_based_survival
+applies the same transform to a rate function; the difference between
+the two is the quantity of interest, since the transform is only valid
+for hazards.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
 from .construct import ratio_of_rates
 from .grid import GridFunction, cumulative, survival_from_cumulative
 from .model import IllnessDeathModel, TreatmentPath
-from .numerics import trapz
 
 __all__ = [
     "Regime",
@@ -29,16 +26,7 @@ __all__ = [
 ]
 
 
-class Regime(TreatmentPath):
-    """A ``TreatmentPath`` named by its kind: ``Regime("never")``,
-    ``Regime("always")`` or ``Regime("initiate_at", u)``."""
-
-    def __init__(self, kind: str, u: Optional[float] = None) -> None:
-        if kind not in ("never", "always", "initiate_at"):
-            raise ValueError(f"kind must be never, always or initiate_at, got {kind!r}")
-        if (kind == "initiate_at") == (u is None):
-            raise ValueError(f"u is required for initiate_at and only there; got {kind!r}, u={u!r}")
-        super().__init__({"never": None, "always": 0.0}[kind] if u is None else float(u))
+Regime = TreatmentPath
 
 
 def potential_survival(model: IllnessDeathModel, regime: TreatmentPath) -> GridFunction:
@@ -84,12 +72,14 @@ def duration_model_ratio(lambda0: GridFunction, beta: float, gamma: float, t: fl
     Under a rate model with coefficients beta for current level and
     gamma for time on treatment, the always-vs-never log-survival ratio
     is e^beta * int_0^t lambda0(u) e^{gamma u} du / int_0^t lambda0(u) du,
-    a time-dependent quantity unless gamma = 0.
+    a time-dependent quantity unless gamma = 0.  Both integrals are
+    read off the trapezoid cumulatives, interpolated between nodes.
     """
     if not (t > 0):
         raise ValueError(f"t must be positive, got {t!r}")
     weighted = lambda0.with_values(lambda0.values * np.exp(gamma * lambda0.times))
-    denom = trapz(lambda0, 0.0, t)
+    denom = cumulative(lambda0)(t)
     if denom <= 0:
         raise ValueError(f"cumulative baseline vanishes on [0, {t}]")
-    return float(np.exp(beta) * trapz(weighted, 0.0, t) / denom)
+    # the parentheses keep the ratio exactly 1 at gamma = 0
+    return float(np.exp(beta) * (cumulative(weighted)(t) / denom))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import NODE_TOL, GridFunction, cumulative, n_intervals
-from .numerics import crossing_time, first_node_reaching, invert_monotone
+from .numerics import first_crossing
 
 __all__ = [
     "HazardKernel",
@@ -194,7 +194,7 @@ class MarkovKernel(HazardKernel):
             raise ValueError("threshold must be nonnegative")
         cum = self._cum
         target = np.asarray(cum(u_b), dtype=float) + e_b
-        t = invert_monotone(cum.values, cum.step, target.ravel()).reshape(u_b.shape)
+        t = first_crossing(cum.values.__getitem__, cum.n_nodes, cum.step, target)
         out = np.where(np.isnan(t), np.inf, np.maximum(t, u_b))  # max: roundoff at e ~ 0
         return float(out[0]) if scalar else out
 
@@ -295,14 +295,7 @@ class GridKernel(HazardKernel):
         u_b, e_b, scalar = _broadcast_pair(u, e)
         if np.any(e_b < 0):
             raise ValueError("threshold must be nonnegative")
-        n = self._times.size
-        at = self._from_u(u_b)
-
-        def value_at(k):
-            return at(np.minimum(k, n - 1))
-
-        idx = first_node_reaching(value_at, n, e_b)
-        t = crossing_time(value_at, idx, n, self.step, e_b)
+        t = first_crossing(self._from_u(u_b), self._times.size, self.step, e_b)
         out = np.where(np.isnan(t), np.inf, np.maximum(t, u_b))
         return float(out[0]) if scalar else out
 

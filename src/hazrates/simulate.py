@@ -23,7 +23,7 @@ from .frailty import ConditionalHazardSpec, FrailtySpec
 from .grid import GridFunction, cumulative
 from .kernels import MarkovKernel
 from .model import Cohort, CountingTable, IllnessDeathModel, Trajectory
-from .numerics import crossing_time, first_node_reaching, invert_monotone
+from .numerics import first_crossing
 
 __all__ = [
     "SimConfig",
@@ -68,26 +68,18 @@ def _exit_times(
 ) -> np.ndarray:
     """First time the state-0 exit cumulative reaches e0 (NaN if never).
 
-    Without frailty the cumulative is shared, so one vectorized
-    inversion suffices.  With frailty the per-subject cumulative is
-    lam01_cum + z * lam02_cum, nondecreasing along the grid, and each
-    subject's first node reaching e0 is found by a bisection over node
-    indices run for all subjects at once (O(n log G)).
+    Without frailty the cumulative lam01_cum + lam02_cum is shared by
+    all subjects; with frailty it is lam01_cum + z * lam02_cum per
+    subject.  Either is nondecreasing along the grid, and
+    ``first_crossing`` finds every subject's crossing at once.
     """
     if z is None:
-        return invert_monotone(lam01_cum + lam02_cum, step, e0)
-    n_nodes = lam01_cum.size
-    # +inf padding to 2**bit_length nodes keeps every probe in range, and
-    # a padded node is never below e0
-    lam01_pad = np.full(1 << n_nodes.bit_length(), np.inf)
-    lam02_pad = np.full(1 << n_nodes.bit_length(), np.inf)
-    lam01_pad[:n_nodes] = lam01_cum
-    lam02_pad[:n_nodes] = lam02_cum
-    def value_at(node):
-        return lam01_pad[node] + z * lam02_pad[node]
+        value_at = (lam01_cum + lam02_cum).__getitem__
+    else:
+        def value_at(node):
+            return lam01_cum[node] + z * lam02_cum[node]
 
-    idx = first_node_reaching(value_at, n_nodes, e0)
-    return crossing_time(value_at, idx, n_nodes, step, e0)
+    return first_crossing(value_at, lam01_cum.size, step, e0)
 
 
 def _assemble(

@@ -1,4 +1,5 @@
-"""Shared fixtures: the standard constructed model and cached cohorts.
+"""Shared fixtures: the standard constructed model and cached cohorts,
+and the reference first-crossing search.
 
 The heavy objects (fixed-point build, large simulated cohorts) are
 session-scoped so the acceptance tests and the module tests share one
@@ -15,6 +16,17 @@ STEP = 0.005
 LAM01 = 0.3
 EARLY, LATE, LAG = 0.4, 0.2, 1.0
 BETA = float(np.log(2.0 / 3.0))
+
+
+def searchsorted_crossing(values, step, e):
+    """Reference first crossing of a nondecreasing node array: the first
+    node reaching e by np.searchsorted, the crossing interpolated in the
+    cell ending there; 0 where node 0 reaches e, NaN where no node does."""
+    idx = np.searchsorted(values, e, side="left")
+    hi = np.clip(idx, 1, values.size - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (hi - 1) * step + (e - values[hi - 1]) / (values[hi] - values[hi - 1]) * step
+    return np.where(idx == 0, 0.0, np.where(idx < values.size, t, np.nan))
 
 
 @pytest.fixture(scope="session")

@@ -323,6 +323,14 @@ class TestErrors:
         assert run_cli("construct", "--paper", "x") == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("first", ["0.001", "0.5"])
+    def test_simulate_rejects_a_model_grid_not_starting_at_0(self, tmp_path, capsys, first):
+        shifted = tmp_path / "shifted.csv"
+        start = float(first)
+        shifted.write_text("t,lambda02\n" + "".join(f"{start + k * 0.5},0.5\n" for k in range(3)))
+        assert run_cli("simulate", "--model", str(shifted)) == 1
+        assert f"{shifted}: grid times must start at 0" in capsys.readouterr().err
+
     def test_reproduce_accepts_every_flag_the_readme_lists(self):
         paragraph = README.read_text().split("Common flags:", 1)[1].split("\n\n", 1)[0]
         listed = re.findall(r"`(--[a-z0-9-]+)`", paragraph)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import searchsorted_crossing
+
 from hazrates.grid import NODE_TOL, GridFunction, n_intervals
 from hazrates.kernels import (
     GridKernel,
@@ -8,7 +10,6 @@ from hazrates.kernels import (
     MarkovKernel,
     TwoPieceKernel,
 )
-from hazrates.numerics import invert_monotone
 
 
 @pytest.fixture
@@ -257,7 +258,7 @@ class _LoopGridKernel:
     def invert_cumulative(self, u, e):
         out = []
         for a, b in zip(u, e):
-            t = invert_monotone(self.cum_column(a), self.step, np.asarray([b]))[0]
+            t = searchsorted_crossing(self.cum_column(a), self.step, np.asarray([b]))[0]
             out.append(np.inf if np.isnan(t) else max(t, a))
         return np.array(out)
 

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from hazrates.grid import GridFunction
-from hazrates.numerics import (
-    SolverConfig,
-    crossing_time,
-    first_node_reaching,
-    invert_monotone,
-    trapz,
-)
+from conftest import searchsorted_crossing
+
+from hazrates.numerics import SolverConfig, first_crossing
+
+
+def _invert(values, step, e):
+    return first_crossing(values.__getitem__, values.size, step, e)
 
 
 def test_solver_config_validation():
@@ -20,32 +19,9 @@ def test_solver_config_validation():
         SolverConfig(tol=1e-6, damping=1.5)
 
 
-def test_trapz_is_exact_for_linear_functions():
-    # the piecewise-linear interpolant of t is t itself, so partial
-    # cells must integrate exactly
-    f = GridFunction.from_callable(lambda t: t, 3.0, 0.25)
-    a, b = 0.3, 2.7
-    assert trapz(f, a, b) == pytest.approx((b * b - a * a) / 2, abs=1e-14)
-    assert trapz(f, 0.0, 3.0) == pytest.approx(4.5, abs=1e-14)
-
-
-def test_trapz_within_single_cell():
-    f = GridFunction.from_callable(lambda t: t, 3.0, 0.25)
-    assert trapz(f, 0.30, 0.40) == pytest.approx((0.16 - 0.09) / 2, abs=1e-14)
-
-
-def test_trapz_degenerate_and_errors():
-    f = GridFunction.constant(1.0, 0.25, 2.0)
-    assert trapz(f, 0.5, 0.5) == 0.0
-    with pytest.raises(ValueError):
-        trapz(f, 0.5, 0.4)
-    with pytest.raises(ValueError):
-        trapz(f, 0.0, 1.5)
-
-
 def test_invert_monotone_vectorized():
     values = np.array([0.0, 1.0, 1.0, 2.0])
-    out = invert_monotone(values, 0.5, np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5]))
+    out = _invert(values, 0.5, np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5]))
     np.testing.assert_allclose(out[:2], [0.0, 0.25])
     # first crossing of the flat stretch at exactly 1.0 is its left edge
     assert out[2] == pytest.approx(0.5)
@@ -57,12 +33,27 @@ def test_invert_monotone_vectorized():
 def test_crossing_time_at_the_edges():
     values = np.array([0.5, 1.0, 2.0, 4.0])
     e = np.array([0.0, 0.5, 1.0, 1.5, 4.0, 4.5])
-    idx = first_node_reaching(lambda k: values[np.minimum(k, 3)], 4, e)
-    out = crossing_time(lambda k: values[k], idx, 4, 0.25, e)
+    out = _invert(values, 0.25, e)
     # node 0 already reaches 0 and 0.5; a node value gives that node's
     # time exactly; a value past the last node gives NaN
     assert out[0] == 0.0 and out[1] == 0.0
     assert out[2] == 0.25 and out[4] == 0.75
     assert out[3] == pytest.approx(0.375, abs=1e-15)
     assert np.isnan(out[5])
-    assert np.array_equal(invert_monotone(values, 0.25, e), out, equal_nan=True)
+
+
+@pytest.mark.parametrize("n_nodes", [1, 2, 601, 1025])
+def test_first_crossing_matches_searchsorted(n_nodes):
+    rng = np.random.default_rng(n_nodes)
+    for _ in range(50):
+        steps = rng.exponential(size=n_nodes)
+        steps[rng.random(n_nodes) < 0.3] = 0.0  # plateaus
+        values = np.cumsum(steps) + rng.normal()
+        e = np.concatenate([
+            rng.uniform(values[0] - 1.0, values[-1] + 1.0, size=200),  # also outside the range
+            rng.choice(values, size=50),  # on node values
+            [values[0], values[-1], np.nextafter(values[-1], np.inf)],
+        ])
+        step = rng.uniform(0.001, 0.1)
+        want = searchsorted_crossing(values, step, e)
+        assert np.array_equal(_invert(values, step, e), want, equal_nan=True)

@@ -1,15 +1,18 @@
-"""Every private module-level name and every public method in the
-library is used in the library.
+"""Every private module-level name, every public module-level function
+and class, and every public method in the library is used in the
+library.
 
 A private name (``_name``, not a dunder) is defined at the top of a
 module as a function, a class or a constant.  A public method or
 property is one whose name does not start with ``_``, defined in a
 class of the package.  Helpers that no code in ``src/hazrates`` calls
 get deleted, not maintained, so each private name must be loaded
-somewhere in the package, and each public method's name must be read
-as an attribute somewhere in it; a use only in the tests does not
-count.  Like the unused-imports check, this parses each module with
-``ast`` and needs no linter.
+somewhere in the package, each public function or class must be loaded
+by name or read as an attribute somewhere in it (an import or an
+``__all__`` entry alone does not count), and each public method's name
+must be read as an attribute somewhere in it; a use only in the tests
+does not count.  Like the unused-imports check, this parses each module
+with ``ast`` and needs no linter.
 
 The method check matches attribute names only, not the objects they
 are read from.  A method whose name some other object's attribute
@@ -22,15 +25,24 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hazrates"
 
-# Methods that code outside the package calls by name: argparse calls
-# the parser's ``error`` hook on a bad command line, and the frailty
-# benchmark workload (perfbench/workloads.py) checks its closed forms
-# against the Laplace transform, which no module of the package reads.
+# Public names that only code outside the package calls, each with
+# that caller.  The acceptance criteria (tests/test_acceptance.py) and
+# the benchmark workloads (perfbench/) are the package's entry points
+# besides the command line.
 CALLED_FROM_OUTSIDE = {
-    "cli.py _Parser.error",
-    "frailty.py FrailtySpec.laplace",
-    "frailty.py DegenerateFrailty.laplace",
-    "frailty.py GammaFrailty.laplace",
+    "cli.py _Parser.error": "argparse, on a bad command line",
+    "frailty.py FrailtySpec.laplace": "perfbench/workloads.py, checking the closed forms",
+    "frailty.py DegenerateFrailty.laplace": "perfbench/workloads.py, checking the closed forms",
+    "frailty.py GammaFrailty.laplace": "perfbench/workloads.py, checking the closed forms",
+    "construct.py rate_ratio": "test_acceptance.py and perfbench/tracing.py",
+    "contrast.py duration_model_ratio": "test_acceptance.py, criterion 9",
+    "estimators.py cox_loglik_parts": "test_acceptance.py, criterion 10",
+    "rates.py ode_residual": "test_acceptance.py, criterion 8",
+    "frailty.py markov_violation_gap": "test_acceptance.py and perfbench/workloads.py",
+    "frailty.py invert_rate_to_h": "test_acceptance.py and perfbench/workloads.py",
+    "simulate.py sample_frailty_cohort": "test_acceptance.py and perfbench/workloads.py",
+    "frailty.py DegenerateFrailty": "test_acceptance.py and perfbench/workloads.py",
+    "kernels.py GridKernel": "test_kernels.py and perfbench/workloads.py",
 }
 
 
@@ -71,6 +83,29 @@ def unused_private_names(src: Path) -> list[str]:
         for module, tree in trees.items()
         for name, line in _private_definitions(tree).items()
         if name not in loaded
+    ]
+
+
+def unused_public_names(src: Path) -> list[str]:
+    """``module.py:line name`` for each public module-level function or
+    class of ``src`` that no module of ``src`` loads by name or reads as
+    an attribute."""
+    trees = _modules(src)
+    loaded = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    return [
+        f"{module}:{node.lineno} {node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in loaded
+        and f"{module} {node.name}" not in CALLED_FROM_OUTSIDE
     ]
 
 
@@ -115,6 +150,24 @@ def test_an_unused_helper_is_found(tmp_path):
         "_unused_table: dict = {}\n__all__ = []\n"
     )
     assert unused_private_names(tmp_path) == ["dead.py:4 _unused", "dead.py:8 _unused_table"]
+
+
+def test_package_uses_every_public_function_and_class():
+    unused = unused_public_names(SRC)
+    assert not unused, "public names no code in src/hazrates uses: " + ", ".join(unused)
+
+
+def test_an_unused_public_function_is_found(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        "from .tools import Kit, helper, orphan\n\n__all__ = [\"Kit\", \"helper\", \"orphan\"]\n"
+    )
+    (tmp_path / "tools.py").write_text(
+        "class Kit:\n    pass\n\n\n"
+        "def helper():\n    return Kit()\n\n\n"
+        "def orphan():\n    return helper()\n"
+    )
+    (tmp_path / "cli.py").write_text("from . import tools\n\nDEFAULT = tools.helper()\n")
+    assert unused_public_names(tmp_path) == ["tools.py:9 orphan"]
 
 
 def test_package_uses_every_public_method():
