@@ -40,7 +40,7 @@ from .frailty import (
     marginal_hazard,
     markov_violation_gap,
 )
-from .grid import GridFunction, cumulative, survival_from_cumulative
+from .grid import GridFunction, cumulative
 from .kernels import GridKernel, HazardKernel, MarkovKernel, TwoPieceKernel
 from .model import (
     Cohort,
@@ -53,7 +53,7 @@ from .model import (
     write_counting_rows,
 )
 from .numerics import ConvergenceError, SolverConfig
-from .rates import OccupationSlice, occupation, ode_residual, rate_treated, rate_untreated
+from .rates import ode_residual, rate_treated, rate_untreated
 from .simulate import (
     SimConfig,
     sample_frailty_cohort,
@@ -67,7 +67,6 @@ __all__ = [
     "__version__",
     "GridFunction",
     "cumulative",
-    "survival_from_cumulative",
     "ConvergenceError",
     "SolverConfig",
     "HazardKernel",
@@ -81,8 +80,6 @@ __all__ = [
     "CountingTable",
     "read_counting_rows",
     "write_counting_rows",
-    "OccupationSlice",
-    "occupation",
     "rate_treated",
     "rate_untreated",
     "ode_residual",

@@ -32,7 +32,7 @@ from .frailty import (
     collider_table,
     marginal_hazard,
 )
-from .grid import GridFunction, cumulative
+from .grid import NODE_TOL, GridFunction, cumulative
 from .kernels import TwoPieceKernel
 from .model import (
     IllnessDeathModel,
@@ -69,9 +69,9 @@ class ExperimentConfig:
     late: float = 0.2
     lag: float = 1.0
     beta: float = float(np.log(2.0 / 3.0))
-    tol: float = 1e-6
-    max_iter: int = 50
-    damping: float = 1.0
+    tol: float = SolverConfig.tol
+    max_iter: int = SolverConfig.max_iter
+    damping: float = SolverConfig.damping
     n: int = 100_000
     seed: int = 9
     out_dir: str = ""
@@ -204,10 +204,10 @@ def _load_lambda02(path: str) -> GridFunction:
         raise CliError(f"{path}: need at least two grid nodes")
     t = np.array([d[0] for d in data])
     v = np.array([d[1] for d in data])
-    if abs(t[0]) > 1e-9:
+    if abs(t[0]) > NODE_TOL:
         raise CliError(f"{path}: grid times must start at 0")
     steps = np.diff(t)
-    if np.any(np.abs(steps - steps[0]) > 1e-9):
+    if np.any(np.abs(steps - steps[0]) > NODE_TOL):
         raise CliError(f"{path}: grid times must be evenly spaced")
     return GridFunction(float(t[-1]), float(steps[0]), v)
 

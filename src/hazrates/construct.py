@@ -7,8 +7,8 @@ lambda02 such that the model's treated rate satisfies
     r12(t) = exp(beta) * lambda02(t)   for all t.
 
 Since r12 itself depends on lambda02 through the initiation-time
-weights, this is a fixed-point problem.  Starting from an initial
-guess, each sweep computes r12 for the current lambda02 and replaces
+weights, this is a fixed-point problem.  Starting from the constant
+1, each sweep computes r12 for the current lambda02 and replaces
 lambda02 by exp(-beta) * r12 (optionally blended with the previous
 iterate).  There is no convergence proof for this scheme, so the full
 deviation trace is part of the result and callers are expected to
@@ -33,11 +33,7 @@ __all__ = [
     "build",
     "rate_ratio",
     "ratio_of_rates",
-    "DEFAULT_BUILD",
 ]
-
-#: Default configuration: sup-norm tolerance on the rate-ratio deviation.
-DEFAULT_BUILD = SolverConfig(tol=1e-6, max_iter=50, damping=1.0)
 
 # lambda02 nodes below this level make the rate ratio ill-defined.
 ZERO_DENOM = 1e-12
@@ -64,7 +60,6 @@ class BuildReport:
     lambda02: GridFunction
     converged: bool
     iterations: tuple[IterationRecord, ...]
-    target_ratio: float
 
     @property
     def deviations(self) -> np.ndarray:
@@ -75,8 +70,7 @@ def build(
     lambda01: GridFunction,
     lambda12: HazardKernel,
     beta: float,
-    init_lambda02: GridFunction | None = None,
-    config: SolverConfig = DEFAULT_BUILD,
+    config: SolverConfig = SolverConfig(),
 ) -> BuildReport:
     """Solve the proportional-rates fixed point for lambda02.
 
@@ -89,8 +83,6 @@ def build(
     beta:
         Target log rate ratio; the constructed model has
         r12 = exp(beta) * lambda02.
-    init_lambda02:
-        Starting iterate; defaults to the constant 1 on the grid.
     config:
         Sup-norm tolerance on the rate-ratio deviation, iteration
         budget, and damping for the update
@@ -100,15 +92,8 @@ def build(
     with the full deviation trace rather than raised, so callers can
     distinguish a slow iteration from a diverging one.
     """
-    if init_lambda02 is None:
-        init_lambda02 = GridFunction.constant(lambda01.t_max, lambda01.step, 1.0)
-    if not lambda01.same_grid(init_lambda02):
-        raise ValueError("init_lambda02 must live on the lambda01 grid")
-    if np.any(init_lambda02.values < 0):
-        raise ValueError("init_lambda02 must be nonnegative")
-
     target = float(np.exp(beta))
-    lam02 = init_lambda02
+    lam02 = GridFunction.constant(lambda01.t_max, lambda01.step, 1.0)
     records: list[IterationRecord] = []
     converged = False
     # the kernel's grid arrays do not depend on lambda02
@@ -138,7 +123,6 @@ def build(
         lambda02=records[-1].lambda02,
         converged=converged,
         iterations=tuple(records),
-        target_ratio=target,
     )
 
 

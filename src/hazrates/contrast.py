@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .construct import ratio_of_rates
-from .grid import GridFunction, cumulative, survival_from_cumulative
+from .grid import NODE_TOL, GridFunction, cumulative
 from .model import IllnessDeathModel, TreatmentPath
 
 __all__ = [
@@ -38,7 +38,7 @@ def potential_survival(model: IllnessDeathModel, regime: TreatmentPath) -> GridF
     path, so this is the correct interventional curve the rate-based
     transform is judged against.
     """
-    if regime.u_init is not None and regime.u_init > model.t_max + 1e-9:
+    if regime.u_init is not None and regime.u_init > model.t_max + NODE_TOL:
         raise ValueError(f"initiation time {regime.u_init} beyond grid horizon {model.t_max}")
     load = regime.load(cumulative(model.lambda02), model.lambda12, model.times)
     return GridFunction(model.t_max, model.step, np.exp(-load))
@@ -53,7 +53,8 @@ def rate_based_survival(rate: GridFunction) -> GridFunction:
     """
     if np.any(rate.values < 0):
         raise ValueError("rate must be nonnegative")
-    return survival_from_cumulative(cumulative(rate))
+    cum = cumulative(rate)
+    return cum.with_values(np.exp(-cum.values))
 
 
 def causal_hazard_ratio(model: IllnessDeathModel) -> GridFunction:

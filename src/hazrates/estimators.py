@@ -93,9 +93,6 @@ class AalenAdditiveFit:
     b1: StepFunction
     singular_times: np.ndarray
 
-    def __iter__(self):
-        return iter((self.b0, self.b1))
-
 
 def _risk_counts(starts_sorted: np.ndarray, stops_sorted: np.ndarray, times: np.ndarray) -> np.ndarray:
     """#{rows with start < t <= stop} for each t, via two binary searches."""

@@ -26,7 +26,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .grid import GridFunction, cumulative
+from .grid import NODE_TOL, GridFunction, cumulative
 from .kernels import MarkovKernel
 from .model import TreatmentPath
 
@@ -171,10 +171,6 @@ class ConditionalHazardSpec:
     def t_max(self) -> float:
         return self.h0.t_max
 
-    @property
-    def step(self) -> float:
-        return self.h0.step
-
     def load_along(self, path: TreatmentPath, t) -> np.ndarray:
         """Integrated load H(t) = integral of h(s, a(s)) along the path.
 
@@ -223,7 +219,7 @@ def markov_violation_gap(
     """
     if not (0 <= u1 <= t and 0 <= u2 <= t):
         raise ValueError(f"need 0 <= u1, u2 <= t, got u1={u1!r}, u2={u2!r}, t={t!r}")
-    if t > spec.t_max + 1e-9:
+    if t > spec.t_max + NODE_TOL:
         raise ValueError(f"t={t!r} beyond the spec grid horizon {spec.t_max!r}")
     h_now = float(spec.h1(t))
     lam = []
@@ -302,9 +298,9 @@ class ColliderScenario:
         pr = np.asarray(self.z_probs, dtype=float)
         if z.size == 0 or z.size != pr.size:
             raise ValueError("z_levels and z_probs must be nonempty and equal length")
-        if np.any(z <= 0):
-            raise ValueError("frailty levels must be positive")
-        if np.any(pr < 0) or abs(pr.sum() - 1.0) > 1e-9:
+        if not np.all(np.isfinite(z) & (z > 0)):
+            raise ValueError("frailty levels must be positive and finite")
+        if not np.all(np.isfinite(pr) & (pr >= 0)) or abs(pr.sum() - 1.0) > 1e-9:
             raise ValueError("z_probs must be a probability vector")
         if not (0 < self.p1 <= 1):
             raise ValueError(f"p1 must lie in (0, 1], got {self.p1!r}")
@@ -313,7 +309,7 @@ class ColliderScenario:
         worst = z.max() * self.p1 * max(1.0, self.effect)
         if worst > 1.0 + 1e-12:
             raise ValueError(
-                f"death probability {worst!r} exceeds 1; refusing to clamp"
+                f"death probability {float(worst)} exceeds 1; refusing to clamp"
             )
 
     def death_prob(self, z, a: int):

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["GridFunction", "cumulative", "survival_from_cumulative"]
+__all__ = ["GridFunction", "cumulative"]
 
 # Tolerance for deciding whether a time coincides with a grid node.
 NODE_TOL = 1e-9
@@ -117,28 +117,6 @@ class GridFunction:
             and self.values.size == other.values.size
         )
 
-    # -- pointwise arithmetic ---------------------------------------------------
-
-    def _check_compatible(self, other: "GridFunction") -> None:
-        if not self.same_grid(other):
-            raise ValueError(
-                f"grid mismatch: ({self.t_max}, {self.step}, {self.n_nodes}) vs "
-                f"({other.t_max}, {other.step}, {other.n_nodes})"
-            )
-
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        self._check_compatible(other)
-        return self.with_values(self.values + other.values)
-
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        self._check_compatible(other)
-        return self.with_values(self.values - other.values)
-
-    def __mul__(self, scalar: float) -> "GridFunction":
-        return self.with_values(self.values * float(scalar))
-
-    __rmul__ = __mul__
-
 
 def cumulative(f: GridFunction) -> GridFunction:
     """Trapezoidal cumulative integral of a nonnegative grid function.
@@ -151,15 +129,3 @@ def cumulative(f: GridFunction) -> GridFunction:
     out = np.zeros_like(f.values)
     out[1:] = np.cumsum(0.5 * (f.values[1:] + f.values[:-1]) * f.step)
     return f.with_values(out)
-
-
-def survival_from_cumulative(cum: GridFunction) -> GridFunction:
-    """Map a cumulative hazard to the survival curve exp(-cum).
-
-    Requires cum(0) = 0 and a nondecreasing input (up to roundoff).
-    """
-    if abs(cum.values[0]) > 1e-12:
-        raise ValueError(f"cumulative hazard must start at 0, got {cum.values[0]!r}")
-    if np.any(np.diff(cum.values) < -1e-12):
-        raise ValueError("cumulative hazard must be nondecreasing")
-    return cum.with_values(np.exp(-cum.values))

@@ -311,10 +311,6 @@ class _Table(Sequence):
             return list(self) == other
         return NotImplemented
 
-    def __add__(self, other) -> list:
-        """Concatenation with other records gives a list of records."""
-        return list(self) + list(other)
-
 
 @dataclass(frozen=True, eq=False)
 class Cohort(_Table):

@@ -26,7 +26,7 @@ class SolverConfig:
     1.0 is a full step.
     """
 
-    tol: float
+    tol: float = 1e-6
     max_iter: int = 50
     damping: float = 1.0
 

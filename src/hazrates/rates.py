@@ -43,7 +43,6 @@ once (``kernel_quadrature``) and reuses across its sweeps.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,8 +51,6 @@ from .kernels import HazardKernel
 from .model import IllnessDeathModel
 
 __all__ = [
-    "OccupationSlice",
-    "occupation",
     "rate_treated",
     "rate_untreated",
     "ode_residual",
@@ -63,20 +60,6 @@ __all__ = [
 # over an (essentially) empty set; such nodes fall back to the
 # diagonal kernel value lambda12(t | t), the continuity limit.
 VACUOUS_P01 = 1e-12
-
-
-@dataclass(frozen=True)
-class OccupationSlice:
-    """State-1 occupation at a fixed time t.
-
-    ``weights`` is the initiation-time density w(u, t) on [0, t] and
-    ``p01`` its integral, the probability of being alive and treated
-    at t.
-    """
-
-    t: float
-    weights: GridFunction
-    p01: float
 
 
 class KernelQuadrature(ABC):
@@ -99,10 +82,6 @@ class KernelQuadrature(ABC):
     @abstractmethod
     def _integrate(self, a: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Row-wise trapezoid of a_j * x[i, j] over j <= i."""
-
-    @abstractmethod
-    def row(self, a: np.ndarray, i: int) -> np.ndarray:
-        """The weights w(t_j, t_i), j = 0..i."""
 
     def occupation(self, a: np.ndarray) -> np.ndarray:
         """p01 at every node (not yet clipped at zero)."""
@@ -134,9 +113,6 @@ class _Convolution(KernelQuadrature):
         full = np.convolve(a, g)[: self.n]
         return self.step * (full - 0.5 * (a[0] * g + a * g[0]))
 
-    def row(self, a, i):
-        return a[: i + 1] * self.survival[i::-1]
-
 
 class _Dense(KernelQuadrature):
     """Any other kernel: lower triangles of exp(-K) and exp(-K) * lambda12."""
@@ -149,9 +125,6 @@ class _Dense(KernelQuadrature):
 
     def _integrate(self, a, x):
         return self.step * (x @ a - 0.5 * (a[0] * x[:, 0] + a * np.diag(x)))
-
-    def row(self, a, i):
-        return a[: i + 1] * self.survival[i, : i + 1]
 
 
 def kernel_quadrature(kernel: HazardKernel, grid: GridFunction) -> KernelQuadrature:
@@ -173,16 +146,6 @@ def _initiation_density(model: IllnessDeathModel) -> tuple[np.ndarray, np.ndarra
     lam0_cum = cumulative(model.lambda01).values + cumulative(model.lambda02).values
     p00 = np.exp(-lam0_cum)
     return p00, p00 * model.lambda01.values
-
-
-def occupation(model: IllnessDeathModel, t: float) -> OccupationSlice:
-    """Initiation-time weights and occupation probability at grid node t."""
-    idx = model.lambda01.node_index(t)
-    _, a = _initiation_density(model)
-    row = kernel_quadrature(model.lambda12, model.lambda01).row(a, idx)
-    p01 = model.step * (row.sum() - 0.5 * (row[0] + row[-1]))
-    weights = GridFunction(t, model.step, row)
-    return OccupationSlice(t=t, weights=weights, p01=max(float(p01), 0.0))
 
 
 def rate_treated(model: IllnessDeathModel) -> GridFunction:

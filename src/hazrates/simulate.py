@@ -39,23 +39,20 @@ _TIME_EPS = 1e-12
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Cohort size, seed, censoring horizon, and optional frailty.
+    """Cohort size, seed, and optional frailty.
 
-    ``t_max=None`` censors at the model grid horizon.  When ``frailty``
+    Cohorts are censored at the model grid horizon.  When ``frailty``
     is given, each subject's death hazards (but not the initiation
     hazard) are multiplied by an independent frailty draw.
     """
 
     n: int
     seed: int
-    t_max: Optional[float] = None
     frailty: Optional[FrailtySpec] = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n!r}")
-        if self.t_max is not None and not (np.isfinite(self.t_max) and self.t_max > 0):
-            raise ValueError(f"t_max must be positive, got {self.t_max!r}")
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -124,7 +121,6 @@ def simulate_cohort(model: IllnessDeathModel, config: SimConfig) -> Cohort:
     treatment with probability lam01 / (lam01 + z*lam02), the exact
     ratio of the competing intensities there.
     """
-    t_cens = model.t_max if config.t_max is None else min(config.t_max, model.t_max)
     rng = _rng(config.seed)
     n = config.n
     z = None if config.frailty is None else config.frailty.sample(rng, n)
@@ -152,7 +148,7 @@ def simulate_cohort(model: IllnessDeathModel, config: SimConfig) -> Cohort:
             t_safe[treated], e1[treated] / scale
         )
     ids = np.arange(n)
-    return _assemble(ids, t_exit, is_treat, t_death_treated, t_cens, z)
+    return _assemble(ids, t_exit, is_treat, t_death_treated, model.t_max, z)
 
 
 def sample_frailty_cohort(

@@ -214,6 +214,19 @@ class TestCollider:
         assert run_cli("collider", "--z-probs", "0.7,0.5") == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--z-levels", "nan,1.5"), ("--z-probs", "nan,0.5")])
+    def test_rejects_nan(self, tmp_path, capsys, flag, value):
+        assert run_cli("collider", flag, value) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "collider.csv").exists()
+
+    def test_clamp_error_prints_the_plain_value(self, capsys):
+        assert run_cli("collider", "--z-levels", "3,1.5", "--p1", "0.5") == 1
+        assert capsys.readouterr().err == (
+            "error: death probability 1.5 exceeds 1; refusing to clamp\n"
+        )
+
 
 def _reference_write_csv(path, header, rows):
     # the row-at-a-time writer the columnar one replaced: the oracle

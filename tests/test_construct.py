@@ -20,7 +20,6 @@ def test_build_converges_with_decreasing_deviations(standard_build):
     np.testing.assert_allclose(report.deviations, EXPECTED_DEVIATIONS, rtol=1e-4)
     assert np.all(np.diff(report.deviations) < 0)
     assert report.deviations[-1] < 1e-6
-    assert report.target_ratio == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
 def test_lambda02_is_constant_before_the_lag(standard_build):
@@ -46,14 +45,6 @@ def test_lambda02_frozen_values_past_the_lag(standard_build):
     assert lam02(3.0) < lam02(2.0) < lam02(1.5) < 0.6
 
 
-def test_restarting_at_the_fixed_point_stops_immediately(standard_build):
-    lam01, kernel, report = standard_build
-    again = build(lam01, kernel, BETA, init_lambda02=report.lambda02)
-    assert again.converged
-    assert len(again.iterations) == 1
-    assert again.deviations[0] < 1e-6
-
-
 def test_damped_iteration_reaches_the_same_fixed_point(standard_build):
     lam01, kernel, report = standard_build
     damped = build(
@@ -72,14 +63,6 @@ def test_non_convergence_is_reported_not_raised(standard_build):
     assert not report.converged
     assert len(report.iterations) == 3  # initial iterate plus two sweeps
     assert report.deviations[-1] > 1e-12
-
-
-def test_build_input_validation(standard_build):
-    lam01, kernel, _ = standard_build
-    with pytest.raises(ValueError):
-        build(lam01, kernel, BETA, init_lambda02=hz.GridFunction.constant(T_MAX, 0.01, 1.0))
-    with pytest.raises(ValueError):
-        build(lam01, kernel, BETA, init_lambda02=hz.GridFunction.constant(T_MAX, STEP, -1.0))
 
 
 def test_rate_ratio_of_built_model_is_flat(model):

@@ -254,3 +254,16 @@ class TestCollider:
             ColliderScenario(z_levels=(0.5, 1.5), z_probs=(0.5, 0.5), p1=0.0, effect=0.5)
         with pytest.raises(ValueError):
             ColliderScenario(z_levels=(0.5, 1.5), z_probs=(0.5, 0.5), p1=0.2, effect=-1.0)
+
+    @pytest.mark.parametrize(
+        "z_levels, z_probs",
+        [
+            ((np.nan, 1.5), (0.5, 0.5)),
+            ((np.inf, 1.5), (0.5, 0.5)),
+            ((0.5, 1.5), (np.nan, 0.5)),
+            ((0.5, 1.5), (np.nan, np.nan)),
+        ],
+    )
+    def test_rejects_non_finite_levels_and_probs(self, z_levels, z_probs):
+        with pytest.raises(ValueError, match="finite|probability vector"):
+            ColliderScenario(z_levels=z_levels, z_probs=z_probs, p1=0.2, effect=1.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hazrates.grid import GridFunction, cumulative, survival_from_cumulative
+from hazrates.grid import GridFunction, cumulative
 
 
 def test_constant_samples_all_nodes():
@@ -68,16 +68,6 @@ def test_node_index():
         f.node_index(2.25)
 
 
-def test_arithmetic_is_pointwise():
-    f = GridFunction(1.0, 0.5, np.array([1.0, 2.0, 3.0]))
-    g = GridFunction(1.0, 0.5, np.array([0.5, 0.5, 0.5]))
-    np.testing.assert_array_equal((f + g).values, [1.5, 2.5, 3.5])
-    np.testing.assert_array_equal((f - g).values, [0.5, 1.5, 2.5])
-    np.testing.assert_array_equal((2.0 * f).values, [2.0, 4.0, 6.0])
-    with pytest.raises(ValueError):
-        f + GridFunction.constant(2.0, 0.5, 1.0)
-
-
 def test_cumulative_of_constant_is_linear():
     f = GridFunction.constant(2.0, 0.5, 0.4)
     c = cumulative(f)
@@ -90,18 +80,3 @@ def test_cumulative_rejects_negative_values():
     with pytest.raises(ValueError):
         cumulative(f)
 
-
-def test_survival_from_cumulative():
-    f = GridFunction.constant(2.0, 0.5, 0.4)
-    s = survival_from_cumulative(cumulative(f))
-    np.testing.assert_allclose(s.values, np.exp(-0.4 * f.times))
-    assert s.values[0] == 1.0
-
-
-def test_survival_rejects_decreasing_cumulative():
-    bad = GridFunction(1.0, 0.5, np.array([0.0, 0.5, 0.4]))
-    with pytest.raises(ValueError):
-        survival_from_cumulative(bad)
-    nonzero_start = GridFunction(1.0, 0.5, np.array([0.1, 0.5, 0.9]))
-    with pytest.raises(ValueError):
-        survival_from_cumulative(nonzero_start)

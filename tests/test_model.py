@@ -216,7 +216,6 @@ def test_tables_read_as_record_sequences():
     assert table[1:] == rows[1:]
     assert list(table) == rows and table == rows and rows == table
     assert table != rows[:2] and table != CountingTable.coerce(rows[:2])
-    assert table + rows[:1] == rows + rows[:1]
     assert type(table[0].id) is int and type(table[0].event) is bool
     with pytest.raises(IndexError):
         table[3]

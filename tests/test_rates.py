@@ -11,7 +11,6 @@ from hazrates.rates import (
     _Dense,
     kernel_quadrature,
     ode_residual,
-    occupation,
     rate_treated,
     rate_untreated,
 )
@@ -44,22 +43,24 @@ def test_untreated_rate_is_lambda02(constant_markov_model):
     assert rate_untreated(constant_markov_model) is constant_markov_model.lambda02
 
 
+def _occupation(model):
+    """p01 at every node, from the model's own quadrature."""
+    quad = kernel_quadrature(model.lambda12, model.lambda01)
+    return quad.occupation(_initiation_density(model))
+
+
 def test_occupation_against_closed_form(constant_markov_model):
     # constant hazards a=0.3, b=0.6, c=0.5 give
     # p01(t) = a * exp(-c t) * (1 - exp(-(a+b-c) t)) / (a+b-c)
     a, b, c = 0.3, 0.6, 0.5
+    p01 = _occupation(constant_markov_model)
     for t in [0.5, 1.0, 2.0, 3.0]:
         want = a * np.exp(-c * t) * (1 - np.exp(-(a + b - c) * t)) / (a + b - c)
-        sl = occupation(constant_markov_model, t)
-        assert sl.p01 == pytest.approx(want, abs=1e-5)
-        assert sl.t == t
-        assert sl.weights.t_max == pytest.approx(t)
-        # the stored weight at u is p00(u) * lam01(u) * p11(u, t)
-        assert sl.weights(0.0) == pytest.approx(a * np.exp(-c * t), abs=1e-12)
+        assert p01[constant_markov_model.lambda01.node_index(t)] == pytest.approx(want, abs=1e-5)
 
 
 def test_occupation_at_zero(constant_markov_model):
-    assert occupation(constant_markov_model, 0.0).p01 == 0.0
+    assert _occupation(constant_markov_model)[0] == 0.0
 
 
 def test_rate_is_bracketed_by_kernel_range(model):
@@ -143,11 +144,6 @@ def test_convolution_engine_matches_dense_oracle(lam01, early, late, lag, beta, 
     r12 = rate_treated(model).values
     np.testing.assert_allclose(r12[live], dense.treated_rate(a)[live], rtol=1e-13, atol=0)
     assert np.array_equal(r12[~live], dense.treated_rate(a)[~live])
-    for t in (0.0, lag, T_MAX):
-        i = int(round(min(t, T_MAX) / step))
-        np.testing.assert_allclose(
-            occupation(model, i * step).weights.values, dense.row(a, i), rtol=1e-13, atol=0
-        )
 
 
 def test_rate_at_step_1e4_runs_in_linear_memory():

@@ -9,7 +9,7 @@ from conftest import STEP, T_MAX
 
 import hazrates as hz
 from hazrates.model import _CHUNK, CountingTable
-from hazrates.rates import occupation, rate_treated
+from hazrates.rates import _initiation_density, kernel_quadrature, rate_treated
 from hazrates.simulate import (
     SimConfig,
     sample_frailty_cohort,
@@ -18,10 +18,10 @@ from hazrates.simulate import (
 )
 
 
-def _small_model(lam01=0.3, lam02=0.6, early=0.4, late=0.2):
+def _small_model(lam01=0.3, lam02=0.6, early=0.4, late=0.2, t_max=T_MAX):
     return hz.IllnessDeathModel(
-        hz.GridFunction.constant(T_MAX, STEP, lam01),
-        hz.GridFunction.constant(T_MAX, STEP, lam02),
+        hz.GridFunction.constant(t_max, STEP, lam01),
+        hz.GridFunction.constant(t_max, STEP, lam02),
         hz.TwoPieceKernel(early, late, 1.0),
     )
 
@@ -29,8 +29,6 @@ def _small_model(lam01=0.3, lam02=0.6, early=0.4, late=0.2):
 def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(n=0, seed=1)
-    with pytest.raises(ValueError):
-        SimConfig(n=10, seed=1, t_max=0.0)
 
 
 def test_cohort_is_deterministic_in_seed():
@@ -69,8 +67,8 @@ def test_no_death_hazard_means_everyone_censors():
 
 
 def test_censoring_horizon_caps_event_times():
-    m = _small_model()
-    cohort = simulate_cohort(m, SimConfig(n=2_000, seed=8, t_max=1.5))
+    m = _small_model(t_max=1.5)
+    cohort = simulate_cohort(m, SimConfig(n=2_000, seed=8))
     assert max(tr.t_event for tr in cohort) <= 1.5
     assert any(not tr.event and tr.t_event == 1.5 for tr in cohort)
 
@@ -189,9 +187,11 @@ class TestAgainstEngine:
         n = len(trajectories)
         u = trajectories.u_init  # NaN where never treated
         t_event = trajectories.t_event
+        _, a = _initiation_density(model)
+        p01 = kernel_quadrature(model.lambda12, model.lambda01).occupation(a)
         for t in (0.5, 1.5, 2.5):
             in_state1 = np.mean((~np.isnan(u)) & (u <= t) & (t_event > t))
-            want = occupation(model, t).p01
+            want = p01[model.lambda01.node_index(t)]
             se = np.sqrt(want * (1 - want) / n)
             assert abs(in_state1 - want) < 3 * se, (
                 f"occupation at t={t}: simulated {in_state1:.5f}, "
@@ -248,14 +248,15 @@ def test_frailty_cohort_exposure_grid_mismatch():
 
 
 def test_frailty_cohort_is_the_markov_kernel_model_with_frailty():
-    spec = hz.ConditionalHazardSpec(
-        h0=hz.GridFunction.constant(T_MAX, STEP, 0.3),
-        h1=hz.GridFunction.constant(T_MAX, STEP, 0.5),
-    )
-    expo = hz.GridFunction.constant(T_MAX, STEP, 0.3)
-    model = hz.IllnessDeathModel(expo, spec.h0, hz.MarkovKernel(spec.h1))
     fr = hz.GammaFrailty(variance=1.0)
-    for cfg in (SimConfig(n=5_000, seed=3), SimConfig(n=5_000, seed=4, t_max=1.5)):
+    for t_max, seed in ((T_MAX, 3), (1.5, 4)):
+        spec = hz.ConditionalHazardSpec(
+            h0=hz.GridFunction.constant(t_max, STEP, 0.3),
+            h1=hz.GridFunction.constant(t_max, STEP, 0.5),
+        )
+        expo = hz.GridFunction.constant(t_max, STEP, 0.3)
+        model = hz.IllnessDeathModel(expo, spec.h0, hz.MarkovKernel(spec.h1))
+        cfg = SimConfig(n=5_000, seed=seed)
         cohort = sample_frailty_cohort(spec, fr, expo, cfg)
         assert cohort == simulate_cohort(model, replace(cfg, frailty=fr))
 

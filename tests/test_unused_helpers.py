@@ -7,17 +7,20 @@ module as a function, a class or a constant.  A public method or
 property is one whose name does not start with ``_``, defined in a
 class of the package.  Helpers that no code in ``src/hazrates`` calls
 get deleted, not maintained, so each private name must be loaded
-somewhere in the package, each public function or class must be loaded
-by name or read as an attribute somewhere in it (an import or an
-``__all__`` entry alone does not count), and each public method's name
-must be read as an attribute somewhere in it; a use only in the tests
-does not count.  Like the unused-imports check, this parses each module
-with ``ast`` and needs no linter.
+somewhere in the package; each public function or class must be loaded
+by name in its own module or in a module that imports it from there,
+or read as ``<module>.<name>`` with ``<module>`` a module of the
+package (an import or an ``__all__`` entry alone does not count); and
+each public method's name must be read as an attribute somewhere in
+it.  A use only in the tests does not count.  Like the unused-imports
+check, this parses each module with ``ast`` and needs no linter.
 
 The method check matches attribute names only, not the objects they
 are read from.  A method whose name some other object's attribute
 shares therefore counts as used: a ``kind`` property would pass on
-``dtype.kind`` and a ``u`` property on ``args.u``.
+``dtype.kind`` and a ``u`` property on ``args.u``.  The function and
+class check follows each name to its module, so a dead function whose
+name a method shares is still found.
 """
 
 import ast
@@ -43,6 +46,7 @@ CALLED_FROM_OUTSIDE = {
     "simulate.py sample_frailty_cohort": "test_acceptance.py and perfbench/workloads.py",
     "frailty.py DegenerateFrailty": "test_acceptance.py and perfbench/workloads.py",
     "kernels.py GridKernel": "test_kernels.py and perfbench/workloads.py",
+    "grid.py GridFunction.node_index": "test_acceptance.py, criteria 2 and 3",
 }
 
 
@@ -86,25 +90,50 @@ def unused_private_names(src: Path) -> list[str]:
     ]
 
 
+def _public_uses(trees: dict[str, ast.Module]) -> set[tuple[str, str]]:
+    """(module stem, name) for each module-level name some module uses.
+
+    A name is used where its own module loads it, where a module that
+    imported it with ``from .module import name`` loads it, and where a
+    module reads it as ``module.name``.
+    """
+    stems = {module.removesuffix(".py") for module in trees}
+    uses = set()
+    for module, tree in trees.items():
+        bound = {
+            node.name: (module.removesuffix(".py"), node.name)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in stems:
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = (node.module, alias.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in bound:
+                uses.add(bound[node.id])
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in stems
+            ):
+                uses.add((node.value.id, node.attr))
+    return uses
+
+
 def unused_public_names(src: Path) -> list[str]:
     """``module.py:line name`` for each public module-level function or
-    class of ``src`` that no module of ``src`` loads by name or reads as
-    an attribute."""
+    class of ``src`` that no module of ``src`` uses (``_public_uses``)."""
     trees = _modules(src)
-    loaded = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.attr)
+    uses = _public_uses(trees)
     return [
         f"{module}:{node.lineno} {node.name}"
         for module, tree in trees.items()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and not node.name.startswith("_")
-        and node.name not in loaded
+        and (module.removesuffix(".py"), node.name) not in uses
         and f"{module} {node.name}" not in CALLED_FROM_OUTSIDE
     ]
 
@@ -168,6 +197,20 @@ def test_an_unused_public_function_is_found(tmp_path):
     )
     (tmp_path / "cli.py").write_text("from . import tools\n\nDEFAULT = tools.helper()\n")
     assert unused_public_names(tmp_path) == ["tools.py:9 orphan"]
+
+
+def test_a_dead_function_sharing_a_method_name_is_found(tmp_path):
+    (tmp_path / "engine.py").write_text(
+        "class Quadrature:\n    def occupation(self):\n        return 1\n\n\n"
+        "def occupation(model):\n    return model\n\n\n"
+        "def rate(q):\n    return q.occupation()\n"
+    )
+    (tmp_path / "other.py").write_text(
+        "from . import engine\nfrom .engine import Quadrature\n\n\n"
+        "def run(occupation):\n    return engine.rate(Quadrature()), occupation\n\n\n"
+        "DEFAULT = run(None)\n"
+    )
+    assert unused_public_names(tmp_path) == ["engine.py:6 occupation"]
 
 
 def test_package_uses_every_public_method():
