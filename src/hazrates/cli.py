@@ -71,7 +71,6 @@ class ExperimentConfig:
     beta: float = float(np.log(2.0 / 3.0))
     tol: float = SolverConfig.tol
     max_iter: int = SolverConfig.max_iter
-    damping: float = SolverConfig.damping
     n: int = 100_000
     seed: int = 9
     out_dir: str = ""
@@ -150,10 +149,6 @@ def _write_csv(path: Path, header: Sequence[str], columns: Sequence[np.ndarray])
         write_rows(fh, line, columns)
 
 
-def _solver_config(cfg: ExperimentConfig) -> SolverConfig:
-    return SolverConfig(tol=cfg.tol, max_iter=cfg.max_iter, damping=cfg.damping)
-
-
 def _kernel(cfg: ExperimentConfig) -> TwoPieceKernel:
     return TwoPieceKernel(early=cfg.early, late=cfg.late, lag=cfg.lag)
 
@@ -161,7 +156,8 @@ def _kernel(cfg: ExperimentConfig) -> TwoPieceKernel:
 def _build(cfg: ExperimentConfig) -> tuple[IllnessDeathModel, construct.BuildReport]:
     lam01 = GridFunction.constant(cfg.t_max, cfg.step, cfg.lam01)
     kernel = _kernel(cfg)
-    report = construct.build(lam01, kernel, cfg.beta, config=_solver_config(cfg))
+    config = SolverConfig(tol=cfg.tol, max_iter=cfg.max_iter)
+    report = construct.build(lam01, kernel, cfg.beta, config=config)
     model = IllnessDeathModel(lambda01=lam01, lambda02=report.lambda02, lambda12=kernel)
     return model, report
 
@@ -185,6 +181,15 @@ def _require_converged(report: construct.BuildReport) -> None:
             f"builder stopped at sup deviation {report.iterations[-1].sup_dev:.3e} "
             f"after {len(report.iterations) - 1} iterations"
         )
+
+
+def _converged_build(cfg: ExperimentConfig):
+    """The built model, its report and its treated and untreated rates
+    r12 and r02; ConvergenceError if the builder did not converge."""
+    model, report = _build(cfg)
+    _require_converged(report)
+    # the builder's last sweep already holds the final model's r12
+    return model, report, report.iterations[-1].rate, rate_untreated(model)
 
 
 def _load_lambda02(path: str) -> GridFunction:
@@ -215,9 +220,7 @@ def _load_lambda02(path: str) -> GridFunction:
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_construct(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    out = cfg.resolved_out_dir()
+def _cmd_construct(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
     model, report = _build(cfg)
     lam02 = report.lambda02
     _write_csv(out / "lambda02.csv", ["t", "lambda02"], [model.times, lam02.values])
@@ -235,13 +238,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_rates(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    out = cfg.resolved_out_dir()
-    model, report = _build(cfg)
-    _require_converged(report)
-    r12 = report.iterations[-1].rate
-    r02 = rate_untreated(model)
+def _cmd_rates(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
+    model, report, r12, r02 = _converged_build(cfg)
     ratio = construct.ratio_of_rates(r12, r02)
     _write_csv(
         out / "rates.csv",
@@ -249,18 +247,12 @@ def _cmd_rates(args: argparse.Namespace) -> int:
         [model.times, r12.values, r02.values, ratio.values],
     )
     print(f"wrote {out / 'rates.csv'}")
-    dev = np.max(np.abs(ratio.values[1:] - np.exp(cfg.beta)))
-    print(f"sup |rate ratio - {_fmt(np.exp(cfg.beta))}| = {_fmt(dev)}")
+    print(f"sup |rate ratio - {_fmt(np.exp(cfg.beta))}| = {_fmt(report.deviations[-1])}")
     return 0
 
 
-def _cmd_contrast(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    out = cfg.resolved_out_dir()
-    model, report = _build(cfg)
-    _require_converged(report)
-    r12 = report.iterations[-1].rate
-    r02 = rate_untreated(model)
+def _cmd_contrast(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
+    model, _, r12, r02 = _converged_build(cfg)
     curves, (true_c, rate_c) = _survival_contrasts(model, r12, r02)
     chr_ = causal_hazard_ratio(model)
     rr = construct.ratio_of_rates(r12, r02)
@@ -284,16 +276,13 @@ def _cmd_contrast(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    out = cfg.resolved_out_dir()
+def _cmd_simulate(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
     if args.model:
         lam02 = _load_lambda02(args.model)
         lam01 = GridFunction.constant(lam02.t_max, lam02.step, cfg.lam01)
         model = IllnessDeathModel(lambda01=lam01, lambda02=lam02, lambda12=_kernel(cfg))
     else:
-        model, report = _build(cfg)
-        _require_converged(report)
+        model = _converged_build(cfg)[0]
     trajectories = simulate_cohort(model, SimConfig(n=cfg.n, seed=cfg.seed))
     rows = to_counting_rows(trajectories)
     out_path = Path(args.out) if args.out else out / "rows.csv"
@@ -326,9 +315,7 @@ def _fit_summary(fit: estimators.CoxFit) -> str:
     return ",".join(parts)
 
 
-def _cmd_estimate(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    out = cfg.resolved_out_dir()
+def _cmd_estimate(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
     try:
         rows = read_counting_rows(args.rows)
     except (OSError, ValueError) as err:
@@ -365,19 +352,15 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     raise CliError(f"unknown method {method!r}")
 
 
-def _cmd_frailty_demo(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    out = cfg.resolved_out_dir()
-    h0 = float(args.h0)
-    h1 = float(args.h1)
-    u = float(args.u)
+def _cmd_frailty_demo(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
+    u = args.u
     if not (0 <= u <= cfg.t_max):
         raise CliError(f"--u must lie in [0, {cfg.t_max}], got {u}")
     spec = ConditionalHazardSpec(
-        h0=GridFunction.constant(cfg.t_max, cfg.step, h0),
-        h1=GridFunction.constant(cfg.t_max, cfg.step, h1),
+        h0=GridFunction.constant(cfg.t_max, cfg.step, args.h0),
+        h1=GridFunction.constant(cfg.t_max, cfg.step, args.h1),
     )
-    frailty = GammaFrailty(variance=float(args.variance))
+    frailty = GammaFrailty(variance=args.variance)
     m_never = marginal_hazard(spec, frailty, TreatmentPath.never())
     m_always = marginal_hazard(spec, frailty, TreatmentPath.always())
     m_init = marginal_hazard(spec, frailty, TreatmentPath.initiate_at(u))
@@ -393,21 +376,17 @@ def _cmd_frailty_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
+def _float_list(text: str) -> tuple[float, ...]:
+    """argparse type of a comma-separated list of numbers."""
     try:
         return tuple(float(part) for part in text.split(","))
     except ValueError as err:
-        raise CliError(f"{flag} expects comma-separated numbers, got {text!r}") from err
+        raise argparse.ArgumentTypeError(f"expects comma-separated numbers, got {text!r}") from err
 
 
-def _cmd_collider(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    out = cfg.resolved_out_dir()
+def _cmd_collider(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
     scenario = ColliderScenario(
-        z_levels=_parse_float_list(args.z_levels, "--z-levels"),
-        z_probs=_parse_float_list(args.z_probs, "--z-probs"),
-        p1=float(args.p1),
-        effect=float(args.effect),
+        z_levels=args.z_levels, z_probs=args.z_probs, p1=args.p1, effect=args.effect
     )
     table = collider_table(scenario)
     keys = sorted(table)
@@ -419,17 +398,10 @@ def _cmd_collider(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_reproduce(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    out = cfg.resolved_out_dir()
-    model, report = _build(cfg)
-    _require_converged(report)
+def _cmd_reproduce(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
+    model, report, r12, r02 = _converged_build(cfg)
     deviations = report.deviations
     lam02 = report.lambda02
-
-    # the builder's last sweep already holds the final model's r12
-    r12 = report.iterations[-1].rate
-    r02 = rate_untreated(model)
     t_end = model.t_max
     _, (true_c, rate_c) = _survival_contrasts(model, r12, r02)
 
@@ -482,50 +454,46 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _add_common(sub: argparse.ArgumentParser, solver: bool = True, sim: bool = False) -> None:
-    sub.add_argument("--config", help="flat key=value config file")
-    sub.add_argument("--out-dir", dest="out_dir", help="output directory")
-    sub.add_argument("--tmax", dest="t_max", type=float, help="grid horizon")
-    sub.add_argument("--step", type=float, help="grid step")
-    sub.add_argument("--lam01", type=float, help="treatment initiation hazard level")
-    sub.add_argument("--early", type=float, help="post-initiation hazard before the lag")
-    sub.add_argument("--late", type=float, help="post-initiation hazard after the lag")
-    sub.add_argument("--lag", type=float, help="kernel lag duration")
-    sub.add_argument("--beta", type=float, help="log rate ratio target")
-    if solver:
-        sub.add_argument("--tol", type=float, help="builder tolerance")
-        sub.add_argument("--max-iter", dest="max_iter", type=int, help="builder iteration cap")
-        sub.add_argument("--damping", type=float, help="builder damping in (0, 1]")
-    if sim:
-        sub.add_argument("--n", type=int, help="number of subjects")
-        sub.add_argument("--seed", type=int, help="simulation seed")
-
-
 def _build_parser() -> _Parser:
+    # parent parsers: each flag is declared once and shared by the
+    # subcommands that take it
+    io = argparse.ArgumentParser(add_help=False)
+    io.add_argument("--config", help="flat key=value config file")
+    io.add_argument("--out-dir", help="output directory")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--tmax", dest="t_max", type=float, help="grid horizon")
+    grid.add_argument("--step", type=float, help="grid step")
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--lam01", type=float, help="treatment initiation hazard level")
+    model.add_argument("--early", type=float, help="post-initiation hazard before the lag")
+    model.add_argument("--late", type=float, help="post-initiation hazard after the lag")
+    model.add_argument("--lag", type=float, help="kernel lag duration")
+    model.add_argument("--beta", type=float, help="log rate ratio target")
+    model.add_argument("--tol", type=float, help="builder tolerance")
+    model.add_argument("--max-iter", type=int, help="builder iteration cap")
+    sim = argparse.ArgumentParser(add_help=False)
+    sim.add_argument("--n", type=int, help="number of subjects")
+    sim.add_argument("--seed", type=int, help="simulation seed")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output CSV path (default: a file in the out-dir)")
+
     parser = _Parser(prog="hazrates", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("construct", help="build the proportional-rates model")
-    _add_common(p)
-    p.set_defaults(func=_cmd_construct)
+    def command(name, func, help_, parents):
+        sub = subs.add_parser(name, help=help_, parents=parents)
+        sub.set_defaults(func=func)
+        return sub
 
-    p = subs.add_parser("rates", help="emit treated/untreated rates and their ratio")
-    _add_common(p)
-    p.set_defaults(func=_cmd_rates)
+    built = [io, grid, model]
+    command("construct", _cmd_construct, "build the proportional-rates model", built)
+    command("rates", _cmd_rates, "emit treated/untreated rates and their ratio", built)
+    command("contrast", _cmd_contrast, "emit true and rate-based survival curves", built)
 
-    p = subs.add_parser("contrast", help="emit true and rate-based survival curves")
-    _add_common(p)
-    p.set_defaults(func=_cmd_contrast)
-
-    p = subs.add_parser("simulate", help="simulate counting-process rows")
-    _add_common(p, sim=True)
+    p = command("simulate", _cmd_simulate, "simulate counting-process rows", [*built, sim, out])
     p.add_argument("--model", help="lambda02 CSV from a previous construct run")
-    p.add_argument("--out", help="output CSV path (default <out-dir>/rows.csv)")
-    p.set_defaults(func=_cmd_simulate)
 
-    p = subs.add_parser("estimate", help="run an estimator over a rows CSV")
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--out-dir", dest="out_dir", help="output directory")
+    p = command("estimate", _cmd_estimate, "run an estimator over a rows CSV", [io, out])
     p.add_argument("--rows", required=True, help="CountingRow CSV path")
     p.add_argument(
         "--method",
@@ -533,41 +501,33 @@ def _build_parser() -> _Parser:
         choices=["ekm", "na", "cox", "cox-duration", "aalen"],
         help="estimator to run",
     )
-    p.add_argument("--out", help="output CSV path for curve methods")
-    p.set_defaults(func=_cmd_estimate)
 
-    p = subs.add_parser("frailty-demo", help="marginal hazards under a shared frailty")
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--out-dir", dest="out_dir", help="output directory")
-    p.add_argument("--tmax", dest="t_max", type=float, help="grid horizon")
-    p.add_argument("--step", type=float, help="grid step")
+    p = command(
+        "frailty-demo", _cmd_frailty_demo, "marginal hazards under a shared frailty", [io, grid]
+    )
     p.add_argument("--variance", type=float, default=1.0, help="gamma frailty variance")
     p.add_argument("--h0", type=float, default=0.3, help="untreated conditional hazard")
     p.add_argument("--h1", type=float, default=0.5, help="treated conditional hazard")
     p.add_argument("--u", type=float, default=1.5, help="late initiation time to compare")
-    p.set_defaults(func=_cmd_frailty_demo)
 
-    p = subs.add_parser("collider", help="two-period selection effect, exact enumeration")
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--out-dir", dest="out_dir", help="output directory")
-    p.add_argument("--z-levels", dest="z_levels", default="0.5,1.5", help="frailty support")
-    p.add_argument("--z-probs", dest="z_probs", default="0.5,0.5", help="frailty probabilities")
+    p = command("collider", _cmd_collider, "two-period selection effect, exact enumeration", [io])
+    p.add_argument("--z-levels", type=_float_list, default="0.5,1.5", help="frailty support")
+    p.add_argument("--z-probs", type=_float_list, default="0.5,0.5", help="frailty probabilities")
     p.add_argument("--p1", type=float, default=0.2, help="base first-period death probability")
     p.add_argument("--effect", type=float, default=0.5, help="multiplicative treatment effect")
-    p.set_defaults(func=_cmd_collider)
 
-    p = subs.add_parser("reproduce", help="construct, contrast, simulate, estimate, summarize")
-    _add_common(p, sim=True)
-    p.set_defaults(func=_cmd_reproduce)
-
+    command(
+        "reproduce", _cmd_reproduce, "construct, contrast, simulate, estimate, summarize",
+        [*built, sim],
+    )
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        parser = _build_parser()
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _build_parser().parse_args(argv)
+        cfg = resolve_config(args)
+        return args.func(args, cfg, cfg.resolved_out_dir())
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -9,10 +9,9 @@ lambda02 such that the model's treated rate satisfies
 Since r12 itself depends on lambda02 through the initiation-time
 weights, this is a fixed-point problem.  Starting from the constant
 1, each sweep computes r12 for the current lambda02 and replaces
-lambda02 by exp(-beta) * r12 (optionally blended with the previous
-iterate).  There is no convergence proof for this scheme, so the full
-deviation trace is part of the result and callers are expected to
-inspect it.
+lambda02 by exp(-beta) * r12.  There is no convergence proof for this
+scheme, so the full deviation trace is part of the result and callers
+are expected to inspect it.
 """
 
 from __future__ import annotations
@@ -84,14 +83,18 @@ def build(
         Target log rate ratio; the constructed model has
         r12 = exp(beta) * lambda02.
     config:
-        Sup-norm tolerance on the rate-ratio deviation, iteration
-        budget, and damping for the update
-        lambda02 <- (1 - damping) * lambda02 + damping * exp(-beta) * r12.
+        Sup-norm tolerance on the rate-ratio deviation and iteration
+        budget for the update lambda02 <- exp(-beta) * r12.
 
     Non-convergence is reported through ``converged=False`` together
     with the full deviation trace rather than raised, so callers can
     distinguish a slow iteration from a diverging one.
     """
+    if lambda01.n_nodes < 2:
+        raise ValueError(
+            f"the grid needs at least two nodes; t_max={lambda01.t_max!r} "
+            f"with step={lambda01.step!r} gives one"
+        )
     target = float(np.exp(beta))
     lam02 = GridFunction.constant(lambda01.t_max, lambda01.step, 1.0)
     records: list[IterationRecord] = []
@@ -111,8 +114,7 @@ def build(
             break
         if index == config.max_iter:
             break
-        update = np.exp(-beta) * r12.values
-        new_vals = (1.0 - config.damping) * lam02.values + config.damping * update
+        new_vals = np.exp(-beta) * r12.values
         if np.any(new_vals < 0):
             # r12 >= 0 makes this unreachable; guard against kernel bugs
             raise RuntimeError("fixed-point update produced a negative hazard")

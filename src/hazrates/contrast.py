@@ -51,8 +51,6 @@ def rate_based_survival(rate: GridFunction) -> GridFunction:
     generally wrong for a rate, because a rate averages over survivors
     with mixed treatment histories.
     """
-    if np.any(rate.values < 0):
-        raise ValueError("rate must be nonnegative")
     cum = cumulative(rate)
     return cum.with_values(np.exp(-cum.values))
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Union
 
 import numpy as np
 
@@ -158,15 +157,6 @@ class ConditionalHazardSpec:
         object.__setattr__(self, "_cum0", cumulative(self.h0))
         object.__setattr__(self, "_kernel1", MarkovKernel(self.h1))
 
-    @classmethod
-    def from_callable(
-        cls, fn: Callable[[float, int], float], t_max: float, step: float
-    ) -> "ConditionalHazardSpec":
-        return cls(
-            h0=GridFunction.from_callable(lambda t: fn(t, 0), t_max, step),
-            h1=GridFunction.from_callable(lambda t: fn(t, 1), t_max, step),
-        )
-
     @property
     def t_max(self) -> float:
         return self.h0.t_max
@@ -230,11 +220,8 @@ def markov_violation_gap(
     return abs(lam[0] - lam[1])
 
 
-RatePerLevel = Union[GridFunction, tuple[GridFunction, GridFunction]]
-
-
 def invert_rate_to_h(
-    target_rate: RatePerLevel, frailty: FrailtySpec, path: TreatmentPath
+    target_rate: GridFunction, frailty: FrailtySpec, path: TreatmentPath
 ) -> GridFunction:
     """Conditional hazard along a path that reproduces a target rate.
 
@@ -249,30 +236,17 @@ def invert_rate_to_h(
     ``marginal_hazard`` with the same frailty and path recovers the
     target rate up to quadrature error.
 
-    ``target_rate`` is either a single GridFunction (rate identical at
-    both levels along the path) or a pair (rate at level 0, rate at
-    level 1) composed along the path.
+    The target rate is the same at both treatment levels, so h does not
+    depend on ``path``; the path names where the result is fed back.
+    A negative rate raises ValueError (from ``cumulative``).
     """
-    if isinstance(target_rate, GridFunction):
-        r0, r1 = target_rate, target_rate
-    else:
-        r0, r1 = target_rate
-        if not r0.same_grid(r1):
-            raise ValueError("per-level rates must share the same grid")
-    times = r0.times
-    lvl = path.level(times)
-    r_along = np.where(lvl == 1, r1.values, r0.values)
-    if np.any(r_along < 0) or not np.all(np.isfinite(r_along)):
-        raise ValueError("target rate must be nonnegative and finite")
-
-    rate_gf = r0.with_values(r_along)
-    R = cumulative(rate_gf).values
+    R = cumulative(target_rate).values
     surv = np.exp(-R)  # in (0, 1] by construction
     load = np.asarray(frailty.laplace_inverse(surv), dtype=float)
     if np.any(~np.isfinite(load)) or np.any(load < -1e-12):
         raise ValueError("laplace_inverse produced an invalid load")
     mean = np.asarray(frailty.conditional_mean(np.maximum(load, 0.0)), dtype=float)
-    return rate_gf.with_values(r_along / mean)
+    return target_rate.with_values(target_rate.values / mean)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ never disagree with each other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -22,8 +22,14 @@ NODE_TOL = 1e-9
 
 
 def n_intervals(t_max: float, step: float) -> int:
-    """Number of whole grid steps that fit in [0, t_max]."""
-    return int(np.floor(t_max / step + NODE_TOL))
+    """Number of whole grid steps that fit in [0, t_max]; ValueError
+    unless step is positive and t_max / step finite."""
+    ratio = t_max / step if step > 0 else math.nan
+    if not math.isfinite(ratio):
+        raise ValueError(
+            f"t_max / step must be finite with step > 0; got t_max={t_max!r}, step={step!r}"
+        )
+    return int(np.floor(ratio + NODE_TOL))
 
 
 @dataclass(frozen=True)
@@ -65,15 +71,6 @@ class GridFunction:
         """Constant function on [0, t_max]."""
         n = n_intervals(t_max, step)
         return cls(t_max, step, np.full(n + 1, float(value)))
-
-    @classmethod
-    def from_callable(
-        cls, fn: Callable[[float], float], t_max: float, step: float
-    ) -> "GridFunction":
-        """Sample a scalar callable at the grid nodes."""
-        n = n_intervals(t_max, step)
-        times = np.arange(n + 1) * step
-        return cls(t_max, step, np.array([fn(t) for t in times], dtype=float))
 
     def with_values(self, values: np.ndarray) -> "GridFunction":
         """New GridFunction on the same grid with different values."""

@@ -1,5 +1,5 @@
 """Small numerical utilities: the one first-crossing rule for
-nondecreasing node functions, and the iterative solvers' config."""
+nondecreasing node functions, and the builder's solver config."""
 
 from __future__ import annotations
 
@@ -20,23 +20,17 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerance and iteration limits shared by the iterative solvers.
-
-    ``damping`` in (0, 1] blends each update with the previous iterate;
-    1.0 is a full step.
-    """
+    """Tolerance and iteration cap of the fixed-point builder
+    (``construct.build``), the package's one iterative solver."""
 
     tol: float = 1e-6
     max_iter: int = 50
-    damping: float = 1.0
 
     def __post_init__(self) -> None:
         if not (self.tol > 0):
             raise ValueError(f"tol must be positive, got {self.tol!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
-        if not (0 < self.damping <= 1):
-            raise ValueError(f"damping must be in (0, 1], got {self.damping!r}")
 
 
 def first_crossing(value_at, n_nodes: int, step: float, e: np.ndarray) -> np.ndarray:

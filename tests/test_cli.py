@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import os
@@ -5,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ from hazrates.cli import (
     main,
 )
 from hazrates.model import _CHUNK, read_counting_rows
+from hazrates.numerics import SolverConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -221,6 +224,12 @@ class TestCollider:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "collider.csv").exists()
 
+    def test_rejects_a_list_that_is_not_numbers(self, capsys):
+        assert run_cli("collider", "--z-levels", "a,1.5") == 1
+        assert capsys.readouterr().err == (
+            "error: argument --z-levels: expects comma-separated numbers, got 'a,1.5'\n"
+        )
+
     def test_clamp_error_prints_the_plain_value(self, capsys):
         assert run_cli("collider", "--z-levels", "3,1.5", "--p1", "0.5") == 1
         assert capsys.readouterr().err == (
@@ -327,6 +336,49 @@ class TestConfigResolution:
         assert cfg.beta == pytest.approx(np.log(2 / 3))
 
 
+_BUILT = {
+    "--config", "--out-dir", "--tmax", "--step", "--lam01", "--early", "--late", "--lag",
+    "--beta", "--tol", "--max-iter", "-h", "--help",
+}
+OPTIONS = {
+    "construct": _BUILT,
+    "rates": _BUILT,
+    "contrast": _BUILT,
+    "simulate": _BUILT | {"--n", "--seed", "--model", "--out"},
+    "estimate": {"--config", "--out-dir", "--rows", "--method", "--out", "-h", "--help"},
+    "frailty-demo": {
+        "--config", "--out-dir", "--tmax", "--step", "--variance", "--h0", "--h1", "--u",
+        "-h", "--help",
+    },
+    "collider": {
+        "--config", "--out-dir", "--z-levels", "--z-probs", "--p1", "--effect", "-h", "--help",
+    },
+    "reproduce": _BUILT | {"--n", "--seed"},
+}
+
+
+class TestParser:
+    def test_each_subcommand_has_its_option_set(self):
+        parser = _build_parser()
+        (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        got = {
+            name: {opt for action in sub._actions for opt in action.option_strings}
+            for name, sub in subs.choices.items()
+        }
+        assert got == OPTIONS
+
+    def test_config_fields(self):
+        assert [f.name for f in fields(ExperimentConfig)] == [
+            "t_max", "step", "lam01", "early", "late", "lag", "beta", "tol", "max_iter",
+            "n", "seed", "out_dir",
+        ]
+        assert [f.name for f in fields(SolverConfig)] == ["tol", "max_iter"]
+
+    def test_damping_is_not_an_option(self, capsys):
+        assert run_cli("reproduce", "--damping", "1") == 1
+        assert "unrecognized arguments: --damping 1" in capsys.readouterr().err
+
+
 class TestErrors:
     def test_unknown_command(self, capsys):
         assert run_cli("frobnicate") == 1
@@ -335,6 +387,27 @@ class TestErrors:
     def test_unknown_flag(self, capsys):
         assert run_cli("construct", "--paper", "x") == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--tmax", "1e308"],
+            ["frailty-demo", "--step", "1e-320"],
+            ["construct", "--step", "0"],
+        ],
+    )
+    def test_grid_of_non_finite_size_is_one_error_line(self, argv, capsys):
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: t_max / step must be finite") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["construct", "rates", "contrast", "reproduce"])
+    @pytest.mark.parametrize("grid", [["--tmax", "0"], ["--step", "5"]])
+    def test_one_node_grid_is_rejected(self, command, grid, capsys):
+        assert run_cli(command, *grid) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the grid needs at least two nodes; t_max=")
+        assert "step=" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("first", ["0.001", "0.5"])
     def test_simulate_rejects_a_model_grid_not_starting_at_0(self, tmp_path, capsys, first):

@@ -45,18 +45,6 @@ def test_lambda02_frozen_values_past_the_lag(standard_build):
     assert lam02(3.0) < lam02(2.0) < lam02(1.5) < 0.6
 
 
-def test_damped_iteration_reaches_the_same_fixed_point(standard_build):
-    lam01, kernel, report = standard_build
-    damped = build(
-        lam01, kernel, BETA, config=SolverConfig(tol=1e-6, max_iter=100, damping=0.5)
-    )
-    assert damped.converged
-    assert len(damped.iterations) > len(report.iterations)
-    np.testing.assert_allclose(
-        damped.lambda02.values, report.lambda02.values, rtol=0, atol=1e-5
-    )
-
-
 def test_non_convergence_is_reported_not_raised(standard_build):
     lam01, kernel, _ = standard_build
     report = build(lam01, kernel, BETA, config=SolverConfig(tol=1e-12, max_iter=2))

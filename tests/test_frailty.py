@@ -86,8 +86,8 @@ class TestTreatmentPath:
 @pytest.fixture
 def demo_spec():
     # h(t, a) = 0.3 + 0.2 a, flat in time
-    return ConditionalHazardSpec.from_callable(
-        lambda t, a: 0.3 + 0.2 * a, t_max=3.0, step=0.005
+    return ConditionalHazardSpec(
+        h0=GridFunction.constant(3.0, 0.005, 0.3), h1=GridFunction.constant(3.0, 0.005, 0.5)
     )
 
 
@@ -153,9 +153,8 @@ class TestMarkovViolationGap:
         assert gap == pytest.approx(3.0 / 68.0, abs=1e-12)
 
     def test_gap_zero_when_levels_agree(self):
-        same = ConditionalHazardSpec.from_callable(
-            lambda t, a: 0.4, t_max=3.0, step=0.01
-        )
+        h = GridFunction.constant(3.0, 0.01, 0.4)
+        same = ConditionalHazardSpec(h0=h, h1=h)
         fr = GammaFrailty(variance=1.0)
         assert markov_violation_gap(same, fr, 2.0, 0.0, 1.5) <= 1e-15
 
@@ -181,19 +180,9 @@ class TestInvertRateToH:
         back = marginal_hazard(spec, frailty, path)
         assert float(np.max(np.abs(back.values - r.values))) < 1e-4
 
-    def test_round_trip_per_level_pair(self):
-        r0 = GridFunction.from_callable(lambda t: 0.4 + 0.05 * t, 3.0, 0.005)
-        r1 = GridFunction.from_callable(lambda t: 0.25 + 0.02 * t, 3.0, 0.005)
-        fr = GammaFrailty(variance=1.0)
-        path = TreatmentPath.initiate_at(1.0)
-        h = invert_rate_to_h((r0, r1), fr, path)
-        spec = ConditionalHazardSpec(h0=h, h1=h)
-        back = marginal_hazard(spec, fr, path)
-        want = np.where(r0.times >= 1.0, r1.values, r0.values)
-        assert float(np.max(np.abs(back.values - want))) < 1e-4
-
     def test_degenerate_inversion_is_identity(self):
-        r = GridFunction.from_callable(lambda t: 0.2 + 0.1 * t, 2.0, 0.01)
+        times = GridFunction.constant(2.0, 0.01, 0.0).times
+        r = GridFunction(2.0, 0.01, 0.2 + 0.1 * times)
         h = invert_rate_to_h(r, DegenerateFrailty(1.0), TreatmentPath.never())
         np.testing.assert_allclose(h.values, r.values, atol=1e-12)
 
@@ -202,10 +191,6 @@ class TestInvertRateToH:
         bad = GridFunction.constant(1.0, 0.5, -0.3)
         with pytest.raises(ValueError):
             invert_rate_to_h(bad, fr, TreatmentPath.never())
-        r0 = GridFunction.constant(1.0, 0.5, 0.3)
-        r1 = GridFunction.constant(1.0, 0.25, 0.3)
-        with pytest.raises(ValueError):
-            invert_rate_to_h((r0, r1), fr, TreatmentPath.never())
 
 
 class TestCollider:

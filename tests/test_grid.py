@@ -11,11 +11,6 @@ def test_constant_samples_all_nodes():
     np.testing.assert_allclose(f.times, [0.0, 0.5, 1.0, 1.5, 2.0])
 
 
-def test_from_callable_matches_function():
-    f = GridFunction.from_callable(lambda t: t * t, 1.0, 0.25)
-    np.testing.assert_allclose(f.values, np.array([0.0, 0.25, 0.5, 0.75, 1.0]) ** 2)
-
-
 def test_call_interpolates_linearly():
     f = GridFunction(1.0, 0.5, np.array([0.0, 1.0, 4.0]))
     assert f(0.25) == pytest.approx(0.5)

@@ -109,7 +109,8 @@ class TestTwoPiece:
 class TestMarkov:
     @pytest.fixture
     def markov(self):
-        rate = GridFunction.from_callable(lambda t: 0.1 + 0.2 * t, 3.0, 0.05)
+        times = GridFunction.constant(3.0, 0.05, 0.0).times
+        rate = GridFunction(3.0, 0.05, 0.1 + 0.2 * times)
         return MarkovKernel(rate)
 
     def test_value_ignores_initiation_time(self, markov):

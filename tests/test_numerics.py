@@ -15,8 +15,6 @@ def test_solver_config_validation():
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(tol=1e-6, max_iter=0)
-    with pytest.raises(ValueError):
-        SolverConfig(tol=1e-6, damping=1.5)
 
 
 def test_invert_monotone_vectorized():

@@ -34,7 +34,7 @@ def test_markov_rate_equals_hazard(constant_markov_model):
 def test_markov_rate_equals_hazard_time_varying():
     lam01 = hz.GridFunction.constant(2.0, 0.01, 0.3)
     lam02 = hz.GridFunction.constant(2.0, 0.01, 0.4)
-    g = hz.GridFunction.from_callable(lambda t: 0.2 + 0.3 * t, 2.0, 0.01)
+    g = lam02.with_values(0.2 + 0.3 * lam02.times)
     m = hz.IllnessDeathModel(lam01, lam02, hz.MarkovKernel(g))
     np.testing.assert_allclose(rate_treated(m).values, g.values, rtol=0, atol=1e-12)
 

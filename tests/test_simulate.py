@@ -229,8 +229,8 @@ class TestAgainstEngine:
 def test_frailty_cohort_degenerate_matches_exponential():
     # constant hazard 0.3 at both levels, unit point-mass frailty:
     # survival is exp(-0.3 t) regardless of the exposure path
-    spec = hz.ConditionalHazardSpec.from_callable(lambda t, a: 0.3, T_MAX, STEP)
     expo = hz.GridFunction.constant(T_MAX, STEP, 0.3)
+    spec = hz.ConditionalHazardSpec(h0=expo, h1=expo)
     cohort = sample_frailty_cohort(
         spec, hz.DegenerateFrailty(1.0), expo, SimConfig(n=50_000, seed=17)
     )
@@ -241,7 +241,8 @@ def test_frailty_cohort_degenerate_matches_exponential():
 
 
 def test_frailty_cohort_exposure_grid_mismatch():
-    spec = hz.ConditionalHazardSpec.from_callable(lambda t, a: 0.3, T_MAX, STEP)
+    h = hz.GridFunction.constant(T_MAX, STEP, 0.3)
+    spec = hz.ConditionalHazardSpec(h0=h, h1=h)
     expo = hz.GridFunction.constant(T_MAX, 0.01, 0.3)
     with pytest.raises(ValueError):
         sample_frailty_cohort(spec, hz.DegenerateFrailty(1.0), expo, SimConfig(n=10, seed=1))
@@ -289,9 +290,8 @@ def test_gamma_frailty_cohort_golden():
 def test_frailty_cohort_with_time_varying_h1_golden():
     # the golden of the Markov-kernel inversion after initiation, with
     # the gamma bisection before it
-    spec = hz.ConditionalHazardSpec.from_callable(
-        lambda t, a: 0.2 + 0.3 * t if a else 0.4, T_MAX, STEP
-    )
+    h0 = hz.GridFunction.constant(T_MAX, STEP, 0.4)
+    spec = hz.ConditionalHazardSpec(h0=h0, h1=h0.with_values(0.2 + 0.3 * h0.times))
     expo = hz.GridFunction.constant(T_MAX, STEP, 0.5)
     cohort = sample_frailty_cohort(
         spec, hz.GammaFrailty(variance=0.8), expo, SimConfig(n=2_000, seed=12)

@@ -18,9 +18,11 @@ check, this parses each module with ``ast`` and needs no linter.
 The method check matches attribute names only, not the objects they
 are read from.  A method whose name some other object's attribute
 shares therefore counts as used: a ``kind`` property would pass on
-``dtype.kind`` and a ``u`` property on ``args.u``.  The function and
-class check follows each name to its module, so a dead function whose
-name a method shares is still found.
+``dtype.kind`` and a ``u`` property on ``args.u``.  A read of ``.name``
+inside a function itself called ``name`` does not count, so two
+same-named methods where one only calls the other are both found.  The
+function and class check follows each name to its module, so a dead
+function whose name a method shares is still found.
 """
 
 import ast
@@ -138,17 +140,27 @@ def unused_public_names(src: Path) -> list[str]:
     ]
 
 
+def _attribute_reads(node, enclosing=frozenset()) -> set[str]:
+    """Attribute names read in ``node``, leaving out a read of ``.name``
+    inside a function itself called ``name``: a method that only hands
+    on to its namesake on another class makes neither of them used."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        enclosing = enclosing | {node.name}
+    reads = set()
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        if node.attr not in enclosing:
+            reads.add(node.attr)
+    for child in ast.iter_child_nodes(node):
+        reads |= _attribute_reads(child, enclosing)
+    return reads
+
+
 def unused_public_methods(src: Path) -> list[str]:
     """``module.py:line Class.name`` for each public method or property
     of a class in ``src`` whose name no module of ``src`` reads as an
-    attribute."""
+    attribute (``_attribute_reads``)."""
     trees = _modules(src)
-    loaded = {
-        node.attr
-        for tree in trees.values()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-    }
+    loaded = set().union(*(_attribute_reads(tree) for tree in trees.values()))
     return [
         f"{module}:{item.lineno} {cls.name}.{item.name}"
         for module, tree in trees.items()
@@ -230,3 +242,20 @@ def test_an_unused_method_is_found(tmp_path):
     )
     (tmp_path / "plain.py").write_text("class Dot:\n    def size(self):\n        return 0\n")
     assert unused_public_methods(tmp_path) == ["plain.py:2 Dot.size"]
+
+
+def test_a_method_read_only_by_its_namesake_is_found(tmp_path):
+    (tmp_path / "grids.py").write_text(
+        "class Grid:\n"
+        "    @classmethod\n    def sample(cls, fn):\n        return cls()\n\n"
+        "    def total(self):\n        return 0\n\n\n"
+        "class Spec:\n"
+        "    @classmethod\n    def sample(cls, fn):\n"
+        "        return cls(Grid.sample(lambda t: fn(t, 0)))\n\n"
+        "    def total(self, grid):\n        return grid.total()\n\n\n"
+        "def run(spec, grid):\n    return spec.total(grid)\n"
+    )
+    assert unused_public_methods(tmp_path) == [
+        "grids.py:3 Grid.sample",
+        "grids.py:12 Spec.sample",
+    ]
