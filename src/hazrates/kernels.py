@@ -42,7 +42,8 @@ class HazardKernel(ABC):
     @abstractmethod
     def invert_cumulative(self, u, e):
         """Smallest t >= u with cumulative(u, t) >= e, or +inf when no
-        such time exists.  Vectorized over matching u and e arrays."""
+        such time exists.  Vectorized over matching u and e arrays;
+        ValueError if any e is negative or NaN."""
 
     def grid_spec(self) -> tuple[float, float] | None:
         """(t_max, step) for grid-backed kernels, else None."""
@@ -112,7 +113,7 @@ class TwoPieceKernel(HazardKernel):
     def invert_cumulative(self, u, e):
         u = np.asarray(u, dtype=float)
         e = np.asarray(e, dtype=float)
-        if np.any(e < 0):
+        if np.any(~(e >= 0)):  # NaN too
             raise ValueError("threshold must be nonnegative")
         cap = self.early * self.lag
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -190,11 +191,11 @@ class MarkovKernel(HazardKernel):
 
     def invert_cumulative(self, u, e):
         u_b, e_b, scalar = _broadcast_pair(u, e)
-        if np.any(e_b < 0):
+        if np.any(~(e_b >= 0)):  # NaN too
             raise ValueError("threshold must be nonnegative")
         cum = self._cum
         target = np.asarray(cum(u_b), dtype=float) + e_b
-        t = first_crossing(cum.values.__getitem__, cum.n_nodes, cum.step, target)
+        t, _ = first_crossing(cum.values.__getitem__, cum.n_nodes, cum.step, target)
         out = np.where(np.isnan(t), np.inf, np.maximum(t, u_b))  # max: roundoff at e ~ 0
         return float(out[0]) if scalar else out
 
@@ -293,9 +294,9 @@ class GridKernel(HazardKernel):
 
     def invert_cumulative(self, u, e):
         u_b, e_b, scalar = _broadcast_pair(u, e)
-        if np.any(e_b < 0):
+        if np.any(~(e_b >= 0)):  # NaN too
             raise ValueError("threshold must be nonnegative")
-        t = first_crossing(self._from_u(u_b), self._times.size, self.step, e_b)
+        t, _ = first_crossing(self._from_u(u_b), self._times.size, self.step, e_b)
         out = np.where(np.isnan(t), np.inf, np.maximum(t, u_b))
         return float(out[0]) if scalar else out
 

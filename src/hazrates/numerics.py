@@ -33,8 +33,11 @@ class SolverConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
 
 
-def first_crossing(value_at, n_nodes: int, step: float, e: np.ndarray) -> np.ndarray:
-    """First time each linearly interpolated node function reaches e.
+def first_crossing(
+    value_at, n_nodes: int, step: float, e: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """First time each linearly interpolated node function reaches e,
+    and the grid cell searched for it.
 
     ``value_at(node)`` gives, for an index array aligned with ``e``,
     each entry's own nondecreasing node function at that index, for
@@ -43,6 +46,10 @@ def first_crossing(value_at, n_nodes: int, step: float, e: np.ndarray) -> np.nda
     (O(len(e) * log n_nodes)); the crossing is interpolated within the
     cell ending at that node.  It is 0 where node 0 already reaches e
     and NaN where no node does.
+
+    Returns ``(t, cell)``: ``cell`` is the index of that cell's first
+    node, clipped to 0 <= cell <= n_nodes - 2, so t lies in
+    [cell * step, (cell + 1) * step] wherever it is finite.
     """
     # idx = number of nodes still below e; a probe past the last node
     # reads the last node, so idx only runs past it when no node reaches e
@@ -54,10 +61,13 @@ def first_crossing(value_at, n_nodes: int, step: float, e: np.ndarray) -> np.nda
         node = idx + (half - 1)
         np.minimum(node, n_nodes - 1, out=node)
         idx += half * (value_at(node) < e)
-    hi = np.clip(idx, 1, n_nodes - 1)
-    v_lo = value_at(hi - 1)
-    # v_lo < e <= value_at(hi) wherever 0 < idx < n_nodes, so only the
-    # entries replaced below can divide by zero
+    cell = np.clip(idx, 1, n_nodes - 1)
+    cell -= 1
+    v_lo = value_at(cell)
+    # v_lo < e <= value_at(cell + 1) wherever 0 < idx < n_nodes, so only
+    # the entries replaced below can divide by zero
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = (hi - 1) * step + (e - v_lo) / (value_at(hi) - v_lo) * step
-    return np.where(idx == 0, 0.0, np.where(idx < n_nodes, t, np.nan))
+        t = cell * step + (e - v_lo) / (value_at(cell + 1) - v_lo) * step
+    t[idx == 0] = 0.0
+    t[idx >= n_nodes] = np.nan
+    return t, cell

@@ -62,13 +62,17 @@ def _rng(seed: int) -> np.random.Generator:
 def _exit_times(
     step: float, e0: np.ndarray, z: Optional[np.ndarray],
     lam01_cum: np.ndarray, lam02_cum: np.ndarray,
-) -> np.ndarray:
-    """First time the state-0 exit cumulative reaches e0 (NaN if never).
+) -> tuple[np.ndarray, np.ndarray]:
+    """First time the state-0 exit cumulative reaches e0 (NaN if never),
+    and the grid cell holding it.
 
     Without frailty the cumulative lam01_cum + lam02_cum is shared by
     all subjects; with frailty it is lam01_cum + z * lam02_cum per
     subject.  Either is nondecreasing along the grid, and
-    ``first_crossing`` finds every subject's crossing at once.
+    ``first_crossing`` finds every subject's crossing at once.  The
+    cell is the one ``np.interp`` reads the exit time in: t lies in
+    [cell * step, (cell + 1) * step), or on the last node; it is 0
+    where no exit comes.
     """
     if z is None:
         value_at = (lam01_cum + lam02_cum).__getitem__
@@ -76,7 +80,44 @@ def _exit_times(
         def value_at(node):
             return lam01_cum[node] + z * lam02_cum[node]
 
-    return first_crossing(value_at, lam01_cum.size, step, e0)
+    t, cell = first_crossing(value_at, lam01_cum.size, step, e0)
+    # a crossing at the far edge of its cell lies on the next node
+    cell += t >= (cell + 1) * step
+    cell[np.isnan(t)] = 0
+    return t, cell
+
+
+def _in_cell(f: GridFunction, cell: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """f(t) for each t in grid cell [times[cell], times[cell + 1]) (or on
+    the last node), by np.interp's own arithmetic, so it equals f(t)
+    bit for bit without searching the grid again."""
+    xp, v = f.times, f.values
+    slope = np.append(np.diff(v) / np.diff(xp), 0.0)
+    out = t - xp[cell]
+    out *= slope[cell]
+    out += v[cell]
+    return out
+
+
+def _treat_probability(
+    model: IllnessDeathModel, z: Optional[np.ndarray], cell: np.ndarray, t: np.ndarray
+) -> np.ndarray:
+    """lam01 / (lam01 + z*lam02) at each exit time t, in its grid cell.
+
+    The hazards are nonnegative, so where the total vanishes lam01 is 0
+    and so is the probability.  Working in place frees every temporary
+    before the caller goes on to the death times.
+    """
+    lam01 = _in_cell(model.lambda01, cell, t)
+    if model.lambda02.step == model.step:
+        lam02 = _in_cell(model.lambda02, cell, t)
+    else:  # the same grid only within NODE_TOL: its nodes lie elsewhere
+        lam02 = model.lambda02(t)
+    if z is not None:
+        lam02 *= z
+    lam02 += lam01
+    np.divide(lam01, lam02, out=lam01, where=lam02 > 0)
+    return lam01
 
 
 def _assemble(
@@ -119,7 +160,9 @@ def simulate_cohort(model: IllnessDeathModel, config: SimConfig) -> Cohort:
     death clock (and the frailty value first when applicable).  The exit
     time solves Lam01 + z*Lam02 >= e; the cause at the drawn time is
     treatment with probability lam01 / (lam01 + z*lam02), the exact
-    ratio of the competing intensities there.
+    ratio of the competing intensities there.  Both hazards are read in
+    the grid cell the exit search found, with the arithmetic of
+    ``GridFunction.__call__``, so the grid is searched once per subject.
     """
     rng = _rng(config.seed)
     n = config.n
@@ -130,15 +173,11 @@ def simulate_cohort(model: IllnessDeathModel, config: SimConfig) -> Cohort:
 
     lam01_cum = cumulative(model.lambda01).values
     lam02_cum = cumulative(model.lambda02).values
-    t_exit = _exit_times(model.step, e0, z, lam01_cum, lam02_cum)
-
+    t_exit, cell = _exit_times(model.step, e0, z, lam01_cum, lam02_cum)
+    del e0
     t_safe = np.where(np.isnan(t_exit), 0.0, t_exit)
-    lam01_at = model.lambda01(t_safe)
-    lam02_at = model.lambda02(t_safe) * (1.0 if z is None else z)
-    total = lam01_at + lam02_at
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p_treat = np.where(total > 0, lam01_at / np.where(total > 0, total, 1.0), 0.0)
-    is_treat = cause_coin < p_treat
+    is_treat = cause_coin < _treat_probability(model, z, cell, t_safe)
+    del cause_coin, cell
 
     t_death_treated = np.full(n, np.inf)
     treated = is_treat & ~np.isnan(t_exit)

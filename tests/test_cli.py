@@ -409,6 +409,22 @@ class TestErrors:
         assert err.startswith("error: the grid needs at least two nodes; t_max=")
         assert "step=" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "message",
+        ["Unable to allocate 22.4 GiB for an array with shape (3000000001,)", ""],
+    )
+    def test_memory_error_is_one_error_line(self, monkeypatch, capsys, message):
+        # a patched builder raises what numpy raises for a grid too large
+        # to allocate; nothing is allocated for real
+        def build(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(hazrates.construct, "build", build)
+        assert run_cli("construct") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+        assert message in err
+
     @pytest.mark.parametrize("first", ["0.001", "0.5"])
     def test_simulate_rejects_a_model_grid_not_starting_at_0(self, tmp_path, capsys, first):
         shifted = tmp_path / "shifted.csv"

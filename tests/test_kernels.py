@@ -214,6 +214,27 @@ class TestGridKernel:
             kernel.cumulative_grid(np.arange(5) * 0.1)
 
 
+def _kernels():
+    """One kernel of each kind on a coarse grid over [0, 2]."""
+    rate = GridFunction.constant(2.0, 0.05, 0.3)
+    return {
+        "two_piece": TwoPieceKernel(early=0.4, late=0.2, lag=1.0),
+        "markov": MarkovKernel(rate),
+        "grid": GridKernel(2.0, 0.05, np.full((rate.n_nodes, rate.n_nodes), 0.3)),
+    }
+
+
+@pytest.mark.parametrize("name", ["two_piece", "markov", "grid"])
+def test_invert_cumulative_rejects_a_nan_threshold(name):
+    # a NaN threshold is no death time; the grid kernels used to return
+    # u, a death at the initiation instant, and the closed form NaN
+    kernel = _kernels()[name]
+    for e in (np.nan, np.array([0.2, np.nan])):
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            kernel.invert_cumulative(0.5, e)
+    assert kernel.invert_cumulative(0.5, np.inf) == np.inf
+
+
 def test_sampled_grid_kernel_tracks_its_source(two_piece):
     # crossing the lag discontinuity costs one half jump cell,
     # 0.5 * (0.4 - 0.2) * step = 5e-3; elsewhere the copy is exact

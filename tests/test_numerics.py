@@ -7,7 +7,8 @@ from hazrates.numerics import SolverConfig, first_crossing
 
 
 def _invert(values, step, e):
-    return first_crossing(values.__getitem__, values.size, step, e)
+    t, _ = first_crossing(values.__getitem__, values.size, step, e)
+    return t
 
 
 def test_solver_config_validation():
@@ -54,4 +55,7 @@ def test_first_crossing_matches_searchsorted(n_nodes):
         ])
         step = rng.uniform(0.001, 0.1)
         want = searchsorted_crossing(values, step, e)
-        assert np.array_equal(_invert(values, step, e), want, equal_nan=True)
+        t, cell = first_crossing(values.__getitem__, values.size, step, e)
+        assert np.array_equal(t, want, equal_nan=True)
+        want_cell = np.clip(np.searchsorted(values, e, side="left"), 1, n_nodes - 1) - 1
+        assert np.array_equal(cell, want_cell)

@@ -8,10 +8,15 @@ import pytest
 from conftest import STEP, T_MAX
 
 import hazrates as hz
+from hazrates.grid import cumulative
 from hazrates.model import _CHUNK, CountingTable
+from hazrates.numerics import first_crossing
 from hazrates.rates import _initiation_density, kernel_quadrature, rate_treated
 from hazrates.simulate import (
     SimConfig,
+    _exit_times,
+    _in_cell,
+    _treat_probability,
     sample_frailty_cohort,
     simulate_cohort,
     to_counting_rows,
@@ -272,6 +277,80 @@ def test_unit_point_mass_frailty_matches_no_frailty(model):
     for name in ("id", "u_init", "t_event", "event"):
         assert np.array_equal(getattr(unit, name), getattr(plain, name), equal_nan=True), name
     assert np.all(unit.frailty == 1.0) and np.all(np.isnan(plain.frailty))
+
+
+def _exit_cells(model, e0, z=None):
+    """Exit times and cells as ``simulate_cohort`` finds them."""
+    return _exit_times(
+        model.step, e0, z, cumulative(model.lambda01).values, cumulative(model.lambda02).values
+    )
+
+
+def _assert_cell_reads_equal_calls(model, t, cell):
+    t_safe = np.where(np.isnan(t), 0.0, t)
+    for f in (model.lambda01, model.lambda02):
+        assert np.array_equal(_in_cell(f, cell, t_safe), f(t_safe))
+
+
+@pytest.mark.parametrize("frailty", [None, hz.GammaFrailty(variance=1.0)])
+def test_hazards_read_in_the_exit_cell_equal_the_grid_functions(model, frailty):
+    rng = np.random.default_rng(4)
+    n = 200_000
+    z = None if frailty is None else frailty.sample(rng, n)
+    t, cell = _exit_cells(model, rng.exponential(size=n), z)
+    assert np.any(np.isnan(t)) and np.any(np.isfinite(t))
+    _assert_cell_reads_equal_calls(model, t, cell)
+
+
+def test_hazards_read_in_the_exit_cell_at_planted_edges(model):
+    exit_cum = cumulative(model.lambda01).values + cumulative(model.lambda02).values
+    # every node value: a crossing with weight 1 at the far edge of its
+    # cell, which lands on the node, or one ulp either side of it; node
+    # 0 (t = 0), the last node (t = t_max), and past it (no exit)
+    e0 = np.concatenate([exit_cum, [0.0, exit_cum[-1], 2.0 * exit_cum[-1]]])
+    t, cell = _exit_cells(model, e0)
+    raw_cell = first_crossing(exit_cum.__getitem__, exit_cum.size, model.step, e0)[1]
+    assert t[-3] == 0.0 and np.isnan(t[-1])
+    assert np.any(t == model.times[-1]) and np.any(t[1:-3] == model.times[1:])
+    assert np.any(cell > raw_cell)  # the far-edge case moves to the next cell
+    _assert_cell_reads_equal_calls(model, t, cell)
+
+
+@pytest.mark.parametrize("frailty", [None, hz.GammaFrailty(variance=1.0)])
+@pytest.mark.parametrize("offset_step", [False, True])
+def test_treat_probability_is_the_hazard_ratio(model, frailty, offset_step):
+    # with lambda02's step 5e-10 short of lambda01's the grids match only
+    # within NODE_TOL, so crossings at lambda01's nodes fall in other
+    # cells of lambda02's grid, and lambda02 must be called there
+    if offset_step:
+        lam02 = model.lambda02
+        model = replace(
+            model, lambda02=hz.GridFunction(lam02.t_max, lam02.step - 5e-10, lam02.values)
+        )
+    exit_cum = cumulative(model.lambda01).values + cumulative(model.lambda02).values
+    rng = np.random.default_rng(6)
+    e0 = np.concatenate([rng.exponential(size=50_000), exit_cum])
+    z = None if frailty is None else frailty.sample(rng, e0.size)
+    t, cell = _exit_cells(model, e0, z)
+    t_safe = np.where(np.isnan(t), 0.0, t)
+    lam01, lam02 = model.lambda01(t_safe), model.lambda02(t_safe) * (1.0 if z is None else z)
+    total = lam01 + lam02
+    want = np.where(total > 0, lam01 / np.where(total > 0, total, 1.0), 0.0)
+    assert np.array_equal(_treat_probability(model, z, cell, t_safe), want)
+
+
+@pytest.mark.parametrize("frailty", [None, hz.GammaFrailty(variance=1.0)])
+def test_simulate_cohort_peak_memory(model, frailty):
+    # the returned cohort holds 5 columns of n; the draws, the exit search
+    # and the death inversion must not keep much more alive at once
+    n = 200_000
+    tracemalloc.start()
+    try:
+        simulate_cohort(model, SimConfig(n=n, seed=3, frailty=frailty))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8 * n, f"peaked at {peak / (8 * n):.1f} float arrays of length n"
 
 
 def test_gamma_frailty_cohort_golden():
