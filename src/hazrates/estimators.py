@@ -8,7 +8,9 @@ the row where the event occurs.  Risk sets are evaluated by binary
 search over the sorted start and stop arrays, which keeps every
 estimator O(n log n) in the number of rows.  Both Cox models (current
 level, and with time since initiation) also read one row index, built
-by each fit from the risk table's event times.
+by each fit from the risk table's event times and each event row's
+index among them, and sum their robust score residuals within subject
+one covariate column at a time.
 """
 
 from __future__ import annotations
@@ -104,12 +106,12 @@ def _risk_counts(starts_sorted: np.ndarray, stops_sorted: np.ndarray, times: np.
 def _risk_table(rows: Sequence[CountingRow]):
     """Risk-set statistics at every unique event time, for both levels.
 
-    Returns (times, d0, d1, y0, y1): the sorted unique event stops, the
-    untreated and treated event counts there, and the untreated and
-    treated at-risk counts Y_a(t).  Every estimator except the
-    duration-augmented Cox model is a function of these five arrays.
-    They are computed once per CountingTable and kept on it, read-only,
-    so the estimators run on one table share them.
+    Returns (times, d0, d1, y0, y1, kidx): the sorted unique event
+    stops, the untreated and treated event counts and at-risk counts
+    Y_a(t) there, and each event row's index into times.  Every
+    estimator except the duration-augmented Cox model is a function of
+    the first five.  They are computed once per CountingTable and kept
+    on it, read-only, so the estimators run on one table share them.
     """
     table = CountingTable.coerce(rows)
     return table._cached("_risk_table", lambda: _risk_arrays(table.columns))
@@ -125,18 +127,24 @@ def _risk_arrays(col: dict[str, np.ndarray]) -> tuple[np.ndarray, ...]:
         .astype(float)
         for in_level in (col["treat"] == 0, col["treat"] == 1)
     )
-    return times, d - d1, d1, y0, y1
+    return times, d - d1, d1, y0, y1, kidx
 
 
-def _index_arrays(col: dict[str, np.ndarray], times: np.ndarray) -> tuple[np.ndarray, ...]:
+def _index_arrays(col: dict[str, np.ndarray], risk) -> tuple[np.ndarray, ...]:
     """The Cox fits' row index (lo, hi, event_k, subject): times[lo:hi]
     are the event times in each row's (start, stop], event_k is each
     event row's event-time index, and subject codes the ids 0, 1, ...
+    Event times are positive, so a zero start has lo = 0, and an event
+    row's hi is event_k + 1: only the other bounds are searched.
     """
-    lo = np.searchsorted(times, col["start"], side="right")
-    hi = np.searchsorted(times, col["stop"], side="right")
-    # an event row's stop is itself an event time, the last one <= stop
-    event_k = hi[col["event"]] - 1
+    times, *_, event_k = risk
+    start, stop, ev = col["start"], col["stop"], col["event"]
+    lo = np.zeros(start.size, dtype=np.intp)
+    late = start > 0.0
+    lo[late] = np.searchsorted(times, start[late], side="right")
+    hi = np.empty(stop.size, dtype=np.intp)
+    hi[ev] = event_k + 1
+    hi[~ev] = np.searchsorted(times, stop[~ev], side="right")
     _, subject = np.unique(col["id"], return_inverse=True)
     return lo, hi, event_k, subject
 
@@ -144,7 +152,7 @@ def _index_arrays(col: dict[str, np.ndarray], times: np.ndarray) -> tuple[np.nda
 def _level_jumps(rows: Sequence[CountingRow]) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Per level: the times with a level-a event and a nonempty risk set,
     and the ratios dN_a / Y_a there."""
-    times, d0, d1, y0, y1 = _risk_table(rows)
+    times, d0, d1, y0, y1, _ = _risk_table(rows)
     out = {}
     for level, d, y in ((0, d0, y0), (1, d1, y1)):
         keep = (d > 0) & (y > 0)
@@ -176,35 +184,28 @@ def extended_km(rows: Sequence[CountingRow]) -> dict[int, StepFunction]:
     }
 
 
-def _initiation_by_subject(col: dict[str, np.ndarray], subject: np.ndarray) -> np.ndarray:
-    """Per-row initiation time: the subject's earliest treated-row start.
-
-    Untreated rows of never-treated subjects get +inf (never used: the
-    duration covariate is zero off treatment).
-    """
+def _initiation_times(col: dict[str, np.ndarray], subject: np.ndarray, treated) -> np.ndarray:
+    """Each treated row's initiation time: its subject's earliest treated-row start."""
     u_by_subject = np.full(subject.max() + 1, np.inf)
-    treated = col["treat"] == 1
     np.minimum.at(u_by_subject, subject[treated], col["start"][treated])
-    return u_by_subject[subject]
+    return u_by_subject[subject[treated]]
 
 
 def _padded_cumsum(x: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(x)])
 
 
-def _range_sums(prefix: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    return prefix[hi] - prefix[lo]
-
-
-def _group_by_subject(subject: np.ndarray, contributions: np.ndarray) -> np.ndarray:
-    """Sum per-row score contributions, one column per covariate, within subject."""
-    return np.stack([np.bincount(subject, weights=c) for c in contributions.T], axis=1)
+def _range_sums(prefix: np.ndarray, lo: np.ndarray, hi: np.ndarray, rows=slice(None)):
+    """prefix[hi] - prefix[lo] over ``rows``, subtracted in place."""
+    out = prefix[hi[rows]]
+    out -= prefix[lo[rows]]
+    return out
 
 
 def _current_level_parts(table, beta: float):
     """(loglik, score, info, s0, xbar) of the current-level Breslow
     partial likelihood at beta, from the risk table."""
-    _, d0, d1, y0, y1 = table
+    _, d0, d1, y0, y1, _ = table
     d = d0 + d1
     theta = np.exp(beta)
     s0 = y0 + theta * y1
@@ -221,7 +222,7 @@ def _require_both_strata(d0: np.ndarray, d1: np.ndarray) -> None:
 
 
 def _fit_current_level(col: dict[str, np.ndarray], risk, index) -> CoxFit:
-    _, d0, d1, _, _ = risk
+    _, d0, d1, _, _, _ = risk
     _require_both_strata(d0, d1)
 
     beta = 0.0
@@ -242,18 +243,17 @@ def _fit_current_level(col: dict[str, np.ndarray], risk, index) -> CoxFit:
     # Robust part: per-row score residuals, summed within subject.
     # Expected-part sums over event times in (start, stop] come from
     # prefix sums over the unique-time axis.
-    d = d0 + d1
-    p_ds0 = _padded_cumsum(d / s0)
-    p_xbar = _padded_cumsum(d * xbar / s0)
     lo, hi, event_k, subject = index
-    a = col["treat"].astype(float)
-    expected = np.exp(beta * a) * (
-        a * _range_sums(p_ds0, lo, hi) - _range_sums(p_xbar, lo, hi)
-    )
-    observed = np.zeros(a.size)
-    ev = col["event"]
-    observed[ev] = a[ev] - xbar[event_k]
-    u_i = _group_by_subject(subject, (observed - expected)[:, None])
+    treat, ev = col["treat"], col["event"]
+    d = d0 + d1
+    residual = np.zeros(treat.size)
+    residual[ev] = treat[ev] - xbar[event_k]
+    expected = _range_sums(_padded_cumsum(d / s0), lo, hi)
+    expected *= treat
+    expected -= _range_sums(_padded_cumsum(d * xbar / s0), lo, hi)
+    expected *= np.exp(beta * treat)
+    residual -= expected
+    u_i = np.bincount(subject, weights=residual)
     robust_var = float(np.sum(u_i**2)) / info**2
     return CoxFit(
         beta_hat=float(beta),
@@ -264,75 +264,75 @@ def _fit_current_level(col: dict[str, np.ndarray], risk, index) -> CoxFit:
     )
 
 
-def _treated_risk_sums(col: dict[str, np.ndarray], u_row: np.ndarray, times: np.ndarray):
-    """The function gamma -> (T0, T1, T2) at ``times``.
+def _duration_parts(col: dict[str, np.ndarray], treated, u: np.ndarray, risk):
+    """The function theta -> (s0, xbar, info) of the duration-augmented
+    partial likelihood at theta = (beta, gamma): risk-set sums, means of
+    (level, time since initiation) at each event time, and information.
 
-    T_k(t) sums e^{-gamma*u} * u^k over treated rows at risk at t, as
-    entered-minus-exited differences of prefix sums kept in start order
-    and in stop order.  The sort orders and the risk-set positions do
-    not depend on gamma, so they are computed once here.
+    A treated row with initiation time u (``u``, in treated-row order)
+    weighs e^{beta + gamma*(t - u)} = e^{beta + gamma*t} e^{-gamma*u} at
+    event time t, so the risk-set sums reduce to T_k(t), the sums of
+    e^{-gamma*u} * u^k over treated rows at risk at t: differences of
+    prefix sums in start and in stop order, whose sort orders and
+    risk-set positions are computed once here.
     """
-    treated = col["treat"] == 1
-    u = u_row[treated]
-    uu = u * u
+    uniq, d0, d1, y0, _, _ = risk
+    d = d0 + d1
     sides = []
     for key in ("start", "stop"):
         bounds = col[key][treated]
         order = np.argsort(bounds, kind="stable")
-        sides.append((order, np.searchsorted(bounds[order], times, side="left")))
+        sides.append((order, np.searchsorted(bounds[order], uniq, side="left")))
     (in_order, entered), (out_order, exited) = sides
 
-    def sums(gamma: float):
+    def parts(theta: np.ndarray):
+        beta, gamma = theta
         w = np.exp(-gamma * u)
-        return tuple(
+        t0, t1, t2 = (
             _padded_cumsum(m[in_order])[entered] - _padded_cumsum(m[out_order])[exited]
-            for m in (w, u * w, uu * w)
+            for m in (w, u * w, u * u * w)
         )
+        w = np.exp(beta + gamma * uniq)
+        # risk-set moments of (1, t - u) under the exponential weight
+        m1a = w * t0
+        s0 = y0 + m1a
+        m1b = w * (uniq * t0 - t1)
+        m2bb = w * (uniq**2 * t0 - 2 * uniq * t1 + t2)
+        xbar = np.stack([m1a / s0, m1b / s0], axis=1)
+        i00 = np.sum(d * (m1a / s0 - xbar[:, 0] ** 2))
+        i01 = np.sum(d * (m1b / s0 - xbar[:, 0] * xbar[:, 1]))
+        i11 = np.sum(d * (m2bb / s0 - xbar[:, 1] ** 2))
+        return s0, xbar, np.array([[i00, i01], [i01, i11]])
 
-    return sums
+    return parts
 
 
 def _fit_duration(col: dict[str, np.ndarray], risk, index) -> CoxFit:
-    """Two-covariate model: current level and time since initiation.
-
-    At an event time t a treated row contributes weight
-    e^{beta + gamma*(t - u)} = e^{beta + gamma*t} e^{-gamma*u}, so the
-    risk-set sums reduce to prefix sums of e^{-gamma*u} moments.
-    """
-    uniq, d0, d1, y0, _ = risk
+    """Two-covariate model: current level and time since initiation."""
+    uniq, d0, d1, _, _, _ = risk
     lo, hi, event_k, subject = index
     _require_both_strata(d0, d1)
     d = d0 + d1
-    u_row = _initiation_by_subject(col, subject)
-    treated_sums = _treated_risk_sums(col, u_row, uniq)
-    # per-event covariates (level, time since initiation) in row order,
-    # and in event-time order for the score and log-likelihood sums
-    ev = col["event"]
-    a = col["treat"].astype(float)
-    tr = col["treat"] == 1
-    x_ev = np.stack([a[ev], np.where(tr[ev], col["stop"][ev] - u_row[ev], 0.0)], axis=1)
-    ev_x = x_ev[np.argsort(event_k, kind="stable")]
-    sum_ev_x = ev_x.sum(axis=0)
+    ev, treat = col["event"], col["treat"]
+    tr = treat == 1
+    u_tr = _initiation_times(col, subject, tr)
+    parts = _duration_parts(col, tr, u_tr, risk)
+    # per-event covariates (level, time since initiation) in row order;
+    # the score and log-likelihood sum them in event-time order
+    x_ev = np.zeros((event_k.size, 2))
+    x_ev[:, 0] = treat[ev]
+    x_ev[tr[ev], 1] = col["stop"][ev & tr] - u_tr[ev[tr]]
+    by_time = np.argsort(event_k, kind="stable")
+    sum_ev_x = x_ev[by_time].sum(axis=0)
 
     theta = np.zeros(2)
     iterations = 0
     for _ in range(_MAX_NEWTON):
-        beta, gamma = theta
-        t0, t1, t2 = treated_sums(gamma)
-        w = np.exp(beta + gamma * uniq)
-        s0 = y0 + w * t0
-        # risk-set moments of (1, t - u) under the exponential weight
-        m1a = w * t0
-        m1b = w * (uniq * t0 - t1)
-        m2bb = w * (uniq**2 * t0 - 2 * uniq * t1 + t2)
-        xbar = np.stack([m1a / s0, m1b / s0], axis=1)
+        s0, xbar, info = parts(theta)
         score = sum_ev_x - np.array([np.sum(d * xbar[:, 0]), np.sum(d * xbar[:, 1])])
-        i00 = np.sum(d * (m1a / s0 - xbar[:, 0] ** 2))
-        i01 = np.sum(d * (m1b / s0 - xbar[:, 0] * xbar[:, 1]))
-        i11 = np.sum(d * (m2bb / s0 - xbar[:, 1] ** 2))
-        info = np.array([[i00, i01], [i01, i11]])
         if np.max(np.abs(score)) < _SCORE_TOL:
             break
+        del s0, xbar  # before the next iteration makes its own
         try:
             delta = np.linalg.solve(info, score)
         except np.linalg.LinAlgError as err:
@@ -343,36 +343,35 @@ def _fit_duration(col: dict[str, np.ndarray], risk, index) -> CoxFit:
             raise ConvergenceError("divergent coefficient: monotone partial likelihood")
     else:
         raise ConvergenceError(f"no convergence in {_MAX_NEWTON} Newton steps")
-
+    loglik = float(np.sum(x_ev[by_time] @ theta) - np.sum(d * np.log(s0)))
+    del parts, by_time  # the treated rows' sort orders go with parts
     beta, gamma = theta
-    loglik = float(np.sum(ev_x @ theta) - np.sum(d * np.log(s0)))
     cov_model = np.linalg.inv(info)
 
-    # Robust part.  Prefix sums over unique event times; treated rows
-    # need the e^{gamma*t_k} weighted variants.
+    # Robust part, one covariate at a time: per-row score residuals,
+    # summed within subject.  Expected-part sums over the event times
+    # in (start, stop] come from prefix sums over the unique times;
+    # treated rows need the e^{gamma*t_k} weighted variants.
     egt = np.exp(gamma * uniq)
-    p = {
-        "q0": _padded_cumsum(d * egt / s0),
-        "qt": _padded_cumsum(d * uniq * egt / s0),
-        "qx1": _padded_cumsum(d * egt * xbar[:, 0] / s0),
-        "qx2": _padded_cumsum(d * egt * xbar[:, 1] / s0),
-        "px1": _padded_cumsum(d * xbar[:, 0] / s0),
-        "px2": _padded_cumsum(d * xbar[:, 1] / s0),
-    }
-    expected = np.zeros((a.size, 2))
-    lo_tr, hi_tr = lo[tr], hi[tr]
-    q0 = _range_sums(p["q0"], lo_tr, hi_tr)
-    w_tr = np.exp(beta - gamma * u_row[tr])
-    expected[tr, 0] = w_tr * (q0 - _range_sums(p["qx1"], lo_tr, hi_tr))
-    expected[tr, 1] = w_tr * (
-        _range_sums(p["qt"], lo_tr, hi_tr) - _range_sums(p["qx2"], lo_tr, hi_tr) - u_row[tr] * q0
+    w_tr = np.exp(beta - gamma * u_tr)
+
+    def over(rows, terms):
+        return _range_sums(_padded_cumsum(terms), lo, hi, rows)
+
+    def subject_residuals(c, expected_tr):
+        residual = np.zeros(ev.size)
+        residual[ev] = x_ev[:, c] - xbar[event_k, c]
+        residual[tr] -= expected_tr
+        # an untreated row's expected part is minus these sums
+        residual[~tr] += over(~tr, d * xbar[:, c] / s0)
+        return np.bincount(subject, weights=residual)
+
+    q0 = over(tr, d * egt / s0)
+    u_level = subject_residuals(0, w_tr * (q0 - over(tr, d * egt * xbar[:, 0] / s0)))
+    u_duration = subject_residuals(
+        1, w_tr * (over(tr, d * uniq * egt / s0) - over(tr, d * egt * xbar[:, 1] / s0) - u_tr * q0)
     )
-    un = ~tr
-    expected[un, 0] = -_range_sums(p["px1"], lo[un], hi[un])
-    expected[un, 1] = -_range_sums(p["px2"], lo[un], hi[un])
-    observed = np.zeros((a.size, 2))
-    observed[ev] = x_ev - xbar[event_k]
-    u_i = _group_by_subject(subject, observed - expected)
+    u_i = np.stack([u_level, u_duration], axis=1)
     meat = u_i.T @ u_i
     cov_robust = cov_model @ meat @ cov_model
     return CoxFit(
@@ -399,7 +398,7 @@ def cox_fit(rows: Sequence[CountingRow], covariates: str = "current") -> CoxFit:
         raise ValueError("need at least one event to fit")
     fit = _fit_current_level if covariates == "current" else _fit_duration
     risk = _risk_table(rows)
-    return fit(rows.columns, risk, _index_arrays(rows.columns, risk[0]))
+    return fit(rows.columns, risk, _index_arrays(rows.columns, risk))
 
 
 def cox_loglik_parts(rows: Sequence[CountingRow], beta: float) -> tuple[float, float, float]:
@@ -424,7 +423,7 @@ def aalen_additive(rows: Sequence[CountingRow]) -> AalenAdditiveFit:
     the union of the event times, so B0 is that estimator's untreated
     curve exactly, not merely to rounding.
     """
-    times, d0, d1, y0, y1 = _risk_table(rows)
+    times, d0, d1, y0, y1, _ = _risk_table(rows)
     jump0 = np.where(d0 > 0, d0 / np.where(y0 > 0, y0, 1.0), 0.0)
     jump1 = np.where(d1 > 0, d1 / np.where(y1 > 0, y1, 1.0), 0.0)
     singular = times[(y0 == 0) | (y1 == 0)]

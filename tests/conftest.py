@@ -1,10 +1,13 @@
 """Shared fixtures: the standard constructed model and cached cohorts,
-and the reference first-crossing search.
+the reference first-crossing search and the traced-memory peak of a
+call.
 
 The heavy objects (fixed-point build, large simulated cohorts) are
 session-scoped so the acceptance tests and the module tests share one
 computation each.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +30,17 @@ def searchsorted_crossing(values, step, e):
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (hi - 1) * step + (e - values[hi - 1]) / (values[hi] - values[hi - 1]) * step
     return np.where(idx == 0, 0.0, np.where(idx < values.size, t, np.nan))
+
+
+def traced_peak(call):
+    """(call(), the peak bytes tracemalloc saw while it ran)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @pytest.fixture(scope="session")

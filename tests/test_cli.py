@@ -12,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import traced_peak
+
 import hazrates
 from hazrates.cli import (
     CliError,
@@ -21,6 +23,7 @@ from hazrates.cli import (
     load_config_file,
     main,
 )
+from hazrates.grid import MAX_NODES
 from hazrates.model import _CHUNK, read_counting_rows
 from hazrates.numerics import SolverConfig
 
@@ -408,6 +411,20 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: the grid needs at least two nodes; t_max=")
         assert "step=" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command", ["construct", "rates", "contrast", "simulate", "frailty-demo", "reproduce"]
+    )
+    def test_grid_past_the_node_limit_is_refused_before_it_is_made(self, command, capsys):
+        # 3,000,001 nodes: refused from t_max / step alone, while one
+        # array of that grid would take 24 MB
+        rc, peak = traced_peak(lambda: run_cli(command, "--step", "1e-6"))
+        assert rc == 1 and peak < 2e6, f"peaked at {peak / 1e6:.1f} MB"
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: t_max=3.0 at step=1e-06 needs 3000001 grid nodes, "
+            f"more than the limit of {MAX_NODES}\n"
+        )
 
     @pytest.mark.parametrize(
         "message",

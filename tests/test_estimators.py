@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import BETA, LAM01, STEP, T_MAX
+from conftest import BETA, LAM01, STEP, T_MAX, traced_peak
 
 import hazrates as hz
 from hazrates import estimators
@@ -217,6 +217,51 @@ def test_both_fits_match_their_recorded_values_exactly(model):
         iterations=4,
         loglik=-136327.25948158227,
     )
+
+
+@pytest.mark.parametrize("covariates, units", [("current", 14), ("duration", 20)])
+def test_cox_fit_runs_in_bounded_memory(rows_100k, covariates, units):
+    # a fresh table: the fixture's own already holds its risk table
+    table = CountingTable(**rows_100k.columns)
+    _, peak = traced_peak(lambda: cox_fit(table, covariates))
+    # in float arrays of one entry per row, the risk table and row index included
+    assert peak < units * 8 * len(table), f"peaked at {peak / (8 * len(table)):.1f} row arrays"
+
+
+def _searched_index(col, times):
+    """lo, hi and event_k by their definition: two binary searches over every row."""
+    lo = np.searchsorted(times, col["start"], side="right")
+    hi = np.searchsorted(times, col["stop"], side="right")
+    return lo, hi, hi[col["event"]] - 1
+
+
+class TestRowIndex:
+    @staticmethod
+    def _index_matches_search(table):
+        risk = estimators._risk_table(table)
+        lo, hi, event_k, subject = estimators._index_arrays(table.columns, risk)
+        searched = _searched_index(table.columns, risk[0])
+        assert all(np.array_equal(a, b) for a, b in zip((lo, hi, event_k), searched))
+        assert np.array_equal(np.unique(table.id)[subject], table.id)
+        return lo, hi
+
+    def test_on_the_large_cohort(self, rows_100k):
+        self._index_matches_search(rows_100k)
+
+    def test_on_ties_zero_starts_and_rows_out_of_subject_order(self):
+        table = CountingTable.coerce([
+            CountingRow(4, 1.0, 2.0, 1, True),  # starts at an event time
+            CountingRow(1, 0.0, 2.0, 0, True),  # tied with subject 4 at 2.0
+            CountingRow(4, 0.0, 1.0, 0, False),  # a non-event stop at an event time
+            CountingRow(2, -0.0, 1.0, 0, True),
+            CountingRow(3, 0.0, 0.5, 0, False),
+            CountingRow(3, 0.5, 2.5, 1, False),  # past the last event time
+            CountingRow(0, 0.0, 1.0, 1, True),  # tied with subject 2 at 1.0
+        ])
+        # event times 1.0 and 2.0
+        lo, hi = self._index_matches_search(table)
+        assert lo.tolist() == [1, 0, 0, 0, 0, 0, 0]
+        assert hi.tolist() == [2, 2, 1, 1, 0, 2, 1]
 
 
 class TestRobustVariance:

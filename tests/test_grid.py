@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from hazrates.grid import GridFunction, cumulative
+from hazrates.grid import MAX_NODES, GridFunction, cumulative, n_intervals
 
 
 def test_constant_samples_all_nodes():
@@ -75,3 +77,14 @@ def test_cumulative_rejects_negative_values():
     with pytest.raises(ValueError):
         cumulative(f)
 
+
+def test_node_limit():
+    # counted from t_max / step: the refused grids are never made
+    assert n_intervals(3.0, 1e-4) + 1 == 30_001
+    assert n_intervals(MAX_NODES - 1, 1.0) + 1 == MAX_NODES
+    for t_max, step in ((float(MAX_NODES), 1.0), (3.0, 1e-6), (3.0, 1e-9)):
+        limit = f"t_max={t_max!r} at step={step!r} needs "
+        with pytest.raises(ValueError, match=re.escape(limit) + f".* limit of {MAX_NODES}$"):
+            n_intervals(t_max, step)
+        with pytest.raises(ValueError, match=re.escape(limit)):
+            GridFunction.constant(t_max, step, 0.3)

@@ -1,7 +1,7 @@
-import tracemalloc
-
 import numpy as np
 import pytest
+
+from conftest import traced_peak
 
 from hazrates.grid import GridFunction
 from hazrates.kernels import MarkovKernel, TwoPieceKernel
@@ -396,18 +396,8 @@ def test_read_names_the_line_of_an_error_past_the_first_block(tmp_path, bad, mes
         read_counting_rows(path)
 
 
-def _traced_peak(call):
-    tracemalloc.start()
-    try:
-        result = call()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, peak
-
-
 def test_write_of_1e5_subjects_runs_in_bounded_memory(rows_100k, tmp_path):
-    _, peak = _traced_peak(lambda: write_counting_rows(rows_100k, tmp_path / "rows.csv"))
+    _, peak = traced_peak(lambda: write_counting_rows(rows_100k, tmp_path / "rows.csv"))
     # one block of rows at a time: the whole file's text would take about 28 MB
     assert peak < 4e6, f"write peaked at {peak / 1e6:.1f} MB"
 
@@ -415,7 +405,7 @@ def test_write_of_1e5_subjects_runs_in_bounded_memory(rows_100k, tmp_path):
 def test_read_of_1e5_subjects_runs_in_bounded_memory(rows_100k, tmp_path):
     path = tmp_path / "rows.csv"
     write_counting_rows(rows_100k, path)
-    back, peak = _traced_peak(lambda: read_counting_rows(path))
+    back, peak = traced_peak(lambda: read_counting_rows(path))
     # the parsed rows and the table's columns, never the file's text (about 23 MB with its lines)
     assert peak < 16e6, f"read peaked at {peak / 1e6:.1f} MB"
     assert back == rows_100k
