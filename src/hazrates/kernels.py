@@ -195,7 +195,7 @@ class MarkovKernel(HazardKernel):
             raise ValueError("threshold must be nonnegative")
         cum = self._cum
         target = np.asarray(cum(u_b), dtype=float) + e_b
-        t, _ = first_crossing(cum.values.__getitem__, cum.n_nodes, cum.step, target)
+        t, _ = first_crossing(lambda node, rows: cum.values[node], cum.n_nodes, cum.step, target)
         out = np.where(np.isnan(t), np.inf, np.maximum(t, u_b))  # max: roundoff at e ~ 0
         return float(out[0]) if scalar else out
 
@@ -271,14 +271,16 @@ class GridKernel(HazardKernel):
         return float(out[0]) if scalar else out
 
     def _from_u(self, u: np.ndarray):
-        """Node function k -> cumulative from u to node k of u's column
-        (zero at nodes before u), for each entry of u."""
+        """Node function (k, rows) -> cumulative from u to node k of u's
+        column (zero at nodes before u), for the entries u[rows], in the
+        form ``first_crossing`` calls."""
         cols = self._columns(u)
         base = self._along_t(self._cum, u, cols)
 
-        def at(k: np.ndarray) -> np.ndarray:
-            after = np.maximum(self._blend(self._cum, k, cols) - base, 0.0)
-            return np.where(self._times[k] < u - NODE_TOL, 0.0, after)
+        def at(k: np.ndarray, rows) -> np.ndarray:
+            cols_in = tuple(c[rows] for c in cols)
+            after = np.maximum(self._blend(self._cum, k, cols_in) - base[rows], 0.0)
+            return np.where(self._times[k] < u[rows] - NODE_TOL, 0.0, after)
 
         return at
 
@@ -288,8 +290,8 @@ class GridKernel(HazardKernel):
             raise ValueError("kernel cumulative needs u <= t")
         at = self._from_u(u_b)
         k0, k1, w = _bracket(t_b, self.step, self._times.size)
-        c0 = at(k0)
-        out = c0 + w * (at(k1) - c0)
+        c0 = at(k0, slice(None))
+        out = c0 + w * (at(k1, slice(None)) - c0)
         return float(out[0]) if scalar else out
 
     def invert_cumulative(self, u, e):

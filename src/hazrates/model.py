@@ -8,7 +8,10 @@ model non-Markov.
 
 A simulated cohort and its counting-process rows are column tables
 (``Cohort``, ``CountingTable``): one numpy array per field, validated
-once per column when the table is built.  Each table is also a
+once per column when the table is built.  A table copies the arrays a
+caller gives it, so the caller cannot change it afterwards; the tables
+the package builds itself (the simulator's cohort and its rows) adopt
+their freshly made columns without that copy.  Each table is also a
 read-only sequence of its record type (``Trajectory``, ``CountingRow``),
 so code written against lists of records works on either; records are
 made on demand, a chunk of columns at a time on each pass, and not kept.
@@ -198,7 +201,8 @@ class _Table(Sequence):
     ``_dtypes`` maps each column to its dtype, ``_optional`` names the
     float columns where NaN stands for a record field that is None, and
     ``_rules(columns)`` lists the per-record checks for
-    ``_first_violation``.
+    ``_first_violation``.  The constructor copies its columns;
+    ``_adopt`` takes the package's own without the copy.
     """
 
     _record: type
@@ -206,10 +210,28 @@ class _Table(Sequence):
     _optional: tuple = ()
 
     def __post_init__(self) -> None:
+        self._take_columns(copy=True)
+
+    @classmethod
+    def _adopt(cls, **columns):
+        """A table of columns the package has just built for it.
+
+        They run the constructor's checks, but a column that already has
+        its dtype is taken as it is, not copied, and made read-only: the
+        caller hands it over and must not write to it again.
+        """
+        table = object.__new__(cls)
+        for name in cls._dtypes:
+            object.__setattr__(table, name, columns[name])
+        table._take_columns(copy=False)
+        return table
+
+    def _take_columns(self, copy: bool) -> None:
+        """Cast, check and freeze the columns; copy them if ``copy``."""
         n = None
         for name, dtype in self._dtypes.items():
             given = np.asarray(getattr(self, name))
-            col = np.array(given, dtype=dtype)
+            col = np.array(given, dtype=dtype) if copy else np.asarray(given, dtype=dtype)
             if col.ndim != 1 or (n is not None and col.size != n):
                 raise ValueError("columns must be 1-d arrays of equal length")
             # a cast to int or bool must not change a value (0.5 -> 0, 2 -> True)

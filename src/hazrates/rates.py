@@ -33,7 +33,8 @@ Volterra Equations*, SIAM 1985):
   lag on a grid node is early at every node pair.
 - Any other kernel (``MarkovKernel``, a tabulated ``GridKernel``)
   integrates against the dense lower triangles of exp(-K) and
-  exp(-K) * lambda12.
+  exp(-K) * lambda12: O(n^2) memory, so grids of more than
+  MAX_DENSE_NODES nodes are refused before any of it is allocated.
 
 Everything that depends on the kernel and the grid but not on lambda02
 lives in a ``KernelQuadrature``, which the fixed-point builder makes
@@ -55,6 +56,13 @@ __all__ = [
     "rate_untreated",
     "ode_residual",
 ]
+
+# Most grid nodes the dense quadrature takes.  At its peak it holds about
+# 4.1 n-by-n float arrays: rate_treated on a MarkovKernel model measured
+# 0.016 s and 11.9 MB traced at 601 nodes, 0.18 s and 132 MB at 2,001,
+# 0.72 s and 528 MB at 4,001 (2-CPU x86_64), so memory, not time, binds,
+# and this limit keeps the peak near 0.8 GB.
+MAX_DENSE_NODES = 5_000
 
 # Occupation mass below this level makes the treated rate an average
 # over an (essentially) empty set; such nodes fall back to the
@@ -131,12 +139,18 @@ def kernel_quadrature(kernel: HazardKernel, grid: GridFunction) -> KernelQuadrat
     """The quadrature for ``kernel`` on the grid of ``grid``.
 
     Chosen by the kernel's own structure: a convolution for kernels of
-    t - u only, the dense triangle otherwise.
+    t - u only, the dense triangle otherwise.  ValueError if the dense
+    triangle would have more than MAX_DENSE_NODES nodes.
     """
     n, step = grid.n_nodes, grid.step
     offsets = kernel.offset_grid(n, step)
     if offsets is not None:
         return _Convolution(n, step, *offsets)
+    if n > MAX_DENSE_NODES:
+        raise ValueError(
+            f"{type(kernel).__name__} rates need {n}-by-{n} arrays: {n} grid nodes, "
+            f"more than the dense limit of {MAX_DENSE_NODES}"
+        )
     times = grid.times
     return _Dense(n, step, kernel.value_grid(times), kernel.cumulative_grid(times))
 

@@ -9,7 +9,11 @@ Randomness comes from a counter-based Philox generator keyed by the
 seed.  Each subject consumes a fixed set of variates (one slot per
 array draw below, at the subject's index), so results depend only on
 (seed, n), never on evaluation order, and cohorts can be reproduced or
-sharded deterministically.
+sharded deterministically.  The draws come in a fixed order (frailty,
+exit clock, cause coin, death clock), each made just before the step
+that uses it and freed once that step is done, so a simulation holds a
+few arrays of n at a time.  The cohort and its rows adopt the columns
+made here without copying them.
 """
 
 from __future__ import annotations
@@ -69,16 +73,19 @@ def _exit_times(
     Without frailty the cumulative lam01_cum + lam02_cum is shared by
     all subjects; with frailty it is lam01_cum + z * lam02_cum per
     subject.  Either is nondecreasing along the grid, and
-    ``first_crossing`` finds every subject's crossing at once.  The
-    cell is the one ``np.interp`` reads the exit time in: t lies in
-    [cell * step, (cell + 1) * step), or on the last node; it is 0
-    where no exit comes.
+    ``first_crossing`` finds each subject's crossing, a block of
+    subjects at a time.  The cell is the one ``np.interp`` reads the
+    exit time in: t lies in [cell * step, (cell + 1) * step), or on the
+    last node; it is 0 where no exit comes.
     """
     if z is None:
-        value_at = (lam01_cum + lam02_cum).__getitem__
+        exit_cum = lam01_cum + lam02_cum
+
+        def value_at(node, rows):
+            return exit_cum[node]
     else:
-        def value_at(node):
-            return lam01_cum[node] + z * lam02_cum[node]
+        def value_at(node, rows):
+            return lam01_cum[node] + z[rows] * lam02_cum[node]
 
     t, cell = first_crossing(value_at, lam01_cum.size, step, e0)
     # a crossing at the far edge of its cell lies on the next node
@@ -121,7 +128,6 @@ def _treat_probability(
 
 
 def _assemble(
-    ids: np.ndarray,
     t_exit: np.ndarray,
     is_treat: np.ndarray,
     t_death_treated: np.ndarray,
@@ -133,23 +139,29 @@ def _assemble(
     A subject whose state-0 exit falls after t_cens (or never comes) is
     censored there untreated; an untreated exit is a death; a treated
     exit before t_cens is an initiation, followed by death at
-    max(t_death_treated, u + _TIME_EPS) or censoring at t_cens.
+    max(t_death_treated, u + _TIME_EPS) or censoring at t_cens.  The
+    cohort adopts t_exit, overwritten in place, as its u_init column,
+    and z as its frailty column.
     """
+    n = t_exit.size
     exits = ~(np.isnan(t_exit) | (t_exit > t_cens))
     dies_untreated = exits & ~is_treat
     initiates = exits & is_treat & (t_exit < t_cens)
+    del exits
     dies_treated = initiates & (t_death_treated <= t_cens)
-    t_event = np.full(ids.size, float(t_cens))
+    t_event = np.full(n, float(t_cens))
     t_event[dies_untreated] = t_exit[dies_untreated]
     t_event[dies_treated] = np.maximum(
         t_death_treated[dies_treated], t_exit[dies_treated] + _TIME_EPS
     )
-    return Cohort(
-        id=ids,
-        u_init=np.where(initiates, t_exit, np.nan),
+    u_init = t_exit
+    u_init[~initiates] = np.nan
+    return Cohort._adopt(
+        id=np.arange(n),
+        u_init=u_init,
         t_event=t_event,
         event=dies_untreated | dies_treated,
-        frailty=np.full(ids.size, np.nan) if z is None else z,
+        frailty=np.full(n, np.nan) if z is None else z,
     )
 
 
@@ -167,27 +179,26 @@ def simulate_cohort(model: IllnessDeathModel, config: SimConfig) -> Cohort:
     rng = _rng(config.seed)
     n = config.n
     z = None if config.frailty is None else config.frailty.sample(rng, n)
-    e0 = rng.exponential(size=n)
-    cause_coin = rng.uniform(size=n)
-    e1 = rng.exponential(size=n)
-
     lam01_cum = cumulative(model.lambda01).values
     lam02_cum = cumulative(model.lambda02).values
-    t_exit, cell = _exit_times(model.step, e0, z, lam01_cum, lam02_cum)
-    del e0
+    t_exit, cell = _exit_times(model.step, rng.exponential(size=n), z, lam01_cum, lam02_cum)
     t_safe = np.where(np.isnan(t_exit), 0.0, t_exit)
-    is_treat = cause_coin < _treat_probability(model, z, cell, t_safe)
-    del cause_coin, cell
+    p_treat = _treat_probability(model, z, cell, t_safe)
+    del cell, t_safe
+    is_treat = rng.uniform(size=n) < p_treat
+    del p_treat
 
     t_death_treated = np.full(n, np.inf)
     treated = is_treat & ~np.isnan(t_exit)
     if np.any(treated):
-        scale = 1.0 if z is None else z[treated]
-        t_death_treated[treated] = model.lambda12.invert_cumulative(
-            t_safe[treated], e1[treated] / scale
-        )
-    ids = np.arange(n)
-    return _assemble(ids, t_exit, is_treat, t_death_treated, model.t_max, z)
+        e1 = rng.exponential(size=n)[treated]
+        if z is not None:
+            e1 /= z[treated]
+        # treated subjects all exited, so their t_exit is finite
+        t_death_treated[treated] = model.lambda12.invert_cumulative(t_exit[treated], e1)
+        del e1
+    del treated
+    return _assemble(t_exit, is_treat, t_death_treated, model.t_max, z)
 
 
 def sample_frailty_cohort(
@@ -229,7 +240,7 @@ def to_counting_rows(trajectories: Sequence[Trajectory]) -> CountingTable:
     second = np.zeros(subject.size, dtype=bool)
     second[1:] = subject[1:] == subject[:-1]
     first_of_split = split[subject] & ~second
-    return CountingTable(
+    return CountingTable._adopt(
         id=cohort.id[subject],
         start=np.where(second, u[subject], 0.0),
         stop=np.where(first_of_split, u[subject], cohort.t_event[subject]),

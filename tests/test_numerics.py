@@ -3,11 +3,11 @@ import pytest
 
 from conftest import searchsorted_crossing
 
-from hazrates.numerics import SolverConfig, first_crossing
+from hazrates.numerics import _BLOCK, SolverConfig, first_crossing
 
 
 def _invert(values, step, e):
-    t, _ = first_crossing(values.__getitem__, values.size, step, e)
+    t, _ = first_crossing(lambda node, rows: values[node], values.size, step, e)
     return t
 
 
@@ -55,7 +55,29 @@ def test_first_crossing_matches_searchsorted(n_nodes):
         ])
         step = rng.uniform(0.001, 0.1)
         want = searchsorted_crossing(values, step, e)
-        t, cell = first_crossing(values.__getitem__, values.size, step, e)
+        t, cell = first_crossing(lambda node, rows: values[node], values.size, step, e)
         assert np.array_equal(t, want, equal_nan=True)
         want_cell = np.clip(np.searchsorted(values, e, side="left"), 1, n_nodes - 1) - 1
         assert np.array_equal(cell, want_cell)
+
+
+def test_first_crossing_reads_each_block_of_entries_at_its_rows():
+    # e spans two whole blocks and a remainder; each entry has its own
+    # node function values + z * slope, with z read at [rows], and every
+    # entry must get the crossing of its own function
+    rng = np.random.default_rng(18)
+    n_nodes, step = 601, 0.005
+    values = np.cumsum(rng.exponential(size=n_nodes))
+    slope = np.cumsum(rng.exponential(size=n_nodes))
+    levels = np.array([0.0, 0.5, 1.0, 2.5])
+    z = rng.choice(levels, size=2 * _BLOCK + 123)
+    e = rng.uniform(values[0] - 1.0, values[-1] + 2.0 * slope[-1], size=z.size)
+    t, cell = first_crossing(
+        lambda node, rows: values[node] + z[rows] * slope[node], n_nodes, step, e
+    )
+    for level in levels:
+        own = values + level * slope
+        at = z == level
+        assert np.array_equal(t[at], searchsorted_crossing(own, step, e[at]), equal_nan=True)
+        want_cell = np.clip(np.searchsorted(own, e[at], side="left"), 1, n_nodes - 1) - 1
+        assert np.array_equal(cell[at], want_cell)

@@ -7,6 +7,7 @@ from conftest import BETA, EARLY, LAG, LAM01, LATE, STEP, T_MAX
 
 import hazrates as hz
 from hazrates.rates import (
+    MAX_DENSE_NODES,
     VACUOUS_P01,
     _Dense,
     kernel_quadrature,
@@ -162,3 +163,26 @@ def test_rate_at_step_1e4_runs_in_linear_memory():
     idx = model.lambda01.node_index(1.0)
     np.testing.assert_allclose(r12.values[: idx + 1], EARLY, rtol=0, atol=1e-12)
     assert np.all(r12.values[idx + 1 :] < EARLY)
+
+
+def test_dense_rates_refuse_a_grid_past_the_node_limit():
+    # one node past the limit, where one n-by-n float array takes 200 MB:
+    # the refusal must come before the first of them is made
+    n = MAX_DENSE_NODES + 1
+    lam = hz.GridFunction.constant(T_MAX, T_MAX / (n - 1), 0.3)
+    assert lam.n_nodes == n
+    model = hz.IllnessDeathModel(lam, lam, hz.MarkovKernel(lam))
+    limit = f"{n} grid nodes, more than the dense limit of {MAX_DENSE_NODES}$"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=limit):
+            rate_treated(model)
+        with pytest.raises(ValueError, match=limit):
+            hz.build(lam, model.lambda12, BETA)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, f"peaked at {peak / 1e6:.1f} MB before refusing"
+    # tabulated kernels on the default grid (601 nodes, as in the
+    # fine-grid benchmark) stay far inside the limit
+    assert 8 * hz.GridFunction.constant(T_MAX, STEP, 0.0).n_nodes < MAX_DENSE_NODES

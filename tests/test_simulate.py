@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import STEP, T_MAX
+from conftest import STEP, T_MAX, traced_peak
 
 import hazrates as hz
 from hazrates.grid import cumulative
@@ -309,7 +309,7 @@ def test_hazards_read_in_the_exit_cell_at_planted_edges(model):
     # 0 (t = 0), the last node (t = t_max), and past it (no exit)
     e0 = np.concatenate([exit_cum, [0.0, exit_cum[-1], 2.0 * exit_cum[-1]]])
     t, cell = _exit_cells(model, e0)
-    raw_cell = first_crossing(exit_cum.__getitem__, exit_cum.size, model.step, e0)[1]
+    raw_cell = first_crossing(lambda node, rows: exit_cum[node], exit_cum.size, model.step, e0)[1]
     assert t[-3] == 0.0 and np.isnan(t[-1])
     assert np.any(t == model.times[-1]) and np.any(t[1:-3] == model.times[1:])
     assert np.any(cell > raw_cell)  # the far-edge case moves to the next cell
@@ -351,6 +351,30 @@ def test_simulate_cohort_peak_memory(model, frailty):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 8 * n, f"peaked at {peak / (8 * n):.1f} float arrays of length n"
+
+
+def _tabulated_kernel_model():
+    """The GridKernel model of test_grid_kernel_cohort_golden."""
+    times = np.arange(hz.GridFunction.constant(T_MAX, STEP, 0.0).n_nodes) * STEP
+    table = hz.TwoPieceKernel(0.4, 0.2, 1.0).value_grid(times) * (1 + 0.5 * np.sin(times)[:, None])
+    return hz.IllnessDeathModel(
+        hz.GridFunction.constant(T_MAX, STEP, 0.3),
+        hz.GridFunction.constant(T_MAX, STEP, 0.6),
+        hz.GridKernel(T_MAX, STEP, table),
+    )
+
+
+@pytest.mark.parametrize("case", ["no frailty", "gamma frailty", "grid kernel"])
+def test_simulate_cohort_holds_few_arrays_at_once(model, case):
+    # the cohort keeps about 4 floats per subject; with the exit search
+    # run in blocks, each draw made as it is used and the columns adopted
+    # without a copy, the peak stays within 10 (14 when all were held)
+    n = 200_000
+    frailty = hz.GammaFrailty(variance=1.0) if case == "gamma frailty" else None
+    if case == "grid kernel":
+        model = _tabulated_kernel_model()
+    _, peak = traced_peak(lambda: simulate_cohort(model, SimConfig(n=n, seed=3, frailty=frailty)))
+    assert peak < 10 * 8 * n, f"peaked at {peak / (8 * n):.1f} float arrays of length n"
 
 
 def test_gamma_frailty_cohort_golden():
