@@ -37,6 +37,9 @@ __all__ = [
 # lambda02 nodes below this level make the rate ratio ill-defined.
 ZERO_DENOM = 1e-12
 
+# Largest |beta| whose exp(beta) and exp(-beta) are finite floats.
+MAX_ABS_BETA = float(np.log(np.finfo(float).max))
+
 
 @dataclass(frozen=True)
 class IterationRecord:
@@ -80,8 +83,8 @@ def build(
     lambda12:
         Post-initiation death hazard kernel.
     beta:
-        Target log rate ratio; the constructed model has
-        r12 = exp(beta) * lambda02.
+        Target log rate ratio, with |beta| <= MAX_ABS_BETA; the
+        constructed model has r12 = exp(beta) * lambda02.
     config:
         Sup-norm tolerance on the rate-ratio deviation and iteration
         budget for the update lambda02 <- exp(-beta) * r12.
@@ -95,6 +98,8 @@ def build(
             f"the grid needs at least two nodes; t_max={lambda01.t_max!r} "
             f"with step={lambda01.step!r} gives one"
         )
+    if not abs(beta) <= MAX_ABS_BETA:  # NaN too
+        raise ValueError(f"beta must be finite with |beta| <= {MAX_ABS_BETA:.2f}, got {beta!r}")
     target = float(np.exp(beta))
     lam02 = GridFunction.constant(lambda01.t_max, lambda01.step, 1.0)
     records: list[IterationRecord] = []

@@ -16,11 +16,11 @@ one covariate column at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
-from .model import CountingRow, CountingTable
+from .model import CountingTable
 from .numerics import ConvergenceError
 
 __all__ = [
@@ -103,7 +103,7 @@ def _risk_counts(starts_sorted: np.ndarray, stops_sorted: np.ndarray, times: np.
     return entered - exited
 
 
-def _risk_table(rows: Sequence[CountingRow]):
+def _risk_table(rows: CountingTable):
     """Risk-set statistics at every unique event time, for both levels.
 
     Returns (times, d0, d1, y0, y1, kidx): the sorted unique event
@@ -149,7 +149,7 @@ def _index_arrays(col: dict[str, np.ndarray], risk) -> tuple[np.ndarray, ...]:
     return lo, hi, event_k, subject
 
 
-def _level_jumps(rows: Sequence[CountingRow]) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+def _level_jumps(rows: CountingTable) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Per level: the times with a level-a event and a nonempty risk set,
     and the ratios dN_a / Y_a there."""
     times, d0, d1, y0, y1, _ = _risk_table(rows)
@@ -160,7 +160,7 @@ def _level_jumps(rows: Sequence[CountingRow]) -> dict[int, tuple[np.ndarray, np.
     return out
 
 
-def nelson_aalen_by_treatment(rows: Sequence[CountingRow]) -> dict[int, StepFunction]:
+def nelson_aalen_by_treatment(rows: CountingTable) -> dict[int, StepFunction]:
     """Cumulative rate estimator per current treatment level.
 
     Jumps dN_a(t)/Y_a(t) at each level-a event time; times with an
@@ -172,7 +172,7 @@ def nelson_aalen_by_treatment(rows: Sequence[CountingRow]) -> dict[int, StepFunc
     }
 
 
-def extended_km(rows: Sequence[CountingRow]) -> dict[int, StepFunction]:
+def extended_km(rows: CountingTable) -> dict[int, StepFunction]:
     """Product-limit survival per current treatment level.
 
     Multiplies (1 - dN_a/Y_a) over level-a event times, with tied
@@ -383,7 +383,7 @@ def _fit_duration(col: dict[str, np.ndarray], risk, index) -> CoxFit:
     )
 
 
-def cox_fit(rows: Sequence[CountingRow], covariates: str = "current") -> CoxFit:
+def cox_fit(rows: CountingTable, covariates: str = "current") -> CoxFit:
     """Maximize the Breslow partial likelihood by Newton-Raphson.
 
     covariates="current" fits the single binary current-level
@@ -401,7 +401,7 @@ def cox_fit(rows: Sequence[CountingRow], covariates: str = "current") -> CoxFit:
     return fit(rows.columns, risk, _index_arrays(rows.columns, risk))
 
 
-def cox_loglik_parts(rows: Sequence[CountingRow], beta: float) -> tuple[float, float, float]:
+def cox_loglik_parts(rows: CountingTable, beta: float) -> tuple[float, float, float]:
     """(loglik, score, information) of the current-level model at beta.
 
     Exposed so the analytic gradient can be checked against finite
@@ -414,7 +414,7 @@ def cox_loglik_parts(rows: Sequence[CountingRow], beta: float) -> tuple[float, f
     return loglik, score, info
 
 
-def aalen_additive(rows: Sequence[CountingRow]) -> AalenAdditiveFit:
+def aalen_additive(rows: CountingTable) -> AalenAdditiveFit:
     """Least-squares additive increments for the two-level design.
 
     With a binary level the normal equations solve in closed form:

@@ -116,12 +116,10 @@ class TwoPieceKernel(HazardKernel):
         if np.any(~(e >= 0)):  # NaN too
             raise ValueError("threshold must be nonnegative")
         cap = self.early * self.lag
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             within_early = (e <= cap) & (self.early > 0)
-            t_early = u + np.where(self.early > 0, e / max(self.early, 1e-300), np.inf)
-            t_late = u + self.lag + np.where(
-                self.late > 0, (e - cap) / max(self.late, 1e-300), np.inf
-            )
+            t_early = u + np.where(self.early > 0, e / self.early, np.inf)
+            t_late = u + self.lag + np.where(self.late > 0, (e - cap) / self.late, np.inf)
         out = np.where(within_early, t_early, t_late)
         out = np.where(e == 0, u, out)
         return float(out) if out.ndim == 0 else out
@@ -224,8 +222,7 @@ class GridKernel(HazardKernel):
             raise ValueError(f"values must have shape ({n}, {n}), got {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("values must be finite")
-        ii, jj = np.indices(vals.shape)
-        if np.any(vals[ii >= jj] < 0):
+        if np.any(np.tril(vals) < 0):
             raise ValueError("hazard values must be nonnegative on t >= u")
         vals.flags.writeable = False
         self.t_max = float(t_max)

@@ -11,19 +11,18 @@ A simulated cohort and its counting-process rows are column tables
 once per column when the table is built.  A table copies the arrays a
 caller gives it, so the caller cannot change it afterwards; the tables
 the package builds itself (the simulator's cohort and its rows) adopt
-their freshly made columns without that copy.  Each table is also a
-read-only sequence of its record type (``Trajectory``, ``CountingRow``),
-so code written against lists of records works on either; records are
-made on demand, a chunk of columns at a time on each pass, and not kept.
+their freshly made columns without that copy.  Iterating a table yields
+its record type (``Trajectory``, ``CountingRow``), made on demand a chunk
+of columns at a time and not kept; a table supports no indexing, no
+slicing and no equality with a list.  Wherever a table is taken, a list
+of records is accepted too and made into a table by ``coerce``.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -47,7 +46,7 @@ _CSV_DTYPE = np.dtype(
 )
 
 # Rows converted from the columns to Python values at a time: records
-# when a table is read as a sequence, CSV lines when it is written.
+# when a table is iterated, CSV lines when it is written.
 _CHUNK = 4096
 
 
@@ -193,8 +192,8 @@ def _first_violation(rules):
     return i, next(message(i) for mask, message in rules if mask[i])
 
 
-class _Table(Sequence):
-    """Equal-length columns that also read as a sequence of records.
+class _Table:
+    """Equal-length columns that iterate as records.
 
     Subclasses are frozen dataclasses whose fields are the columns, in
     the record type's field order.  ``_record`` is that type,
@@ -267,33 +266,6 @@ class _Table(Sequence):
     def __len__(self) -> int:
         return self.id.size
 
-    def _records(self, lo: int, hi: int):
-        """Yield records lo..hi-1, made from Python values of the columns.
-
-        Every record read goes through here.  The columns were validated
-        when the table was built, so records are made without running
-        their __init__ and its checks again.  Values are converted a
-        chunk at a time and no record is kept: each pass makes new ones.
-        """
-        record, names = self._record, tuple(self._dtypes)
-        # object.__setattr__ keeps the fields inline, as __init__ does;
-        # filling obj.__dict__ instead would give each record a dict.
-        new, set_field = object.__new__, object.__setattr__
-        for first in range(lo, hi, _CHUNK):
-            values = []
-            for name, col in self.columns.items():
-                col = col[first:min(first + _CHUNK, hi)]
-                if name in self._optional:
-                    boxed = col.astype(object)
-                    boxed[np.isnan(col)] = None
-                    col = boxed
-                values.append(col.tolist())
-            for fields in zip(*values):
-                obj = new(record)
-                for name, value in zip(names, fields):
-                    set_field(obj, name, value)
-                yield obj
-
     def _cached(self, name: str, make):
         """``make()``, computed on the first call for ``name`` and kept.
 
@@ -311,17 +283,31 @@ class _Table(Sequence):
         return value
 
     def __iter__(self):
-        return self._records(0, len(self))
+        """Yield the records, made from Python values of the columns.
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return type(self)(**{name: col[index] for name, col in self.columns.items()})
-        k = operator.index(index)
-        n = len(self)
-        if not -n <= k < n:
-            raise IndexError(f"{type(self).__name__} index {k} out of range for {n} records")
-        k %= n
-        return next(self._records(k, k + 1))
+        The columns were validated when the table was built, so records
+        are made without running their __init__ and its checks again.
+        Values are converted a chunk at a time and no record is kept:
+        each pass makes new ones.
+        """
+        record, names, n = self._record, tuple(self._dtypes), len(self)
+        # object.__setattr__ keeps the fields inline, as __init__ does;
+        # filling obj.__dict__ instead would give each record a dict.
+        new, set_field = object.__new__, object.__setattr__
+        for first in range(0, n, _CHUNK):
+            values = []
+            for name, col in self.columns.items():
+                col = col[first:min(first + _CHUNK, n)]
+                if name in self._optional:
+                    boxed = col.astype(object)
+                    boxed[np.isnan(col)] = None
+                    col = boxed
+                values.append(col.tolist())
+            for fields in zip(*values):
+                obj = new(record)
+                for name, value in zip(names, fields):
+                    set_field(obj, name, value)
+                yield obj
 
     def __eq__(self, other):
         if isinstance(other, type(self)):
@@ -329,14 +315,12 @@ class _Table(Sequence):
                 np.array_equal(col, getattr(other, name), equal_nan=name in self._optional)
                 for name, col in self.columns.items()
             )
-        if isinstance(other, list):
-            return list(self) == other
         return NotImplemented
 
 
 @dataclass(frozen=True, eq=False)
 class Cohort(_Table):
-    """Simulated subjects as columns; a read-only sequence of Trajectory.
+    """Simulated subjects as columns; iterating it yields Trajectory records.
 
     ``u_init`` is NaN for a subject never treated and ``frailty`` is NaN
     when no frailty was drawn; the records carry None there.
@@ -374,7 +358,7 @@ class Cohort(_Table):
 
 @dataclass(frozen=True, eq=False)
 class CountingTable(_Table):
-    """Counting-process rows as columns; a read-only sequence of CountingRow."""
+    """Counting-process rows as columns; iterating it yields CountingRow records."""
 
     id: np.ndarray
     start: np.ndarray
@@ -437,7 +421,7 @@ def _history_rules(col):
     ]
 
 
-def write_rows(fh, line: str, columns: Sequence[np.ndarray]) -> None:
+def write_rows(fh, line: str, columns: list[np.ndarray]) -> None:
     """Write the rows of equal-length 1-d columns to ``fh`` as ``line % row``.
 
     ``line`` is a %-format template with one field per column and its
@@ -453,7 +437,7 @@ def write_rows(fh, line: str, columns: Sequence[np.ndarray]) -> None:
         fh.write((line * m) % tuple(flat))
 
 
-def write_counting_rows(rows: Iterable[CountingRow], path) -> None:
+def write_counting_rows(rows: CountingTable, path) -> None:
     """Write rows as CSV with header id,start,stop,treat,event.
 
     Times are written as the shortest decimal string that reads back to

@@ -19,14 +19,14 @@ made here without copying them.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .frailty import ConditionalHazardSpec, FrailtySpec
 from .grid import GridFunction, cumulative
 from .kernels import MarkovKernel
-from .model import Cohort, CountingTable, IllnessDeathModel, Trajectory
+from .model import Cohort, CountingTable, IllnessDeathModel
 from .numerics import first_crossing
 
 __all__ = [
@@ -222,7 +222,7 @@ def sample_frailty_cohort(
     return simulate_cohort(model, replace(config, frailty=frailty))
 
 
-def to_counting_rows(trajectories: Sequence[Trajectory]) -> CountingTable:
+def to_counting_rows(trajectories: Cohort) -> CountingTable:
     """Expand trajectories into at-risk intervals split at initiation.
 
     A never-treated subject yields one untreated interval; a treated

