@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 invalid input (one diagnostic line on stderr),
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -32,7 +31,7 @@ from .frailty import (
     collider_table,
     marginal_hazard,
 )
-from .grid import NODE_TOL, GridFunction, cumulative
+from .grid import GridFunction, cumulative
 from .kernels import TwoPieceKernel
 from .model import (
     IllnessDeathModel,
@@ -145,17 +144,13 @@ def _write_csv(path: Path, header: Sequence[str], columns: Sequence[np.ndarray])
     line = ",".join(_SPECS[c.dtype.kind] for c in columns) + "\r\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
+        fh.write(",".join(header) + "\r\n")
         write_rows(fh, line, columns)
-
-
-def _kernel(cfg: ExperimentConfig) -> TwoPieceKernel:
-    return TwoPieceKernel(early=cfg.early, late=cfg.late, lag=cfg.lag)
 
 
 def _build(cfg: ExperimentConfig) -> tuple[IllnessDeathModel, construct.BuildReport]:
     lam01 = GridFunction.constant(cfg.t_max, cfg.step, cfg.lam01)
-    kernel = _kernel(cfg)
+    kernel = TwoPieceKernel(early=cfg.early, late=cfg.late, lag=cfg.lag)
     config = SolverConfig(tol=cfg.tol, max_iter=cfg.max_iter)
     report = construct.build(lam01, kernel, cfg.beta, config=config)
     model = IllnessDeathModel(lambda01=lam01, lambda02=report.lambda02, lambda12=kernel)
@@ -190,31 +185,6 @@ def _converged_build(cfg: ExperimentConfig):
     _require_converged(report)
     # the builder's last sweep already holds the final model's r12
     return model, report, report.iterations[-1].rate, rate_untreated(model)
-
-
-def _load_lambda02(path: str) -> GridFunction:
-    """Read a t,lambda02 CSV (as written by `construct`) back into a grid."""
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:2]] != ["t", "lambda02"]:
-                raise CliError(f"{path}: expected header t,lambda02")
-            data = [(float(r[0]), float(r[1])) for r in reader if r]
-    except OSError as err:
-        raise CliError(f"cannot read model file {path}: {err}") from err
-    except (ValueError, IndexError) as err:
-        raise CliError(f"{path}: malformed model CSV: {err}") from err
-    if len(data) < 2:
-        raise CliError(f"{path}: need at least two grid nodes")
-    t = np.array([d[0] for d in data])
-    v = np.array([d[1] for d in data])
-    if abs(t[0]) > NODE_TOL:
-        raise CliError(f"{path}: grid times must start at 0")
-    steps = np.diff(t)
-    if np.any(np.abs(steps - steps[0]) > NODE_TOL):
-        raise CliError(f"{path}: grid times must be evenly spaced")
-    return GridFunction(float(t[-1]), float(steps[0]), v)
 
 
 # ---------------------------------------------------------------- commands
@@ -276,20 +246,21 @@ def _cmd_contrast(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) ->
     return 0
 
 
+def _simulate_rows(model: IllnessDeathModel, cfg: ExperimentConfig, path: Path):
+    """Simulate cfg's cohort from the model, write its counting rows to
+    path, and return the cohort and the rows."""
+    cohort = simulate_cohort(model, SimConfig(n=cfg.n, seed=cfg.seed))
+    rows = to_counting_rows(cohort)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_counting_rows(rows, path)
+    return cohort, rows
+
+
 def _cmd_simulate(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
-    if args.model:
-        lam02 = _load_lambda02(args.model)
-        lam01 = GridFunction.constant(lam02.t_max, lam02.step, cfg.lam01)
-        model = IllnessDeathModel(lambda01=lam01, lambda02=lam02, lambda12=_kernel(cfg))
-    else:
-        model = _converged_build(cfg)[0]
-    trajectories = simulate_cohort(model, SimConfig(n=cfg.n, seed=cfg.seed))
-    rows = to_counting_rows(trajectories)
     out_path = Path(args.out) if args.out else out / "rows.csv"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    write_counting_rows(rows, out_path)
+    cohort, rows = _simulate_rows(_converged_build(cfg)[0], cfg, out_path)
     n_events = int(np.count_nonzero(rows.event))
-    n_treated = int(np.count_nonzero(~np.isnan(trajectories.u_init)))
+    n_treated = int(np.count_nonzero(~np.isnan(cohort.u_init)))
     print(f"wrote {out_path}")
     print(f"subjects {cfg.n}, treated {n_treated}, deaths {n_events}")
     return 0
@@ -405,10 +376,7 @@ def _cmd_reproduce(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -
     t_end = model.t_max
     _, (true_c, rate_c) = _survival_contrasts(model, r12, r02)
 
-    trajectories = simulate_cohort(model, SimConfig(n=cfg.n, seed=cfg.seed))
-    rows = to_counting_rows(trajectories)
-    out.mkdir(parents=True, exist_ok=True)
-    write_counting_rows(rows, out / "rows.csv")
+    rows = _simulate_rows(model, cfg, out / "rows.csv")[1]
 
     na = estimators.nelson_aalen_by_treatment(rows)
     check_times = model.times[model.times <= min(2.5, t_end)]
@@ -418,7 +386,16 @@ def _cmd_reproduce(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -
     sup1 = float(np.max(np.abs(na[1](check_times) - r12_cum)))
 
     ekm = estimators.extended_km(rows)
-    log_ratio_t2 = estimators.log_surv_ratio(ekm[1], ekm[0], min(2.0, t_end))
+    t2 = min(2.0, t_end)
+    for arm, level in (("treated", 1), ("untreated", 0)):
+        s = ekm[level](t2)
+        if not 0.0 < s < 1.0:
+            raise CliError(
+                f"the {arm} arm's extended-KM survival at t={_fmt(t2)} is {_fmt(s)}: this "
+                f"cohort (n={cfg.n}, beta={_fmt(cfg.beta)}) has {'no' if s >= 1.0 else 'only'} "
+                f"deaths in the {arm} arm by t={_fmt(t2)}, so no log-survival ratio is defined"
+            )
+    log_ratio_t2 = estimators.log_surv_ratio(ekm[1], ekm[0], t2)
     fit = estimators.cox_fit(rows, covariates="current")
 
     unit = model.times <= min(1.0, t_end)
@@ -490,8 +467,7 @@ def _build_parser() -> _Parser:
     command("rates", _cmd_rates, "emit treated/untreated rates and their ratio", built)
     command("contrast", _cmd_contrast, "emit true and rate-based survival curves", built)
 
-    p = command("simulate", _cmd_simulate, "simulate counting-process rows", [*built, sim, out])
-    p.add_argument("--model", help="lambda02 CSV from a previous construct run")
+    command("simulate", _cmd_simulate, "simulate counting-process rows", [*built, sim, out])
 
     p = command("estimate", _cmd_estimate, "run an estimator over a rows CSV", [io, out])
     p.add_argument("--rows", required=True, help="CountingRow CSV path")

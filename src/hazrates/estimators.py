@@ -36,6 +36,7 @@ __all__ = [
 
 _MAX_NEWTON = 25
 _SCORE_TOL = 1e-9
+_STEP_TOL = 1e-6
 _DIVERGENCE_BOUND = 30.0
 
 
@@ -221,6 +222,14 @@ def _require_both_strata(d0: np.ndarray, d1: np.ndarray) -> None:
         raise ConvergenceError("all events in one stratum: monotone partial likelihood")
 
 
+def _require_small_step(step, theta) -> None:
+    """On a monotone partial likelihood the score and the information
+    decay together as the coefficients grow, so the score test passes
+    while the Newton step stays near 1; a converged fit's step is tiny."""
+    if np.max(np.abs(step)) > _STEP_TOL * max(1.0, np.max(np.abs(theta))):
+        raise ConvergenceError("divergent coefficient: monotone partial likelihood")
+
+
 def _fit_current_level(col: dict[str, np.ndarray], risk, index) -> CoxFit:
     _, d0, d1, _, _, _ = risk
     _require_both_strata(d0, d1)
@@ -229,16 +238,18 @@ def _fit_current_level(col: dict[str, np.ndarray], risk, index) -> CoxFit:
     iterations = 0
     for _ in range(_MAX_NEWTON):
         loglik, score, info, s0, xbar = _current_level_parts(risk, beta)
-        if abs(score) < _SCORE_TOL:
-            break
         if info <= 0 or not np.isfinite(score):
             raise ConvergenceError("singular information in partial-likelihood fit")
-        beta += score / info
+        step = score / info
+        if abs(score) < _SCORE_TOL:
+            break
+        beta += step
         iterations += 1
         if abs(beta) > _DIVERGENCE_BOUND:
             raise ConvergenceError("divergent coefficient: monotone partial likelihood")
     else:
         raise ConvergenceError(f"no convergence in {_MAX_NEWTON} Newton steps")
+    _require_small_step(step, beta)
 
     # Robust part: per-row score residuals, summed within subject.
     # Expected-part sums over event times in (start, stop] come from
@@ -330,19 +341,20 @@ def _fit_duration(col: dict[str, np.ndarray], risk, index) -> CoxFit:
     for _ in range(_MAX_NEWTON):
         s0, xbar, info = parts(theta)
         score = sum_ev_x - np.array([np.sum(d * xbar[:, 0]), np.sum(d * xbar[:, 1])])
-        if np.max(np.abs(score)) < _SCORE_TOL:
-            break
-        del s0, xbar  # before the next iteration makes its own
         try:
             delta = np.linalg.solve(info, score)
         except np.linalg.LinAlgError as err:
             raise ConvergenceError("singular information in partial-likelihood fit") from err
+        if np.max(np.abs(score)) < _SCORE_TOL:
+            break
+        del s0, xbar  # before the next iteration makes its own
         theta = theta + delta
         iterations += 1
         if np.max(np.abs(theta)) > _DIVERGENCE_BOUND:
             raise ConvergenceError("divergent coefficient: monotone partial likelihood")
     else:
         raise ConvergenceError(f"no convergence in {_MAX_NEWTON} Newton steps")
+    _require_small_step(delta, theta)
     loglik = float(np.sum(x_ev[by_time] @ theta) - np.sum(d * np.log(s0)))
     del parts, by_time  # the treated rows' sort orders go with parts
     beta, gamma = theta

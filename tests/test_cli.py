@@ -115,23 +115,12 @@ class TestSimulateAndEstimate:
         out = capsys.readouterr().out
         assert "subjects 300, treated" in out
 
-    def test_simulate_from_saved_model(self, tmp_path):
-        assert run_cli("construct", *FAST) == 0
-        assert (
-            run_cli(
-                "simulate", *FAST, "--n", "200", "--seed", "5",
-                "--model", str(tmp_path / "lambda02.csv"),
-                "--out", str(tmp_path / "rows2.csv"),
-            )
-            == 0
-        )
-        assert (tmp_path / "rows2.csv").exists()
-
-    def test_simulate_with_bad_model_file(self, tmp_path, capsys):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("t,wrong\n0,1\n")
-        assert run_cli("simulate", "--model", str(bad)) == 1
-        assert "error:" in capsys.readouterr().err
+    def test_simulate_writes_the_rows_reproduce_writes(self, tmp_path):
+        # both commands simulate the model the builder makes from the flags
+        flags = ["--n", "2000", "--seed", "5"]
+        assert run_cli("simulate", *flags, "--out", "simulated.csv") == 0
+        assert run_cli("reproduce", *flags) == 0
+        assert (tmp_path / "simulated.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
     @pytest.fixture
     def rows_file(self, tmp_path):
@@ -347,7 +336,7 @@ OPTIONS = {
     "construct": _BUILT,
     "rates": _BUILT,
     "contrast": _BUILT,
-    "simulate": _BUILT | {"--n", "--seed", "--model", "--out"},
+    "simulate": _BUILT | {"--n", "--seed", "--out"},
     "estimate": {"--config", "--out-dir", "--rows", "--method", "--out", "-h", "--help"},
     "frailty-demo": {
         "--config", "--out-dir", "--tmax", "--step", "--variance", "--h0", "--h1", "--u",
@@ -427,27 +416,47 @@ class TestErrors:
         )
 
     @pytest.mark.parametrize(
-        "argv, code",
+        "argv, code, names",
         [
             *[
-                pytest.param([command, "--n", "1000", "--lag", "1e308"], 0, id=f"{command}-lag")
+                pytest.param(
+                    [command, "--n", "1000", "--lag", "1e308"], 0, "", id=f"{command}-lag"
+                )
                 for command in ("reproduce", "simulate")
             ],
             *[
-                pytest.param([command, f"--beta={beta}"], 1, id=f"{command}-beta={beta}")
+                pytest.param([command, f"--beta={beta}"], 1, "beta", id=f"{command}-beta={beta}")
                 for command in ("construct", "rates", "contrast", "reproduce")
                 for beta in ("nan", "inf", "710", "-710")
             ],
+            # a cohort whose extended KM curve of one arm is 1 or 0 at
+            # t=2 has no log-survival ratio; the error names that arm
+            *[
+                pytest.param(
+                    ["reproduce", *flags], 1,
+                    f"the {arm} arm's extended-KM survival at t=2 is {s}: this cohort ({cohort})",
+                    id=f"reproduce-{arm}-{s}",
+                )
+                for flags, arm, s, cohort in [
+                    (["--n", "2000", "--beta", "-50"], "treated", 1, "n=2000, beta=-50"),
+                    (["--n", "2000", "--beta", "20"], "untreated", 1, "n=2000, beta=20"),
+                    (["--n", "5"], "treated", 0, "n=5, beta=-0.405465"),
+                ]
+            ],
+            pytest.param(
+                ["simulate", "--model", "x.csv"], 1, "unrecognized arguments: --model",
+                id="simulate-model",
+            ),
         ],
     )
-    def test_stderr_is_empty_or_one_error_line(self, argv, code, capsys):
+    def test_stderr_is_empty_or_one_error_line(self, argv, code, names, capsys):
         assert run_cli(*argv) == code
         err = capsys.readouterr().err
         if code == 0:
             assert err == ""
         else:
             assert err.startswith("error:") and err.count("\n") == 1
-            assert "beta" in err
+            assert names in err
 
     @pytest.mark.parametrize(
         "message",
@@ -464,14 +473,6 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory: ") and err.count("\n") == 1
         assert message in err
-
-    @pytest.mark.parametrize("first", ["0.001", "0.5"])
-    def test_simulate_rejects_a_model_grid_not_starting_at_0(self, tmp_path, capsys, first):
-        shifted = tmp_path / "shifted.csv"
-        start = float(first)
-        shifted.write_text("t,lambda02\n" + "".join(f"{start + k * 0.5},0.5\n" for k in range(3)))
-        assert run_cli("simulate", "--model", str(shifted)) == 1
-        assert f"{shifted}: grid times must start at 0" in capsys.readouterr().err
 
     def test_reproduce_accepts_every_flag_the_readme_lists(self):
         paragraph = README.read_text().split("Common flags:", 1)[1].split("\n\n", 1)[0]

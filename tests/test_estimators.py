@@ -122,6 +122,54 @@ class TestCoxCurrentLevel:
         with pytest.raises(ConvergenceError):
             cox_fit(rows)
 
+    @pytest.mark.parametrize(
+        "rows, covariates, message",
+        [
+            # the treated subject dies while the untreated one is at risk:
+            # the score decays like e^-beta and passes its test near
+            # beta = 21, while the Newton step stays near 1
+            *[
+                pytest.param(
+                    [CountingRow(0, 0.0, 1.0, 1, True), CountingRow(1, 0.0, 3.0, 0, True)],
+                    covariates, message, id=f"one-treated-{covariates}",
+                )
+                for covariates, message in [
+                    ("current", "divergent coefficient: monotone partial likelihood"),
+                    # one treated row: level and duration are collinear
+                    ("duration", "singular information in partial-likelihood fit"),
+                ]
+            ],
+            # both treated subjects die before either untreated one
+            *[
+                pytest.param(
+                    [
+                        CountingRow(0, 0.0, 0.67, 0, False),
+                        CountingRow(0, 0.67, 1.22, 1, True),
+                        CountingRow(1, 0.0, 0.14, 0, False),
+                        CountingRow(1, 0.14, 0.36, 1, True),
+                        CountingRow(2, 0.0, 4.0, 0, True),
+                        CountingRow(3, 0.0, 4.5, 0, True),
+                    ],
+                    covariates, "divergent coefficient: monotone partial likelihood",
+                    id=f"two-treated-{covariates}",
+                )
+                for covariates in ("current", "duration")
+            ],
+            # no event time has both levels at risk: zero information
+            *[
+                pytest.param(
+                    [CountingRow(0, 0.0, 1.0, 1, True), CountingRow(1, 1.5, 3.0, 0, True)],
+                    covariates, "singular information in partial-likelihood fit",
+                    id=f"no-overlap-{covariates}",
+                )
+                for covariates in ("current", "duration")
+            ],
+        ],
+    )
+    def test_rows_without_a_finite_fit_do_not_converge(self, rows, covariates, message):
+        with pytest.raises(ConvergenceError, match=f"^{message}$"):
+            cox_fit(rows, covariates=covariates)
+
     def test_gradient_matches_finite_differences(self, hand_rows):
         h = 1e-6
         for beta in (-0.5, 0.0, 0.7):

@@ -37,7 +37,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "hazrates"
 CALLED_FROM_OUTSIDE = {
     "cli.py _Parser.error": "argparse, on a bad command line",
     "frailty.py FrailtySpec.laplace": "perfbench/workloads.py, checking the closed forms",
-    "frailty.py DegenerateFrailty.laplace": "perfbench/workloads.py, checking the closed forms",
+    "frailty.py DegenerateFrailty.laplace": "test_frailty.py, checking the conditional mean",
     "frailty.py GammaFrailty.laplace": "perfbench/workloads.py, checking the closed forms",
     "construct.py rate_ratio": "test_acceptance.py and perfbench/tracing.py",
     "contrast.py duration_model_ratio": "test_acceptance.py, criterion 9",
@@ -171,6 +171,45 @@ def unused_public_methods(src: Path) -> list[str]:
         and not item.name.startswith("_")
         and item.name not in loaded
         and f"{module} {cls.name}.{item.name}" not in CALLED_FROM_OUTSIDE
+    ]
+
+
+def stale_exemptions(src: Path, exemptions=CALLED_FROM_OUTSIDE) -> list[str]:
+    """Keys of ``exemptions`` that name no module-level function or
+    class (``module.py name``) and no method (``module.py Class.name``)
+    defined in ``src``: an exemption outlives what it was for."""
+    defined = set()
+    for module, tree in _modules(src).items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(f"{module} {node.name}")
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                defined.update(
+                    f"{module} {cls.name}.{item.name}"
+                    for item in cls.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                )
+    return [key for key in exemptions if key not in defined]
+
+
+def test_every_exemption_names_a_definition():
+    stale = stale_exemptions(SRC)
+    assert not stale, "exemptions naming nothing in src/hazrates: " + ", ".join(stale)
+
+
+def test_a_stale_exemption_is_found(tmp_path):
+    (tmp_path / "tools.py").write_text(
+        "LIMIT = 3\n\n\ndef helper():\n    return LIMIT\n\n\n"
+        "class Kit:\n    def open(self):\n        return helper()\n"
+    )
+    exemptions = dict.fromkeys(
+        ["tools.py helper", "tools.py Kit", "tools.py Kit.open", "tools.py LIMIT",
+         "tools.py Kit.close", "tools.py gone", "other.py helper"],
+        "a caller",
+    )
+    assert stale_exemptions(tmp_path, exemptions) == [
+        "tools.py LIMIT", "tools.py Kit.close", "tools.py gone", "other.py helper",
     ]
 
 
