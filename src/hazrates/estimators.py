@@ -10,7 +10,8 @@ estimator O(n log n) in the number of rows.  Both Cox models (current
 level, and with time since initiation) also read one row index, built
 by each fit from the risk table's event times and each event row's
 index among them, and sum their robust score residuals within subject
-one covariate column at a time.
+one covariate column at a time.  Both fits run one Newton-Raphson
+driver, ``_newton``, which holds the stopping and failure rules.
 """
 
 from __future__ import annotations
@@ -204,7 +205,7 @@ def _range_sums(prefix: np.ndarray, lo: np.ndarray, hi: np.ndarray, rows=slice(N
 
 
 def _current_level_parts(table, beta: float):
-    """(loglik, score, info, s0, xbar) of the current-level Breslow
+    """(score, info, loglik, s0, xbar) of the current-level Breslow
     partial likelihood at beta, from the risk table."""
     _, d0, d1, y0, y1, _ = table
     d = d0 + d1
@@ -214,7 +215,7 @@ def _current_level_parts(table, beta: float):
     loglik = float(beta * d1.sum() - np.sum(d * np.log(s0)))
     score = float(d1.sum() - np.sum(d * xbar))
     info = float(np.sum(d * xbar * (1.0 - xbar)))
-    return loglik, score, info, s0, xbar
+    return score, info, loglik, s0, xbar
 
 
 def _require_both_strata(d0: np.ndarray, d1: np.ndarray) -> None:
@@ -230,26 +231,36 @@ def _require_small_step(step, theta) -> None:
         raise ConvergenceError("divergent coefficient: monotone partial likelihood")
 
 
+def _newton(parts, p: int):
+    """Newton-Raphson in p coefficients from theta = 0, where
+    parts(theta) = (score, info, *rest) with p and p*p entries.  Returns
+    (theta, iterations, info, rest) once the score test passes and the
+    step left is small; raises ConvergenceError on any other outcome."""
+    theta = np.zeros(p)
+    for iterations in range(_MAX_NEWTON):
+        score, info, *rest = parts(theta)
+        score = np.reshape(score, p)
+        try:
+            step = np.linalg.solve(np.reshape(info, (p, p)), score)
+        except np.linalg.LinAlgError:
+            step = np.full(p, np.nan)  # exactly singular: no step
+        if not np.all(np.isfinite(step)):
+            raise ConvergenceError("singular information in partial-likelihood fit")
+        if np.max(np.abs(score)) < _SCORE_TOL:
+            _require_small_step(step, theta)
+            return theta, iterations, info, rest
+        del rest  # before the next iteration makes its own
+        theta = theta + step
+        if np.max(np.abs(theta)) > _DIVERGENCE_BOUND:
+            raise ConvergenceError("divergent coefficient: monotone partial likelihood")
+    raise ConvergenceError(f"no convergence in {_MAX_NEWTON} Newton steps")
+
+
 def _fit_current_level(col: dict[str, np.ndarray], risk, index) -> CoxFit:
     _, d0, d1, _, _, _ = risk
-    _require_both_strata(d0, d1)
-
-    beta = 0.0
-    iterations = 0
-    for _ in range(_MAX_NEWTON):
-        loglik, score, info, s0, xbar = _current_level_parts(risk, beta)
-        if info <= 0 or not np.isfinite(score):
-            raise ConvergenceError("singular information in partial-likelihood fit")
-        step = score / info
-        if abs(score) < _SCORE_TOL:
-            break
-        beta += step
-        iterations += 1
-        if abs(beta) > _DIVERGENCE_BOUND:
-            raise ConvergenceError("divergent coefficient: monotone partial likelihood")
-    else:
-        raise ConvergenceError(f"no convergence in {_MAX_NEWTON} Newton steps")
-    _require_small_step(step, beta)
+    (beta,), iterations, info, (loglik, s0, xbar) = _newton(
+        lambda theta: _current_level_parts(risk, theta[0]), 1
+    )
 
     # Robust part: per-row score residuals, summed within subject.
     # Expected-part sums over event times in (start, stop] come from
@@ -275,19 +286,21 @@ def _fit_current_level(col: dict[str, np.ndarray], risk, index) -> CoxFit:
     )
 
 
-def _duration_parts(col: dict[str, np.ndarray], treated, u: np.ndarray, risk):
-    """The function theta -> (s0, xbar, info) of the duration-augmented
-    partial likelihood at theta = (beta, gamma): risk-set sums, means of
-    (level, time since initiation) at each event time, and information.
+def _duration_parts(col: dict[str, np.ndarray], treated, u: np.ndarray, risk, sum_ev_x):
+    """The function theta -> (score, info, s0, xbar) of the
+    duration-augmented partial likelihood at theta = (beta, gamma), s0
+    and xbar being the risk-set sums and means of (level, time since
+    initiation) at each event time; ``sum_ev_x`` sums those over events.
 
     A treated row with initiation time u (``u``, in treated-row order)
     weighs e^{beta + gamma*(t - u)} = e^{beta + gamma*t} e^{-gamma*u} at
     event time t, so the risk-set sums reduce to T_k(t), the sums of
     e^{-gamma*u} * u^k over treated rows at risk at t: differences of
     prefix sums in start and in stop order, whose sort orders and
-    risk-set positions are computed once here.
+    risk-set positions are computed once here.  Where no treated row is
+    at risk that difference is roundoff, so it is set to exactly 0.
     """
-    uniq, d0, d1, y0, _, _ = risk
+    uniq, d0, d1, y0, y1, _ = risk
     d = d0 + d1
     sides = []
     for key in ("start", "stop"):
@@ -295,14 +308,17 @@ def _duration_parts(col: dict[str, np.ndarray], treated, u: np.ndarray, risk):
         order = np.argsort(bounds, kind="stable")
         sides.append((order, np.searchsorted(bounds[order], uniq, side="left")))
     (in_order, entered), (out_order, exited) = sides
+    no_treated = y1 == 0
+
+    def at_risk(m: np.ndarray) -> np.ndarray:
+        out = _padded_cumsum(m[in_order])[entered] - _padded_cumsum(m[out_order])[exited]
+        out[no_treated] = 0.0
+        return out
 
     def parts(theta: np.ndarray):
         beta, gamma = theta
         w = np.exp(-gamma * u)
-        t0, t1, t2 = (
-            _padded_cumsum(m[in_order])[entered] - _padded_cumsum(m[out_order])[exited]
-            for m in (w, u * w, u * u * w)
-        )
+        t0, t1, t2 = (at_risk(m) for m in (w, u * w, u * u * w))
         w = np.exp(beta + gamma * uniq)
         # risk-set moments of (1, t - u) under the exponential weight
         m1a = w * t0
@@ -310,10 +326,11 @@ def _duration_parts(col: dict[str, np.ndarray], treated, u: np.ndarray, risk):
         m1b = w * (uniq * t0 - t1)
         m2bb = w * (uniq**2 * t0 - 2 * uniq * t1 + t2)
         xbar = np.stack([m1a / s0, m1b / s0], axis=1)
+        score = sum_ev_x - np.array([np.sum(d * xbar[:, 0]), np.sum(d * xbar[:, 1])])
         i00 = np.sum(d * (m1a / s0 - xbar[:, 0] ** 2))
         i01 = np.sum(d * (m1b / s0 - xbar[:, 0] * xbar[:, 1]))
         i11 = np.sum(d * (m2bb / s0 - xbar[:, 1] ** 2))
-        return s0, xbar, np.array([[i00, i01], [i01, i11]])
+        return score, np.array([[i00, i01], [i01, i11]]), s0, xbar
 
     return parts
 
@@ -322,39 +339,18 @@ def _fit_duration(col: dict[str, np.ndarray], risk, index) -> CoxFit:
     """Two-covariate model: current level and time since initiation."""
     uniq, d0, d1, _, _, _ = risk
     lo, hi, event_k, subject = index
-    _require_both_strata(d0, d1)
     d = d0 + d1
     ev, treat = col["event"], col["treat"]
     tr = treat == 1
     u_tr = _initiation_times(col, subject, tr)
-    parts = _duration_parts(col, tr, u_tr, risk)
     # per-event covariates (level, time since initiation) in row order;
     # the score and log-likelihood sum them in event-time order
     x_ev = np.zeros((event_k.size, 2))
     x_ev[:, 0] = treat[ev]
     x_ev[tr[ev], 1] = col["stop"][ev & tr] - u_tr[ev[tr]]
     by_time = np.argsort(event_k, kind="stable")
-    sum_ev_x = x_ev[by_time].sum(axis=0)
-
-    theta = np.zeros(2)
-    iterations = 0
-    for _ in range(_MAX_NEWTON):
-        s0, xbar, info = parts(theta)
-        score = sum_ev_x - np.array([np.sum(d * xbar[:, 0]), np.sum(d * xbar[:, 1])])
-        try:
-            delta = np.linalg.solve(info, score)
-        except np.linalg.LinAlgError as err:
-            raise ConvergenceError("singular information in partial-likelihood fit") from err
-        if np.max(np.abs(score)) < _SCORE_TOL:
-            break
-        del s0, xbar  # before the next iteration makes its own
-        theta = theta + delta
-        iterations += 1
-        if np.max(np.abs(theta)) > _DIVERGENCE_BOUND:
-            raise ConvergenceError("divergent coefficient: monotone partial likelihood")
-    else:
-        raise ConvergenceError(f"no convergence in {_MAX_NEWTON} Newton steps")
-    _require_small_step(delta, theta)
+    parts = _duration_parts(col, tr, u_tr, risk, x_ev[by_time].sum(axis=0))
+    theta, iterations, info, (s0, xbar) = _newton(parts, 2)
     loglik = float(np.sum(x_ev[by_time] @ theta) - np.sum(d * np.log(s0)))
     del parts, by_time  # the treated rows' sort orders go with parts
     beta, gamma = theta
@@ -410,6 +406,7 @@ def cox_fit(rows: CountingTable, covariates: str = "current") -> CoxFit:
         raise ValueError("need at least one event to fit")
     fit = _fit_current_level if covariates == "current" else _fit_duration
     risk = _risk_table(rows)
+    _require_both_strata(risk[1], risk[2])
     return fit(rows.columns, risk, _index_arrays(rows.columns, risk))
 
 
@@ -422,7 +419,7 @@ def cox_loglik_parts(rows: CountingTable, beta: float) -> tuple[float, float, fl
     rows = CountingTable.coerce(rows)
     if not np.any(rows.event):
         raise ValueError("need at least one event")
-    loglik, score, info, _, _ = _current_level_parts(_risk_table(rows), beta)
+    score, info, loglik, _, _ = _current_level_parts(_risk_table(rows), beta)
     return loglik, score, info
 
 

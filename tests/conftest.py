@@ -1,6 +1,6 @@
 """Shared fixtures: the standard constructed model and cached cohorts,
-the reference first-crossing search and the traced-memory peak of a
-call.
+the reference first-crossing search, the traced-memory peak of a call
+and separated rows with a monotone partial likelihood.
 
 The heavy objects (fixed-point build, large simulated cohorts) are
 session-scoped so the acceptance tests and the module tests share one
@@ -19,6 +19,22 @@ STEP = 0.005
 LAM01 = 0.3
 EARLY, LATE, LAG = 0.4, 0.2, 1.0
 BETA = float(np.log(2.0 / 3.0))
+
+# Eight treated subjects, (initiation u, death d), all die before four
+# untreated subjects, deaths at s: each set's partial likelihood grows
+# without bound in the level coefficient.
+SEPARATED = {
+    "a": (
+        [(0.67, 1.22), (0.34, 1.28), (0.14, 0.96), (0.11, 0.12),
+         (0.83, 1.69), (0.92, 0.96), (0.65, 1.38), (0.76, 0.94)],
+        [3.36, 3.04, 2.8, 2.92],
+    ),
+    "b": (
+        [(0.56, 1.03), (0.61, 1.22), (0.56, 1.49), (0.97, 1.22),
+         (0.65, 0.97), (0.61, 1.01), (0.36, 0.64), (0.6, 0.96)],
+        [3.44, 2.88, 3.27, 2.54],
+    ),
+}
 
 
 def searchsorted_crossing(values, step, e):
@@ -41,6 +57,17 @@ def traced_peak(call):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def separated_rows(name):
+    """SEPARATED[name] as counting rows: a treated subject is untreated
+    on (0, u] and treated on (u, d], an untreated one is at risk on (0, s]."""
+    treated, untreated = SEPARATED[name]
+    rows = []
+    for i, (u, d) in enumerate(treated):
+        rows += [hz.CountingRow(i, 0.0, u, 0, False), hz.CountingRow(i, u, d, 1, True)]
+    rows += [hz.CountingRow(len(treated) + j, 0.0, s, 0, True) for j, s in enumerate(untreated)]
+    return rows
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import traced_peak
+from conftest import separated_rows, traced_peak
 
 import hazrates
 from hazrates.cli import (
@@ -24,7 +24,7 @@ from hazrates.cli import (
     main,
 )
 from hazrates.grid import MAX_NODES
-from hazrates.model import _CHUNK, read_counting_rows
+from hazrates.model import _CHUNK, read_counting_rows, write_counting_rows
 from hazrates.numerics import SolverConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -151,6 +151,13 @@ class TestSimulateAndEstimate:
         beta_hat = fields[0].split(";")
         assert len(beta_hat) == 2
         [float(v) for v in beta_hat]
+
+    def test_estimate_on_a_monotone_likelihood_exits_2(self, tmp_path, capsys):
+        write_counting_rows(separated_rows("a"), tmp_path / "separated.csv")
+        assert run_cli("estimate", "--rows", "separated.csv", "--method", "cox-duration") == 2
+        assert capsys.readouterr().err == (
+            "solver failed: divergent coefficient: monotone partial likelihood\n"
+        )
 
     def test_estimate_aalen(self, tmp_path, rows_file, capsys):
         assert run_cli("estimate", "--rows", rows_file, "--method", "aalen") == 0

@@ -11,6 +11,7 @@ from hazrates.contrast import (
     potential_survival,
     rate_based_survival,
 )
+from hazrates.estimators import cox_fit, nelson_aalen_by_treatment
 from hazrates.rates import rate_treated, rate_untreated
 
 
@@ -105,6 +106,29 @@ class TestContrasts:
         s_t = rate_based_survival(rate_treated(model))
         after = model.times > 1.0
         assert np.all(s_t.values[after] < s_alw.values[after])
+
+    def test_cox_transformed_survival_estimates_the_rate_contrast(self, model):
+        # the paper's claim from data: a current-level Cox fit put on the
+        # survival scale, S_u^exp(beta_hat) - S_u, centres on the rate
+        # contrast, not the true one, while its robust interval covers
+        # the rate ratio as a 95% interval should
+        n, seeds = 2_000, range(1000, 1400)
+        estimates, covered = [], 0
+        for seed in seeds:
+            rows = hz.to_counting_rows(hz.simulate_cohort(model, hz.SimConfig(n=n, seed=seed)))
+            s_u = np.exp(-nelson_aalen_by_treatment(rows)[0](T_MAX))
+            fit = cox_fit(rows, "current")
+            estimates.append(s_u ** np.exp(fit.beta_hat) - s_u)
+            covered += abs(fit.beta_hat - BETA) <= 1.959963984540054 * fit.robust_se
+        r = len(estimates)
+        mean = np.mean(estimates)
+        mc_se = np.std(estimates, ddof=1) / np.sqrt(r)
+        s_t, s_0 = (rate_based_survival(rate(model)) for rate in (rate_treated, rate_untreated))
+        s_alw, s_nev = (potential_survival(model, r) for r in (Regime.always(), Regime.never()))
+        rate_c, true_c = s_t(T_MAX) - s_0(T_MAX), s_alw(T_MAX) - s_nev(T_MAX)
+        assert abs(mean - rate_c) < 4 * mc_se, f"mean {mean:.5f}, MC SE {mc_se:.5f}"
+        assert mean < true_c - 20 * mc_se, f"mean {mean:.5f}, MC SE {mc_se:.5f}"
+        assert abs(covered / r - 0.95) < 4 * np.sqrt(0.95 * 0.05 / r), f"covered {covered}/{r}"
 
     def test_rate_based_survival_rejects_negative(self):
         with pytest.raises(ValueError):

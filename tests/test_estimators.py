@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import BETA, LAM01, STEP, T_MAX, traced_peak
+from conftest import BETA, LAM01, STEP, T_MAX, separated_rows, traced_peak
 
 import hazrates as hz
 from hazrates import estimators
@@ -153,6 +153,18 @@ class TestCoxCurrentLevel:
                     covariates, "divergent coefficient: monotone partial likelihood",
                     id=f"two-treated-{covariates}",
                 )
+                for covariates in ("current", "duration")
+            ],
+            # eight treated subjects initiating in (0.1, 1) all die before
+            # four untreated ones: the duration fit's score decays only if
+            # its treated risk-set sums are exactly 0 where none is at risk
+            *[
+                pytest.param(
+                    separated_rows(name), covariates,
+                    "divergent coefficient: monotone partial likelihood",
+                    id=f"separated-{name}-{covariates}",
+                )
+                for name in ("a", "b")
                 for covariates in ("current", "duration")
             ],
             # no event time has both levels at risk: zero information
