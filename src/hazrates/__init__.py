@@ -13,7 +13,6 @@ the simulated data.
 
 from .construct import BuildReport, IterationRecord, build, rate_ratio
 from .contrast import (
-    Regime,
     causal_hazard_ratio,
     duration_model_ratio,
     potential_survival,
@@ -109,7 +108,6 @@ __all__ = [
     "cox_fit",
     "aalen_additive",
     "log_surv_ratio",
-    "Regime",
     "potential_survival",
     "rate_based_survival",
     "causal_hazard_ratio",

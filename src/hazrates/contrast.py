@@ -1,12 +1,11 @@
 """Potential-outcome survival under fixed treatment regimes, and the
 rate-based transform it is contrasted with.
 
-A regime is a ``TreatmentPath``, also named ``Regime``.  Along the
-enforced path the death hazard is known exactly, so potential survival
-is exp(-path.load) with no estimation involved.  rate_based_survival
-applies the same transform to a rate function; the difference between
-the two is the quantity of interest, since the transform is only valid
-for hazards.
+A regime is a ``TreatmentPath``.  Along the enforced path the death
+hazard is known exactly, so potential survival is exp(-path.load) with
+no estimation involved.  rate_based_survival applies the same transform
+to a rate function; the difference between the two is the quantity of
+interest, since the transform is only valid for hazards.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from .grid import NODE_TOL, GridFunction, cumulative
 from .model import IllnessDeathModel, TreatmentPath
 
 __all__ = [
-    "Regime",
     "potential_survival",
     "rate_based_survival",
     "causal_hazard_ratio",
@@ -26,6 +24,7 @@ __all__ = [
 ]
 
 
+# the acceptance criteria (tests/test_acceptance.py) import the path type by this name
 Regime = TreatmentPath
 
 

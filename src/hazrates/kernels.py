@@ -27,23 +27,61 @@ __all__ = [
 
 
 class HazardKernel(ABC):
-    """Hazard lam12(t | u) for current time t and initiation time u <= t."""
+    """Hazard lam12(t | u) for current time t and initiation time u <= t.
 
-    @abstractmethod
+    ``value``, ``cumulative`` and ``invert_cumulative`` hold the argument
+    rules of every kernel: they take scalars or broadcastable arrays,
+    return a float when every argument is a scalar, and raise ValueError
+    for t < u, for a negative or NaN threshold and, in a kernel with a
+    ``grid_spec``, for a t or u outside [0, t_max], each within NODE_TOL.
+    A kernel implements ``_value``, ``_cumulative`` and ``_invert`` on
+    the checked, broadcast arrays.
+    """
+
     def value(self, t, u):
-        """Hazard at time t given initiation at u.  Accepts scalars or
-        broadcastable arrays with t >= u elementwise."""
+        """Hazard at time t given initiation at u."""
+        t, u, scalar = _broadcast_pair(t, u)
+        self._require_times(u, t, "kernel evaluated at t < u")
+        out = self._value(t, u)
+        return float(out[0]) if scalar else out
 
-    @abstractmethod
     def cumulative(self, u, t):
-        """Integral of value(s, u) over s in [u, t].  ``u`` may be an
-        array with a scalar t >= max(u)."""
+        """Integral of value(s, u) over s in [u, t]."""
+        u, t, scalar = _broadcast_pair(u, t)
+        self._require_times(u, t, "kernel cumulative needs u <= t")
+        out = self._cumulative(u, t)
+        return float(out[0]) if scalar else out
 
-    @abstractmethod
     def invert_cumulative(self, u, e):
         """Smallest t >= u with cumulative(u, t) >= e, or +inf when no
-        such time exists.  Vectorized over matching u and e arrays;
-        ValueError if any e is negative or NaN."""
+        such time exists."""
+        u, e, scalar = _broadcast_pair(u, e)
+        if np.any(~(e >= 0)):  # NaN too
+            raise ValueError("threshold must be nonnegative")
+        self._require_times(u, u)
+        out = self._invert(u, e)
+        return float(out[0]) if scalar else out
+
+    def _require_times(self, u, t, order_message=None) -> None:
+        """ValueError(order_message), if given, where t < u, and ValueError
+        where a grid-backed kernel gets times from u to t off its grid."""
+        if order_message is not None and (t - u < -NODE_TOL).any():
+            raise ValueError(order_message)
+        spec = self.grid_spec()
+        if spec is not None and ((u < -NODE_TOL).any() or (t > spec[0] + NODE_TOL).any()):
+            raise ValueError(f"kernel evaluated outside its grid [0, {spec[0]}]")
+
+    @abstractmethod
+    def _value(self, t: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """``value`` on checked arrays of one shape."""
+
+    @abstractmethod
+    def _cumulative(self, u: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """``cumulative`` on checked arrays of one shape."""
+
+    @abstractmethod
+    def _invert(self, u: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """``invert_cumulative`` on checked arrays of one shape."""
 
     def grid_spec(self) -> tuple[float, float] | None:
         """(t_max, step) for grid-backed kernels, else None."""
@@ -89,20 +127,12 @@ class TwoPieceKernel(HazardKernel):
             if not (np.isfinite(v) and v >= 0):
                 raise ValueError(f"{name} must be nonnegative and finite, got {v!r}")
 
-    def value(self, t, u):
-        dt = np.asarray(t, dtype=float) - np.asarray(u, dtype=float)
-        if np.any(dt < -NODE_TOL):
-            raise ValueError("kernel evaluated at t < u")
-        out = np.where(dt <= self.lag + NODE_TOL, self.early, self.late)
-        return float(out) if out.ndim == 0 else out
+    def _value(self, t, u):
+        return np.where(t - u <= self.lag + NODE_TOL, self.early, self.late)
 
-    def cumulative(self, u, t):
-        dt = np.asarray(t, dtype=float) - np.asarray(u, dtype=float)
-        if np.any(dt < -NODE_TOL):
-            raise ValueError("kernel cumulative needs u <= t")
-        dt = np.maximum(dt, 0.0)
-        out = self._cumulative_at(dt, dt <= self.lag + NODE_TOL)
-        return float(out) if out.ndim == 0 else out
+    def _cumulative(self, u, t):
+        dt = np.maximum(t - u, 0.0)
+        return self._cumulative_at(dt, dt <= self.lag + NODE_TOL)
 
     def _cumulative_at(self, dt, early):
         """Cumulative over an elapsed duration dt, ``early`` marking dt within the lag."""
@@ -110,19 +140,13 @@ class TwoPieceKernel(HazardKernel):
             early, self.early * dt, self.early * self.lag + self.late * (dt - self.lag)
         )
 
-    def invert_cumulative(self, u, e):
-        u = np.asarray(u, dtype=float)
-        e = np.asarray(e, dtype=float)
-        if np.any(~(e >= 0)):  # NaN too
-            raise ValueError("threshold must be nonnegative")
+    def _invert(self, u, e):
         cap = self.early * self.lag
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             within_early = (e <= cap) & (self.early > 0)
             t_early = u + np.where(self.early > 0, e / self.early, np.inf)
             t_late = u + self.lag + np.where(self.late > 0, (e - cap) / self.late, np.inf)
-        out = np.where(within_early, t_early, t_late)
-        out = np.where(e == 0, u, out)
-        return float(out) if out.ndim == 0 else out
+        return np.where(e == 0, u, np.where(within_early, t_early, t_late))
 
     def _within_lag(self, n: int, step: float) -> np.ndarray:
         """Node offsets k = 0..n-1 whose elapsed duration k*step counts as early.
@@ -176,29 +200,18 @@ class MarkovKernel(HazardKernel):
     def grid_spec(self) -> tuple[float, float] | None:
         return (self.rate.t_max, self.rate.step)
 
-    def value(self, t, u):
+    def _value(self, t, u):
         return self.rate(t)
 
-    def cumulative(self, u, t):
-        cum = self._cum
-        out = np.asarray(cum(t), dtype=float) - np.asarray(cum(u), dtype=float)
-        if np.any(out < -NODE_TOL):
-            raise ValueError("kernel cumulative needs u <= t")
-        out = np.maximum(out, 0.0)
-        return float(out) if out.ndim == 0 else out
+    def _cumulative(self, u, t):
+        return np.maximum(self._cum(t) - self._cum(u), 0.0)
 
-    def invert_cumulative(self, u, e):
-        u_b, e_b, scalar = _broadcast_pair(u, e)
-        if np.any(~(e_b >= 0)):  # NaN too
-            raise ValueError("threshold must be nonnegative")
+    def _invert(self, u, e):
         cum = self._cum
-        target = np.asarray(cum(u_b), dtype=float) + e_b
-        t, _ = first_crossing(lambda node, rows: cum.values[node], cum.n_nodes, cum.step, target)
-        out = np.where(np.isnan(t), np.inf, np.maximum(t, u_b))  # max: roundoff at e ~ 0
-        return float(out[0]) if scalar else out
+        return _crossing_after(u, lambda k, rows: cum.values[k], cum.n_nodes, cum.step, cum(u) + e)
 
     def value_grid(self, times: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(self.rate(times)[:, None], (times.size, times.size)).copy()
+        return np.broadcast_to(self.rate(times)[:, None], (times.size, times.size))
 
     def cumulative_grid(self, times: np.ndarray) -> np.ndarray:
         c = self._cum(times)
@@ -255,24 +268,25 @@ class GridKernel(HazardKernel):
         j0, j1, f = cols
         return (1 - f) * table[rows, j0] + f * table[rows, j1]
 
-    def _along_t(self, table: np.ndarray, t: np.ndarray, cols) -> np.ndarray:
-        """Column blend of ``table`` interpolated linearly in t (clamped
-        to the grid ends, as np.interp does)."""
-        k0, k1, w = _bracket(t, self.step, self._times.size)
-        v0 = self._blend(table, k0, cols)
-        return v0 + w * (self._blend(table, k1, cols) - v0)
+    def _along_t(self, at, t: np.ndarray) -> np.ndarray:
+        """Node function ``at(k)`` interpolated linearly in t (clamped to
+        the grid ends, as np.interp does)."""
+        n = self._times.size
+        pos = np.clip(t / self.step, 0.0, n - 1)
+        k0 = np.clip(np.floor(pos).astype(np.intp), 0, max(n - 2, 0))
+        v0 = at(k0)
+        return v0 + (pos - k0) * (at(np.minimum(k0 + 1, n - 1)) - v0)
 
-    def value(self, t, u):
-        t_b, u_b, scalar = _broadcast_pair(t, u)
-        out = self._along_t(self.values, t_b, self._columns(u_b))
-        return float(out[0]) if scalar else out
+    def _value(self, t, u):
+        cols = self._columns(u)
+        return self._along_t(lambda k: self._blend(self.values, k, cols), t)
 
     def _from_u(self, u: np.ndarray):
         """Node function (k, rows) -> cumulative from u to node k of u's
         column (zero at nodes before u), for the entries u[rows], in the
         form ``first_crossing`` calls."""
         cols = self._columns(u)
-        base = self._along_t(self._cum, u, cols)
+        base = self._along_t(lambda k: self._blend(self._cum, k, cols), u)
 
         def at(k: np.ndarray, rows) -> np.ndarray:
             cols_in = tuple(c[rows] for c in cols)
@@ -281,23 +295,12 @@ class GridKernel(HazardKernel):
 
         return at
 
-    def cumulative(self, u, t):
-        u_b, t_b, scalar = _broadcast_pair(u, t)
-        if np.any(t_b - u_b < -NODE_TOL):
-            raise ValueError("kernel cumulative needs u <= t")
-        at = self._from_u(u_b)
-        k0, k1, w = _bracket(t_b, self.step, self._times.size)
-        c0 = at(k0, slice(None))
-        out = c0 + w * (at(k1, slice(None)) - c0)
-        return float(out[0]) if scalar else out
+    def _cumulative(self, u, t):
+        at = self._from_u(u)
+        return self._along_t(lambda k: at(k, slice(None)), t)
 
-    def invert_cumulative(self, u, e):
-        u_b, e_b, scalar = _broadcast_pair(u, e)
-        if np.any(~(e_b >= 0)):  # NaN too
-            raise ValueError("threshold must be nonnegative")
-        t, _ = first_crossing(self._from_u(u_b), self._times.size, self.step, e_b)
-        out = np.where(np.isnan(t), np.inf, np.maximum(t, u_b))
-        return float(out[0]) if scalar else out
+    def _invert(self, u, e):
+        return _crossing_after(u, self._from_u(u), self._times.size, self.step, e)
 
     def value_grid(self, times: np.ndarray) -> np.ndarray:
         if times.size != self._times.size or abs(times[-1] - self._times[-1]) > NODE_TOL:
@@ -310,18 +313,17 @@ class GridKernel(HazardKernel):
         return np.tril(self._cum - np.diag(self._cum)[None, :])
 
 
-def _bracket(x: np.ndarray, step: float, n: int):
-    """Nodes (k0, k1) around x and weight w, x ~ (1 - w) * k0 + w * k1,
-    clamped to the grid ends."""
-    pos = np.clip(x / step, 0.0, n - 1)
-    k0 = np.clip(np.floor(pos).astype(np.intp), 0, max(n - 2, 0))
-    return k0, np.minimum(k0 + 1, n - 1), pos - k0
+def _crossing_after(u, value_at, n_nodes: int, step: float, e: np.ndarray) -> np.ndarray:
+    """``first_crossing`` of e, +inf where no node reaches it, and no
+    earlier than u (roundoff at e ~ 0)."""
+    t, _ = first_crossing(value_at, n_nodes, step, e)
+    return np.where(np.isnan(t), np.inf, np.maximum(t, u))
 
 
 def _broadcast_pair(x, y):
     """x and y as broadcast float arrays of at least one dimension, and
     whether both were scalars."""
-    x_b, y_b = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(y, dtype=float))
-    )
-    return x_b, y_b, np.ndim(x) == 0 and np.ndim(y) == 0
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    scalar = x.ndim == 0 and y.ndim == 0
+    x, y = np.atleast_1d(x, y)
+    return (x, y, scalar) if x.shape == y.shape else (*np.broadcast_arrays(x, y), scalar)

@@ -58,10 +58,10 @@ __all__ = [
 ]
 
 # Most grid nodes the dense quadrature takes.  At its peak it holds about
-# 4.1 n-by-n float arrays: rate_treated on a MarkovKernel model measured
-# 0.016 s and 11.9 MB traced at 601 nodes, 0.18 s and 132 MB at 2,001,
-# 0.72 s and 528 MB at 4,001 (2-CPU x86_64), so memory, not time, binds,
-# and this limit keeps the peak near 0.8 GB.
+# 3.1 n-by-n float arrays: rate_treated on a MarkovKernel model measured
+# 0.013 s and 9.0 MB traced at 601 nodes, 0.11 s and 100 MB at 2,001,
+# 0.56 s and 400 MB at 4,001 (2-CPU x86_64), so memory, not time, binds,
+# and this limit keeps the peak near 0.6 GB.
 MAX_DENSE_NODES = 5_000
 
 # Occupation mass below this level makes the treated rate an average

@@ -5,41 +5,42 @@ from conftest import BETA, STEP, T_MAX
 
 import hazrates as hz
 from hazrates.contrast import (
-    Regime,
     causal_hazard_ratio,
     duration_model_ratio,
     potential_survival,
     rate_based_survival,
 )
 from hazrates.estimators import cox_fit, nelson_aalen_by_treatment
+from hazrates.model import TreatmentPath
 from hazrates.rates import rate_treated, rate_untreated
 
 
 class TestRegime:
     def test_constructors(self):
-        assert Regime.never().u_init is None
-        assert Regime.always().u_init == 0.0
-        assert Regime.initiate_at(1.5).u_init == 1.5
+        assert TreatmentPath.never().u_init is None
+        assert TreatmentPath.always().u_init == 0.0
+        assert TreatmentPath.initiate_at(1.5).u_init == 1.5
 
     def test_a_regime_is_a_treatment_path(self):
-        assert type(Regime.never()) is hz.TreatmentPath
+        assert type(TreatmentPath.never()) is hz.TreatmentPath
         # initiation at 0 is the always-treated path, equal and hashing
-        # alike whichever name builds it
-        assert Regime.initiate_at(0.0) == Regime.always() == hz.TreatmentPath.always()
-        assert hash(Regime.always()) == hash(hz.TreatmentPath(u_init=0.0))
+        # alike whichever constructor builds it
+        assert TreatmentPath.initiate_at(0.0) == TreatmentPath.always() == TreatmentPath(u_init=0.0)
+        assert hash(TreatmentPath.initiate_at(0.0)) == hash(TreatmentPath.always())
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            Regime.initiate_at(-0.5)
+            TreatmentPath.initiate_at(-0.5)
 
 
 class TestPotentialSurvival:
     def test_starts_at_one(self, model):
-        for regime in (Regime.never(), Regime.always(), Regime.initiate_at(1.0)):
+        paths = (TreatmentPath.never(), TreatmentPath.always(), TreatmentPath.initiate_at(1.0))
+        for regime in paths:
             assert potential_survival(model, regime)(0.0) == 1.0
 
     def test_always_is_the_kernel_cumulative(self, model):
-        s = potential_survival(model, Regime.always())
+        s = potential_survival(model, TreatmentPath.always())
         # two-piece closed form: 0.4 for one unit, 0.2 for two more
         assert s(3.0) == pytest.approx(np.exp(-0.8), abs=1e-12)
         assert s(0.5) == pytest.approx(np.exp(-0.2), abs=1e-12)
@@ -47,41 +48,41 @@ class TestPotentialSurvival:
     def test_never_matches_rate_transform_of_untreated_rate(self, model):
         # among the untreated, rate and hazard coincide, so this is the
         # one regime where the rate-based transform is exactly right
-        s_never = potential_survival(model, Regime.never())
+        s_never = potential_survival(model, TreatmentPath.never())
         s_rate = rate_based_survival(rate_untreated(model))
         np.testing.assert_array_equal(s_never.values, s_rate.values)
 
     def test_never_frozen_value(self, model):
-        assert potential_survival(model, Regime.never())(3.0) == pytest.approx(
+        assert potential_survival(model, TreatmentPath.never())(3.0) == pytest.approx(
             0.2324212802, abs=1e-9
         )
 
     def test_a_treatment_path_gives_the_regime_curve(self, model):
         for u in (0.0, 0.7, 1.2345, T_MAX):
             via_path = potential_survival(model, hz.TreatmentPath.initiate_at(u))
-            via_regime = potential_survival(model, Regime.initiate_at(u))
+            via_regime = potential_survival(model, TreatmentPath.initiate_at(u))
             assert np.array_equal(via_path.values, via_regime.values)
 
     def test_initiate_at_zero_is_always(self, model):
-        s0 = potential_survival(model, Regime.initiate_at(0.0))
-        s_alw = potential_survival(model, Regime.always())
+        s0 = potential_survival(model, TreatmentPath.initiate_at(0.0))
+        s_alw = potential_survival(model, TreatmentPath.always())
         assert float(np.max(np.abs(s0.values - s_alw.values))) <= 1e-12
 
     def test_initiate_at_horizon_is_never(self, model):
-        s3 = potential_survival(model, Regime.initiate_at(T_MAX))
-        s_nev = potential_survival(model, Regime.never())
+        s3 = potential_survival(model, TreatmentPath.initiate_at(T_MAX))
+        s_nev = potential_survival(model, TreatmentPath.never())
         assert float(np.max(np.abs(s3.values - s_nev.values))) <= 1e-12
 
     def test_initiation_beyond_horizon_rejected(self, model):
         with pytest.raises(ValueError):
-            potential_survival(model, Regime.initiate_at(T_MAX + 1.0))
+            potential_survival(model, TreatmentPath.initiate_at(T_MAX + 1.0))
 
     def test_regime_ordering(self, model):
         # earlier initiation only ever helps here: the post-initiation
         # hazard is below the untreated hazard at every time
-        s_alw = potential_survival(model, Regime.always())
-        s_mid = potential_survival(model, Regime.initiate_at(1.0))
-        s_nev = potential_survival(model, Regime.never())
+        s_alw = potential_survival(model, TreatmentPath.always())
+        s_mid = potential_survival(model, TreatmentPath.initiate_at(1.0))
+        s_nev = potential_survival(model, TreatmentPath.never())
         assert np.all(s_alw.values - s_mid.values >= -1e-12)
         assert np.all(s_mid.values - s_nev.values >= -1e-12)
         assert s_alw(3.0) > s_mid(3.0) > s_nev(3.0)
@@ -89,8 +90,8 @@ class TestPotentialSurvival:
 
 class TestContrasts:
     def test_true_contrast_frozen(self, model):
-        s_alw = potential_survival(model, Regime.always())
-        s_nev = potential_survival(model, Regime.never())
+        s_alw = potential_survival(model, TreatmentPath.always())
+        s_nev = potential_survival(model, TreatmentPath.never())
         assert s_alw(3.0) - s_nev(3.0) == pytest.approx(0.2169076839, abs=1e-9)
 
     def test_rate_based_contrast_frozen(self, model):
@@ -102,7 +103,7 @@ class TestContrasts:
         # exp(-cumulative rate) among the treated is not a potential
         # outcome; here it undershoots the always-treat curve everywhere
         # past the lag
-        s_alw = potential_survival(model, Regime.always())
+        s_alw = potential_survival(model, TreatmentPath.always())
         s_t = rate_based_survival(rate_treated(model))
         after = model.times > 1.0
         assert np.all(s_t.values[after] < s_alw.values[after])
@@ -124,7 +125,8 @@ class TestContrasts:
         mean = np.mean(estimates)
         mc_se = np.std(estimates, ddof=1) / np.sqrt(r)
         s_t, s_0 = (rate_based_survival(rate(model)) for rate in (rate_treated, rate_untreated))
-        s_alw, s_nev = (potential_survival(model, r) for r in (Regime.always(), Regime.never()))
+        paths = (TreatmentPath.always(), TreatmentPath.never())
+        s_alw, s_nev = (potential_survival(model, r) for r in paths)
         rate_c, true_c = s_t(T_MAX) - s_0(T_MAX), s_alw(T_MAX) - s_nev(T_MAX)
         assert abs(mean - rate_c) < 4 * mc_se, f"mean {mean:.5f}, MC SE {mc_se:.5f}"
         assert mean < true_c - 20 * mc_se, f"mean {mean:.5f}, MC SE {mc_se:.5f}"
@@ -192,7 +194,7 @@ class TestRegimeCurvesAgainstSimulation:
         t_death = model.lambda12.invert_cumulative(
             np.zeros(n), rng.exponential(size=n)
         )
-        s = potential_survival(model, Regime.always())
+        s = potential_survival(model, TreatmentPath.always())
         for t in (0.5, 1.5, 2.5):
             frac = float(np.mean(t_death > t))
             want = s(t)
@@ -210,7 +212,7 @@ class TestRegimeCurvesAgainstSimulation:
         cohort = hz.simulate_cohort(frozen, hz.SimConfig(n=1_000_000, seed=34))
         t_event = cohort.t_event
         event = cohort.event
-        s = potential_survival(model, Regime.never())
+        s = potential_survival(model, TreatmentPath.never())
         for t in (0.5, 1.5, 2.5):
             frac = float(np.mean((t_event > t) | (~event & (t_event >= t))))
             want = s(t)

@@ -223,8 +223,11 @@ class TestGridKernel:
 
 
 def _kernels():
-    """One kernel of each kind on a coarse grid over [0, 2]."""
-    rate = GridFunction.constant(2.0, 0.05, 0.3)
+    """One kernel of each kind on a coarse grid over [0, 2].  The Markov
+    rate vanishes on [1, 1.5], where a sign test on the cumulative
+    cannot see u > t."""
+    times = GridFunction.constant(2.0, 0.05, 0.0).times
+    rate = GridFunction(2.0, 0.05, np.where((times >= 1.0) & (times <= 1.5), 0.0, 0.3))
     return {
         "two_piece": TwoPieceKernel(early=0.4, late=0.2, lag=1.0),
         "markov": MarkovKernel(rate),
@@ -232,7 +235,10 @@ def _kernels():
     }
 
 
-@pytest.mark.parametrize("name", ["two_piece", "markov", "grid"])
+each_kernel = pytest.mark.parametrize("name", ["two_piece", "markov", "grid"])
+
+
+@each_kernel
 def test_invert_cumulative_rejects_a_nan_threshold(name):
     # a NaN threshold is no death time; the grid kernels used to return
     # u, a death at the initiation instant, and the closed form NaN
@@ -241,6 +247,69 @@ def test_invert_cumulative_rejects_a_nan_threshold(name):
         with pytest.raises(ValueError, match="threshold must be nonnegative"):
             kernel.invert_cumulative(0.5, e)
     assert kernel.invert_cumulative(0.5, np.inf) == np.inf
+
+
+@each_kernel
+def test_value_rejects_t_before_u(name):
+    # the Markov and grid kernels used to return a number here, the grid
+    # one read from the upper triangle that holds no hazard
+    kernel = _kernels()[name]
+    for t in (0.5, np.array([1.5, 0.5])):
+        with pytest.raises(ValueError, match="kernel evaluated at t < u"):
+            kernel.value(t, 1.0)
+    assert kernel.value(0.5 - 0.5 * NODE_TOL, 0.5) == pytest.approx(kernel.value(0.5, 0.5))
+
+
+@each_kernel
+def test_cumulative_rejects_u_after_t(name):
+    kernel = _kernels()[name]
+    for u in (1.5, np.array([1.0, 1.5])):
+        with pytest.raises(ValueError, match="kernel cumulative needs u <= t"):
+            kernel.cumulative(u, 1.2)
+    assert kernel.cumulative(1.2 + 0.5 * NODE_TOL, 1.2) == 0.0
+
+
+@each_kernel
+def test_times_off_the_grid_raise_and_closed_forms_extend(name):
+    # a grid-backed kernel raises in all three methods, where the grid
+    # kernel used to clamp to its ends; the closed form holds everywhere
+    kernel = _kernels()[name]
+    calls = [
+        lambda: kernel.value(-1.0, -2.0),
+        lambda: kernel.value(2.5, 1.0),
+        lambda: kernel.cumulative(0.0, 5.0),
+        lambda: kernel.cumulative(np.array([-0.5, 0.0]), 1.0),
+        lambda: kernel.invert_cumulative(-1.0, 0.1),
+        lambda: kernel.invert_cumulative(np.array([0.5, 2.5]), 0.1),
+    ]
+    if kernel.grid_spec() is None:
+        assert [f() for f in calls[::2]] == pytest.approx([0.4, 1.2, -0.75])
+    else:
+        for f in calls:
+            with pytest.raises(ValueError, match=r"kernel evaluated outside its grid \[0, 2.0\]"):
+                f()
+    # the grid ends count within NODE_TOL
+    edge = kernel.value(2.0 + 0.5 * NODE_TOL, -0.5 * NODE_TOL)
+    assert edge == pytest.approx(kernel.value(2.0, 0.0))
+    assert kernel.cumulative(-0.5 * NODE_TOL, 2.0 + 0.5 * NODE_TOL) == pytest.approx(
+        kernel.cumulative(0.0, 2.0)
+    )
+
+
+@each_kernel
+def test_scalar_arguments_give_a_float_and_arrays_broadcast(name):
+    kernel = _kernels()[name]
+    for out in (
+        kernel.value(1.5, 0.5),
+        kernel.cumulative(0.5, 1.5),
+        kernel.invert_cumulative(0.5, 0.1),
+        kernel.value(np.float64(1.5), np.array(0.5)),
+    ):
+        assert type(out) is float
+    # the Markov kernel used to return value(t, u) in the shape of t alone
+    assert kernel.value(1.5, np.array([0.0, 0.5])).shape == (2,)
+    assert kernel.cumulative(np.array([[0.0], [0.5]]), np.array([1.0, 1.5, 2.0])).shape == (2, 3)
+    assert kernel.invert_cumulative(np.array([0.0, 0.5]), 0.1).shape == (2,)
 
 
 def test_sampled_grid_kernel_tracks_its_source(two_piece):

@@ -165,6 +165,25 @@ def test_rate_at_step_1e4_runs_in_linear_memory():
     assert np.all(r12.values[idx + 1 :] < EARLY)
 
 
+def test_dense_markov_rates_hold_about_three_grid_arrays():
+    # the Markov value grid is a read-only broadcast of one column, so the
+    # dense path peaks at about 3.1 n-by-n float arrays (4.1 with a copy)
+    n = 1001
+    lam = hz.GridFunction.constant(T_MAX, T_MAX / (n - 1), 0.3)
+    assert lam.n_nodes == n
+    kernel = hz.MarkovKernel(hz.GridFunction.constant(T_MAX, lam.step, 0.5))
+    model = hz.IllnessDeathModel(lam, lam, kernel)
+    tracemalloc.start()
+    try:
+        r12 = rate_treated(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrays = peak / (8 * n * n)
+    assert arrays < 3.5, f"peaked at {arrays:.2f} n-by-n float arrays"
+    np.testing.assert_allclose(r12.values, 0.5, rtol=0, atol=1e-12)
+
+
 def test_dense_rates_refuse_a_grid_past_the_node_limit():
     # one node past the limit, where one n-by-n float array takes 200 MB:
     # the refusal must come before the first of them is made
