@@ -46,8 +46,12 @@ _CSV_DTYPE = np.dtype(
 )
 
 # Rows converted from the columns to Python values at a time: records
-# when a table is iterated, CSV lines when it is written.
+# when a table is iterated, CSV lines when it is written (each block's
+# distinct times are formatted once).
 _CHUNK = 4096
+
+# The end of a counting-row CSV line, indexed by 2 * treat + event.
+_TAILS = np.array([",0,0\r\n", ",0,1\r\n", ",1,0\r\n", ",1,1\r\n"], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -445,11 +449,37 @@ def write_counting_rows(rows: CountingTable, path) -> None:
     exactly and no short interval collapses to zero length; event is
     0/1.  Output is fully deterministic so rewriting the same rows is
     byte-identical.
+
+    Most times repeat: every subject's first start is 0.0, a treated
+    subject's second start is its first stop, and censored stops sit at
+    the horizon.  So each block of _CHUNK rows reprs each distinct time
+    once.  The block's starts and stops are made unique by their 64-bit
+    patterns, not by value: two times with the same bits are the same
+    double and have the same repr, so every row gets exactly the ``%r``
+    string of its own time, and -0.0, whose bits differ from 0.0's,
+    keeps its own "-0.0".  treat and event are written as one of four
+    preformatted line tails.
     """
     col = CountingTable.coerce(rows).columns
+    ids, start, stop, treat, event = (col[name] for name in COUNTING_HEADER)
+    n = ids.size
     with open(path, "w", newline="") as fh:
         fh.write(",".join(COUNTING_HEADER) + "\r\n")
-        write_rows(fh, "%d,%r,%r,%d,%d\r\n", [col[name] for name in COUNTING_HEADER])
+        for lo in range(0, n, _CHUNK):
+            hi = min(lo + _CHUNK, n)
+            m = hi - lo
+            times = np.concatenate((start[lo:hi], stop[lo:hi]))
+            bits, inverse = np.unique(times.view(np.int64), return_inverse=True)
+            text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+            text = text[inverse].tolist()
+            flat = [None] * (4 * m)
+            flat[0::4] = ids[lo:hi].tolist()
+            flat[1::4] = text[:m]
+            flat[2::4] = text[m:]
+            flat[3::4] = _TAILS[2 * treat[lo:hi] + event[lo:hi]].tolist()
+            fh.write(("%d,%s,%s%s" * m) % tuple(flat))
+            # free this block's strings before the next block's are made
+            del text, flat
 
 
 _INT64 = np.iinfo(np.int64)

@@ -280,6 +280,58 @@ def test_block_writer_keeps_short_intervals(tmp_path):
     assert list(read_counting_rows(tmp_path / "new.csv")) == rows
 
 
+def _edge_rows():
+    """_CHUNK + 2 one-row subjects whose times repeat, within a block, across
+    the block edge and between starts and stops, with a start of -0.0."""
+    n = _CHUNK + 2
+    col = {name: c.copy() for name, c in _random_rows(n, seed=11).columns.items()}
+    ids, start, stop, treat, event = (col[name] for name in COUNTING_HEADER)
+    start[0], start[1] = -0.0, 0.0
+    # a start equal to another subject's stop, in the same block
+    start[2] = stop[5]
+    stop[2] = start[2] + 1.0
+    # one time repeated within the first block, on both sides of the edge
+    # between rows _CHUNK - 1 and _CHUNK, and as a start in the second block
+    t = 1.2345678901234567
+    for i in (3, 4, _CHUNK - 1, _CHUNK):
+        start[i], stop[i] = t / 3, t
+    start[_CHUNK + 1], stop[_CHUNK + 1] = t, 2 * t
+    treat[:4], event[:4] = [0, 0, 1, 1], [False, True, False, True]
+    ids[0], ids[1] = 2**62 + 1, -(2**62) - 1
+    return CountingTable(**col)
+
+
+def test_block_writer_writes_repeated_and_signed_times_as_repr(tmp_path):
+    table = _edge_rows()
+    assert len(set(zip(table.treat.tolist(), table.event.tolist()))) == 4
+    write_counting_rows(table, tmp_path / "new.csv")
+    _old_write_counting_rows(table, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    # a table read back from the file writes the same bytes again
+    back = read_counting_rows(tmp_path / "new.csv")
+    write_counting_rows(back, tmp_path / "back.csv")
+    _old_write_counting_rows(back, tmp_path / "old_back.csv")
+    assert (tmp_path / "back.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert (tmp_path / "old_back.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_a_start_of_minus_zero_reads_back_with_its_sign(tmp_path):
+    rows = CountingTable(
+        id=np.array([1, 2]),
+        start=np.array([-0.0, 0.0]),
+        stop=np.array([1.0, 1.0]),
+        treat=np.array([0, 0]),
+        event=np.array([False, True]),
+    )
+    path = tmp_path / "rows.csv"
+    write_counting_rows(rows, path)
+    assert path.read_text().splitlines()[1:] == ["1,-0.0,1.0,0,0", "2,0.0,1.0,0,1"]
+    back = read_counting_rows(path)
+    # table equality compares values, and -0.0 == 0.0: compare the bits
+    assert np.array_equal(back.start.view(np.int64), rows.start.view(np.int64))
+    assert np.signbit(back.start).tolist() == [True, False]
+
+
 @pytest.mark.parametrize(
     "text",
     [
