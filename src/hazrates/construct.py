@@ -119,11 +119,7 @@ def build(
             break
         if index == config.max_iter:
             break
-        new_vals = np.exp(-beta) * r12.values
-        if np.any(new_vals < 0):
-            # r12 >= 0 makes this unreachable; guard against kernel bugs
-            raise RuntimeError("fixed-point update produced a negative hazard")
-        lam02 = lam02.with_values(new_vals)
+        lam02 = lam02.with_values(np.exp(-beta) * r12.values)
 
     # the loop always breaks right after recording the final iterate
     return BuildReport(

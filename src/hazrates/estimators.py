@@ -89,8 +89,8 @@ class AalenAdditiveFit:
 
     ``singular_times`` lists event times where one arm had an empty risk
     set, making the least-squares design singular there; the estimable
-    component still receives its increment (the same indicator
-    convention the Nelson-Aalen estimator uses for empty risk sets).
+    component still receives its increment, and an arm with no event
+    there gets 0, as in the Nelson-Aalen estimator.
     """
 
     b0: StepFunction
@@ -151,22 +151,28 @@ def _index_arrays(col: dict[str, np.ndarray], risk) -> tuple[np.ndarray, ...]:
     return lo, hi, event_k, subject
 
 
+def _jumps(d: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """dN_a / Y_a at each event time, 0 where d_a = 0.  A row is at risk
+    at its own stop (start < stop), so d_a > 0 implies Y_a >= d_a."""
+    return d / np.where(d > 0, y, 1.0)
+
+
 def _level_jumps(rows: CountingTable) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Per level: the times with a level-a event and a nonempty risk set,
-    and the ratios dN_a / Y_a there."""
+    """Per level: the times with a level-a event and the ratios
+    dN_a / Y_a there."""
     times, d0, d1, y0, y1, _ = _risk_table(rows)
     out = {}
     for level, d, y in ((0, d0, y0), (1, d1, y1)):
-        keep = (d > 0) & (y > 0)
-        out[level] = (times[keep], d[keep] / y[keep])
+        keep = d > 0
+        out[level] = (times[keep], _jumps(d, y)[keep])
     return out
 
 
 def nelson_aalen_by_treatment(rows: CountingTable) -> dict[int, StepFunction]:
     """Cumulative rate estimator per current treatment level.
 
-    Jumps dN_a(t)/Y_a(t) at each level-a event time; times with an
-    empty risk set contribute nothing.  Empty strata give a flat zero.
+    Jumps dN_a(t)/Y_a(t) at each level-a event time, where Y_a(t) >=
+    dN_a(t) > 0.  Empty strata give a flat zero.
     """
     return {
         level: StepFunction(times, np.cumsum(ratios), 0.0)
@@ -433,8 +439,7 @@ def aalen_additive(rows: CountingTable) -> AalenAdditiveFit:
     curve exactly, not merely to rounding.
     """
     times, d0, d1, y0, y1, _ = _risk_table(rows)
-    jump0 = np.where(d0 > 0, d0 / np.where(y0 > 0, y0, 1.0), 0.0)
-    jump1 = np.where(d1 > 0, d1 / np.where(y1 > 0, y1, 1.0), 0.0)
+    jump0, jump1 = _jumps(d0, y0), _jumps(d1, y1)
     singular = times[(y0 == 0) | (y1 == 0)]
     b0 = StepFunction(times, np.cumsum(jump0), 0.0)
     b1 = StepFunction(times, np.cumsum(jump1 - jump0), 0.0)

@@ -106,9 +106,7 @@ class GridFunction:
                 f"evaluation outside [0, {self.t_max}]: got range "
                 f"[{t_arr.min()}, {t_arr.max()}]"
             )
-        last = (self.values.size - 1) * self.step
-        clipped = np.clip(t_arr, 0.0, last)
-        out = np.interp(clipped, self.times, self.values)
+        out = np.interp(t_arr, self.times, self.values)
         if t_arr.ndim == 0:
             return float(out)
         return out

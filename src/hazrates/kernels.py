@@ -110,11 +110,11 @@ class HazardKernel(ABC):
 class TwoPieceKernel(HazardKernel):
     """Piecewise-constant hazard in elapsed duration t - u.
 
-    The hazard is ``early`` while t - u <= lag (the boundary counts as
-    early: within NODE_TOL for scalar times, exactly for grid nodes,
-    whose offsets are compared as integers) and ``late`` afterwards.
-    The cumulative and its inverse have closed forms, and on a grid the
-    kernel depends on the node offset i - j alone (``offset_grid``).
+    The hazard is ``early`` while t - u <= lag + NODE_TOL (a lag on a
+    grid node is early there) and ``late`` afterwards; the cumulative and
+    its inverse have closed forms.  On a grid the kernel depends on the
+    node offset i - j alone, and ``offset_grid`` is these closed forms at
+    the durations k*step: the engines and the simulator read one rule.
     """
 
     early: float
@@ -132,13 +132,8 @@ class TwoPieceKernel(HazardKernel):
 
     def _cumulative(self, u, t):
         dt = np.maximum(t - u, 0.0)
-        return self._cumulative_at(dt, dt <= self.lag + NODE_TOL)
-
-    def _cumulative_at(self, dt, early):
-        """Cumulative over an elapsed duration dt, ``early`` marking dt within the lag."""
-        return np.where(
-            early, self.early * dt, self.early * self.lag + self.late * (dt - self.lag)
-        )
+        late = self.early * self.lag + self.late * (dt - self.lag)
+        return np.where(dt <= self.lag + NODE_TOL, self.early * dt, late)
 
     def _invert(self, u, e):
         cap = self.early * self.lag
@@ -148,19 +143,9 @@ class TwoPieceKernel(HazardKernel):
             t_late = u + self.lag + np.where(self.late > 0, (e - cap) / self.late, np.inf)
         return np.where(e == 0, u, np.where(within_early, t_early, t_late))
 
-    def _within_lag(self, n: int, step: float) -> np.ndarray:
-        """Node offsets k = 0..n-1 whose elapsed duration k*step counts as early.
-
-        Offsets are compared as integers, k <= floor(lag/step), so a lag
-        on a grid node is early at every node pair, whatever the roundoff
-        of t_i - t_j.
-        """
-        return np.arange(n) <= np.floor(self.lag / step + NODE_TOL)
-
     def offset_grid(self, n: int, step: float) -> tuple[np.ndarray, np.ndarray]:
-        early = self._within_lag(n, step)
-        value = np.where(early, self.early, self.late)
-        return value, self._cumulative_at(np.arange(n) * step, early)
+        d = np.arange(n) * step
+        return self._value(d, 0.0), self._cumulative(0.0, d)
 
     def value_grid(self, times: np.ndarray) -> np.ndarray:
         value, _ = self.offset_grid(times.size, _grid_step(times))

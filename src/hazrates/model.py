@@ -316,10 +316,21 @@ class _Table:
     def __eq__(self, other):
         if isinstance(other, type(self)):
             return all(
-                np.array_equal(col, getattr(other, name), equal_nan=name in self._optional)
+                _same_column(col, getattr(other, name), name in self._optional)
                 for name, col in self.columns.items()
             )
         return NotImplemented
+
+
+def _same_column(a: np.ndarray, b: np.ndarray, equal_nan: bool) -> bool:
+    """Equal columns, zeros of a float column with the same sign too:
+    -0.0 == 0.0, but the rows CSV writes them differently."""
+    if not np.array_equal(a, b, equal_nan=equal_nan):
+        return False
+    if a.dtype.kind != "f":
+        return True
+    zero = a == 0
+    return np.array_equal(np.signbit(a[zero]), np.signbit(b[zero]))
 
 
 @dataclass(frozen=True, eq=False)

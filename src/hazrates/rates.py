@@ -29,8 +29,8 @@ Volterra Equations*, SIAM 1985):
       p01 = step * (conv(a, g) - (a_0 * g + a * g_0) / 2),
 
   and the numerator is the same with g * lambda12 in place of g:
-  O(n) memory.  Such kernels classify node offsets as integers, so a
-  lag on a grid node is early at every node pair.
+  O(n) memory.  ``offset_grid`` is the kernel's pointwise closed form at
+  the durations k * step, so both engines read the kernel's one lag rule.
 - Any other kernel (``MarkovKernel``, a tabulated ``GridKernel``)
   integrates against the dense lower triangles of exp(-K) and
   exp(-K) * lambda12: O(n^2) memory, so grids of more than

@@ -106,6 +106,18 @@ class TestContrast:
         assert "true contrast at t=3: 0.22 (unrounded " in out
         assert "rate-based contrast at t=3: 0.15 (unrounded " in out
 
+    def test_a_lag_within_node_tol_of_a_node_is_that_node(self, capsys):
+        # the lag 1 - 5e-10 is within NODE_TOL of node 200 at the default
+        # step 0.005; the rate engine used to call that node late while
+        # the pointwise kernel called it early
+        printed = []
+        for lag in ("0.9999999995", "1.0"):
+            assert run_cli("contrast", "--lag", lag) == 0
+            out = capsys.readouterr().out.splitlines()
+            printed.append([line for line in out if "contrast at t=" in line])
+        assert len(printed[0]) == 2
+        assert printed[0] == printed[1]
+
 
 class TestSimulateAndEstimate:
     def test_simulate_writes_readable_rows(self, tmp_path, capsys):

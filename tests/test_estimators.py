@@ -403,6 +403,29 @@ class TestAalenAdditive:
         assert float(np.max(np.abs(fit.b0(times) + fit.b1(times) - na[1](times)))) <= 1e-12
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_every_event_is_in_its_own_risk_set(seed):
+    # start < stop puts an event row at risk at its own stop, so the
+    # estimators' ratios dN_a / Y_a never meet an empty risk set with
+    # an event; times on a 0.1 grid tie starts, stops and events
+    rng = np.random.default_rng(seed)
+    n = 500
+    start = rng.integers(0, 20, n) / 10
+    rows = CountingTable(
+        id=np.arange(n),
+        start=start,
+        stop=start + rng.integers(1, 10, n) / 10,
+        treat=rng.integers(0, 2, n),
+        event=rng.random(n) < 0.5,
+    )
+    times, d0, d1, y0, y1, _ = estimators._risk_table(rows)
+    assert times.size > 0 and np.all(d0 + d1 > 0)
+    assert np.all(d0 <= y0) and np.all(d1 <= y1)
+    for level, (jump_times, ratios) in estimators._level_jumps(rows).items():
+        assert np.all((ratios > 0) & (ratios <= 1))
+        assert np.array_equal(jump_times, times[(d0, d1)[level] > 0])
+
+
 def _same_curve(a: StepFunction, b: StepFunction) -> bool:
     return (
         np.array_equal(a.jump_times, b.jump_times)

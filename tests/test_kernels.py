@@ -312,6 +312,31 @@ def test_scalar_arguments_give_a_float_and_arrays_broadcast(name):
     assert kernel.invert_cumulative(np.array([0.0, 0.5]), 0.1).shape == (2,)
 
 
+@pytest.mark.parametrize("name", ["two_piece", "markov", "grid", "two_piece_lag_off_by_5e-10"])
+def test_grid_arrays_are_the_pointwise_forms_at_the_nodes(name):
+    # a lag 5e-10 below node 200 of the step-0.005 grid is within NODE_TOL
+    # of it, so every form reads that node as early; the grid forms used
+    # an integer offset rule that called it late
+    kernels = {**_kernels(), "two_piece_lag_off_by_5e-10": TwoPieceKernel(0.4, 0.2, 1 - 5e-10)}
+    kernel = kernels[name]
+    t_max, step = kernel.grid_spec() or (2.0, 0.005)
+    times = GridFunction.constant(t_max, step, 0.0).times
+    i, j = np.tril_indices(times.size)
+    np.testing.assert_allclose(
+        kernel.value_grid(times)[i, j], kernel.value(times[i], times[j]), rtol=0, atol=1e-12
+    )
+    np.testing.assert_allclose(
+        kernel.cumulative_grid(times)[i, j], kernel.cumulative(times[j], times[i]), rtol=0, atol=1e-12
+    )
+    offsets = kernel.offset_grid(times.size, step)
+    if isinstance(kernel, TwoPieceKernel):
+        d = np.arange(times.size) * step
+        assert np.array_equal(offsets[0], kernel.value(d, 0.0))
+        assert np.array_equal(offsets[1], kernel.cumulative(0.0, d))
+    else:
+        assert offsets is None
+
+
 def test_sampled_grid_kernel_tracks_its_source(two_piece):
     # crossing the lag discontinuity costs one half jump cell,
     # 0.5 * (0.4 - 0.2) * step = 5e-3; elsewhere the copy is exact

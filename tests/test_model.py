@@ -332,6 +332,22 @@ def test_a_start_of_minus_zero_reads_back_with_its_sign(tmp_path):
     assert np.signbit(back.start).tolist() == [True, False]
 
 
+def test_tables_that_differ_only_in_the_sign_of_a_zero_are_unequal():
+    # the two write different rows.csv bytes: 1,-0.0,... against 1,0.0,...
+    def table(start):
+        return CountingTable(
+            id=np.array([1, 2]),
+            start=np.array([start, 0.0]),
+            stop=np.array([1.0, 1.0]),
+            treat=np.array([0, 0]),
+            event=np.array([False, True]),
+        )
+
+    assert table(-0.0) != table(0.0)
+    assert table(-0.0) == table(-0.0)
+    assert table(0.0) == table(0.0)
+
+
 @pytest.mark.parametrize(
     "text",
     [
