@@ -396,6 +396,7 @@ def _cmd_reproduce(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -
                 f"deaths in the {arm} arm by t={_fmt(t2)}, so no log-survival ratio is defined"
             )
     log_ratio_t2 = estimators.log_surv_ratio(ekm[1], ekm[0], t2)
+    del na, ekm  # read: their curves need not outlive them into the Cox fit
     fit = estimators.cox_fit(rows, covariates="current")
 
     unit = model.times <= min(1.0, t_end)

@@ -7,11 +7,12 @@ row stops, and the level "at" an event time is the level recorded on
 the row where the event occurs.  Risk sets are evaluated by binary
 search over the sorted start and stop arrays, which keeps every
 estimator O(n log n) in the number of rows.  Both Cox models (current
-level, and with time since initiation) also read one row index, built
-by each fit from the risk table's event times and each event row's
-index among them, and sum their robust score residuals within subject
-one covariate column at a time.  Both fits run one Newton-Raphson
-driver, ``_newton``, which holds the stopping and failure rules.
+level, and with time since initiation) also read each row's bounds on
+the event-time axis, a block of rows at a time, from the risk table's
+event times and each event row's index among them, and sum their
+robust score residuals within subject by one bincount per covariate.
+Both fits run one Newton-Raphson driver, ``_newton``, which holds the
+stopping and failure rules.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ _MAX_NEWTON = 25
 _SCORE_TOL = 1e-9
 _STEP_TOL = 1e-6
 _DIVERGENCE_BOUND = 30.0
+_BLOCK = 32_768  # rows per block of the Cox fits' row bounds
 
 
 @dataclass(frozen=True)
@@ -132,23 +134,39 @@ def _risk_arrays(col: dict[str, np.ndarray]) -> tuple[np.ndarray, ...]:
     return times, d - d1, d1, y0, y1, kidx
 
 
-def _index_arrays(col: dict[str, np.ndarray], risk) -> tuple[np.ndarray, ...]:
-    """The Cox fits' row index (lo, hi, event_k, subject): times[lo:hi]
-    are the event times in each row's (start, stop], event_k is each
-    event row's event-time index, and subject codes the ids 0, 1, ...
-    Event times are positive, so a zero start has lo = 0, and an event
-    row's hi is event_k + 1: only the other bounds are searched.
+def _row_blocks(col: dict[str, np.ndarray], risk):
+    """The Cox fits' row bounds, _BLOCK rows at a time: yields (rows,
+    lo, hi) for each block, where times[lo:hi] are the event times in
+    each row's (start, stop].  Event times are positive, so a zero
+    start has lo = 0, and an event row's hi is its event-time index
+    + 1, read from the risk table: only the other bounds are searched.
     """
     times, *_, event_k = risk
     start, stop, ev = col["start"], col["stop"], col["event"]
-    lo = np.zeros(start.size, dtype=np.intp)
-    late = start > 0.0
-    lo[late] = np.searchsorted(times, start[late], side="right")
-    hi = np.empty(stop.size, dtype=np.intp)
-    hi[ev] = event_k + 1
-    hi[~ev] = np.searchsorted(times, stop[~ev], side="right")
-    _, subject = np.unique(col["id"], return_inverse=True)
-    return lo, hi, event_k, subject
+    first = 0
+    for a in range(0, start.size, _BLOCK):
+        rows = slice(a, a + _BLOCK)
+        s, t, e = start[rows], stop[rows], ev[rows]
+        lo = np.zeros(s.size, dtype=np.intp)
+        late = s > 0.0
+        lo[late] = np.searchsorted(times, s[late], side="right")
+        hi = np.empty(t.size, dtype=np.intp)
+        last = first + np.count_nonzero(e)
+        hi[e] = event_k[first:last] + 1
+        hi[~e] = np.searchsorted(times, t[~e], side="right")
+        first = last
+        yield rows, lo, hi
+
+
+def _subject_codes(ids: np.ndarray) -> np.ndarray:
+    """Codes 0, 1, ... of the ids in sorted order, as np.unique's
+    inverse; nondecreasing ids, as the simulator writes them, are coded
+    by a running count of id changes instead of a sort."""
+    if np.all(ids[1:] >= ids[:-1]):
+        codes = np.zeros(ids.size, dtype=np.intp)
+        np.cumsum(ids[1:] != ids[:-1], out=codes[1:])
+        return codes
+    return np.unique(ids, return_inverse=True)[1]
 
 
 def _jumps(d: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -262,26 +280,28 @@ def _newton(parts, p: int):
     raise ConvergenceError(f"no convergence in {_MAX_NEWTON} Newton steps")
 
 
-def _fit_current_level(col: dict[str, np.ndarray], risk, index) -> CoxFit:
-    _, d0, d1, _, _, _ = risk
+def _fit_current_level(col: dict[str, np.ndarray], risk) -> CoxFit:
+    _, d0, d1, _, _, event_k = risk
     (beta,), iterations, info, (loglik, s0, xbar) = _newton(
         lambda theta: _current_level_parts(risk, theta[0]), 1
     )
 
     # Robust part: per-row score residuals, summed within subject.
     # Expected-part sums over event times in (start, stop] come from
-    # prefix sums over the unique-time axis.
-    lo, hi, event_k, subject = index
+    # prefix sums over the unique-time axis, a block of rows at a time.
     treat, ev = col["treat"], col["event"]
     d = d0 + d1
+    p_level, p_mean = _padded_cumsum(d / s0), _padded_cumsum(d * xbar / s0)
     residual = np.zeros(treat.size)
     residual[ev] = treat[ev] - xbar[event_k]
-    expected = _range_sums(_padded_cumsum(d / s0), lo, hi)
-    expected *= treat
-    expected -= _range_sums(_padded_cumsum(d * xbar / s0), lo, hi)
-    expected *= np.exp(beta * treat)
-    residual -= expected
-    u_i = np.bincount(subject, weights=residual)
+    for rows, lo, hi in _row_blocks(col, risk):
+        x = treat[rows]
+        expected = _range_sums(p_level, lo, hi)
+        expected *= x
+        expected -= _range_sums(p_mean, lo, hi)
+        expected *= np.exp(beta * x)
+        residual[rows] -= expected
+    u_i = np.bincount(_subject_codes(col["id"]), weights=residual)
     robust_var = float(np.sum(u_i**2)) / info**2
     return CoxFit(
         beta_hat=float(beta),
@@ -341,10 +361,10 @@ def _duration_parts(col: dict[str, np.ndarray], treated, u: np.ndarray, risk, su
     return parts
 
 
-def _fit_duration(col: dict[str, np.ndarray], risk, index) -> CoxFit:
+def _fit_duration(col: dict[str, np.ndarray], risk) -> CoxFit:
     """Two-covariate model: current level and time since initiation."""
-    uniq, d0, d1, _, _, _ = risk
-    lo, hi, event_k, subject = index
+    uniq, d0, d1, _, _, event_k = risk
+    subject = _subject_codes(col["id"])
     d = d0 + d1
     ev, treat = col["event"], col["treat"]
     tr = treat == 1
@@ -362,30 +382,38 @@ def _fit_duration(col: dict[str, np.ndarray], risk, index) -> CoxFit:
     beta, gamma = theta
     cov_model = np.linalg.inv(info)
 
-    # Robust part, one covariate at a time: per-row score residuals,
-    # summed within subject.  Expected-part sums over the event times
-    # in (start, stop] come from prefix sums over the unique times;
-    # treated rows need the e^{gamma*t_k} weighted variants.
+    # Robust part, one residual array per covariate: per-row score
+    # residuals, summed within subject.  Expected-part sums over the
+    # event times in (start, stop] come from prefix sums over the
+    # unique times, a block of rows at a time; treated rows need the
+    # e^{gamma*t_k} weighted variants.
+    residuals = np.zeros((2, ev.size))
+    residuals[:, ev] = (x_ev - xbar[event_k]).T
     egt = np.exp(gamma * uniq)
-    w_tr = np.exp(beta - gamma * u_tr)
-
-    def over(rows, terms):
-        return _range_sums(_padded_cumsum(terms), lo, hi, rows)
-
-    def subject_residuals(c, expected_tr):
-        residual = np.zeros(ev.size)
-        residual[ev] = x_ev[:, c] - xbar[event_k, c]
-        residual[tr] -= expected_tr
-        # an untreated row's expected part is minus these sums
-        residual[~tr] += over(~tr, d * xbar[:, c] / s0)
-        return np.bincount(subject, weights=residual)
-
-    q0 = over(tr, d * egt / s0)
-    u_level = subject_residuals(0, w_tr * (q0 - over(tr, d * egt * xbar[:, 0] / s0)))
-    u_duration = subject_residuals(
-        1, w_tr * (over(tr, d * uniq * egt / s0) - over(tr, d * egt * xbar[:, 1] / s0) - u_tr * q0)
-    )
-    u_i = np.stack([u_level, u_duration], axis=1)
+    p_q0 = _padded_cumsum(d * egt / s0)
+    p_level = _padded_cumsum(d * egt * xbar[:, 0] / s0)
+    p_time = _padded_cumsum(d * uniq * egt / s0)
+    p_duration = _padded_cumsum(d * egt * xbar[:, 1] / s0)
+    # an untreated row's expected part is minus these sums
+    p_untreated = [_padded_cumsum(d * xbar[:, c] / s0) for c in (0, 1)]
+    first = 0
+    for rows, lo, hi in _row_blocks(col, risk):
+        tr_b = tr[rows]
+        last = first + np.count_nonzero(tr_b)
+        u_b = u_tr[first:last]
+        w_b = np.exp(beta - gamma * u_b)
+        first = last
+        q0 = _range_sums(p_q0, lo, hi, tr_b)
+        expected = (
+            w_b * (q0 - _range_sums(p_level, lo, hi, tr_b)),
+            w_b * (_range_sums(p_time, lo, hi, tr_b) - _range_sums(p_duration, lo, hi, tr_b) - u_b * q0),
+        )
+        for residual, expected_tr, p in zip(residuals, expected, p_untreated):
+            block = residual[rows]
+            block[tr_b] -= expected_tr
+            block[~tr_b] += _range_sums(p, lo, hi, ~tr_b)
+    del p_q0, p_level, p_time, p_duration, p_untreated  # before the bincounts
+    u_i = np.stack([np.bincount(subject, weights=r) for r in residuals], axis=1)
     meat = u_i.T @ u_i
     cov_robust = cov_model @ meat @ cov_model
     return CoxFit(
@@ -413,7 +441,7 @@ def cox_fit(rows: CountingTable, covariates: str = "current") -> CoxFit:
     fit = _fit_current_level if covariates == "current" else _fit_duration
     risk = _risk_table(rows)
     _require_both_strata(risk[1], risk[2])
-    return fit(rows.columns, risk, _index_arrays(rows.columns, risk))
+    return fit(rows.columns, risk)
 
 
 def cox_loglik_parts(rows: CountingTable, beta: float) -> tuple[float, float, float]:

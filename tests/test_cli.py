@@ -551,6 +551,12 @@ class TestReproduce:
         assert run_cli("construct") == 0
         assert _sha256(tmp_path / "lambda02.csv") == GOLDEN_LAMBDA02_SHA256
 
+    def test_default_run_runs_in_bounded_memory(self):
+        # about 14.3 MB traced; NA and EKM curves kept through the Cox fit,
+        # or its row bounds searched for the whole table at once, exceed it
+        rc, peak = traced_peak(lambda: run_cli("reproduce", "--n", "100000"))
+        assert rc == 0 and peak < 17.5e6, f"peaked at {peak / 1e6:.1f} MB"
+
     def test_default_curves_match_golden_outputs(self, tmp_path):
         # The along-path integrals (potential survival, frailty loads)
         # and the rate ratio behind these files must keep their bits.

@@ -288,6 +288,16 @@ def test_cox_fit_runs_in_bounded_memory(rows_100k, covariates, units):
     assert peak < units * 8 * len(table), f"peaked at {peak / (8 * len(table)):.1f} row arrays"
 
 
+def test_current_level_fit_on_a_built_risk_table_runs_in_bounded_memory(rows_100k):
+    # as in reproduce, where NA has built the risk table before the fit:
+    # what remains is the fit's own working memory, about 5.9 row arrays;
+    # row bounds searched for the whole table at once take it past 9
+    table = CountingTable(**rows_100k.columns)
+    estimators._risk_table(table)
+    _, peak = traced_peak(lambda: cox_fit(table, "current"))
+    assert peak < 7.5 * 8 * len(table), f"peaked at {peak / (8 * len(table)):.1f} row arrays"
+
+
 def _searched_index(col, times):
     """lo, hi and event_k by their definition: two binary searches over every row."""
     lo = np.searchsorted(times, col["start"], side="right")
@@ -297,16 +307,21 @@ def _searched_index(col, times):
 
 class TestRowIndex:
     @staticmethod
-    def _index_matches_search(table):
+    def _bounds_match_search(table):
         risk = estimators._risk_table(table)
-        lo, hi, event_k, subject = estimators._index_arrays(table.columns, risk)
+        blocks = list(estimators._row_blocks(table.columns, risk))
+        rows = np.concatenate([np.arange(len(table))[r] for r, _, _ in blocks])
+        assert np.array_equal(rows, np.arange(len(table)))
+        lo, hi = (np.concatenate([block[i] for block in blocks]) for i in (1, 2))
         searched = _searched_index(table.columns, risk[0])
-        assert all(np.array_equal(a, b) for a, b in zip((lo, hi, event_k), searched))
-        assert np.array_equal(np.unique(table.id)[subject], table.id)
-        return lo, hi
+        assert all(np.array_equal(a, b) for a, b in zip((lo, hi, risk[5]), searched))
+        codes = estimators._subject_codes(table.id)
+        assert np.array_equal(codes, np.unique(table.id, return_inverse=True)[1])
+        return blocks, lo, hi
 
     def test_on_the_large_cohort(self, rows_100k):
-        self._index_matches_search(rows_100k)
+        blocks, _, _ = self._bounds_match_search(rows_100k)
+        assert len(blocks) == -(-len(rows_100k) // estimators._BLOCK) > 1
 
     def test_on_ties_zero_starts_and_rows_out_of_subject_order(self):
         table = CountingTable.coerce([
@@ -319,9 +334,25 @@ class TestRowIndex:
             CountingRow(0, 0.0, 1.0, 1, True),  # tied with subject 2 at 1.0
         ])
         # event times 1.0 and 2.0
-        lo, hi = self._index_matches_search(table)
+        _, lo, hi = self._bounds_match_search(table)
         assert lo.tolist() == [1, 0, 0, 0, 0, 0, 0]
         assert hi.tolist() == [2, 2, 1, 1, 0, 2, 1]
+
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            [0, 0, 1, 3, 3, 3, 7, 8],
+            [4, 1, 4, 2, 3, 3, 0],  # the ties table's, out of subject order
+            [-(2**62) - 1, -(2**62), -(2**62), 0, 2**62, 2**62, 2**62 + 1],
+            [7],
+        ],
+        ids=["nondecreasing", "out-of-order", "near-2^62", "single-row"],
+    )
+    def test_subject_codes_are_the_inverse_of_unique(self, ids):
+        ids = np.array(ids, dtype=np.int64)
+        codes = estimators._subject_codes(ids)
+        assert codes.dtype == np.intp
+        assert np.array_equal(codes, np.unique(ids, return_inverse=True)[1])
 
 
 class TestRobustVariance:
