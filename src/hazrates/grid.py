@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -90,9 +91,12 @@ class GridFunction:
 
     # -- evaluation ------------------------------------------------------------
 
-    @property
+    @cached_property
     def times(self) -> np.ndarray:
-        return np.arange(self.values.size) * self.step
+        """The grid nodes, made once and read-only."""
+        times = np.arange(self.values.size) * self.step
+        times.flags.writeable = False
+        return times
 
     @property
     def n_nodes(self) -> int:
@@ -100,6 +104,10 @@ class GridFunction:
 
     def __call__(self, t):
         """Evaluate at scalar or array t by linear interpolation."""
+        if isinstance(t, float):
+            if t < -NODE_TOL or t > self.t_max + NODE_TOL:
+                raise ValueError(f"evaluation outside [0, {self.t_max}]: got range [{t}, {t}]")
+            return float(np.interp(t, self.times, self.values))
         t_arr = np.asarray(t, dtype=float)
         if np.any(t_arr < -NODE_TOL) or np.any(t_arr > self.t_max + NODE_TOL):
             raise ValueError(

@@ -14,6 +14,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import NODE_TOL, GridFunction, cumulative, n_intervals
 from .numerics import first_crossing
@@ -94,7 +95,8 @@ class HazardKernel(ABC):
     @abstractmethod
     def cumulative_grid(self, times: np.ndarray) -> np.ndarray:
         """Matrix K[i, j] = cumulative(times[j], times[i]) on the lower
-        triangle (zero above it)."""
+        triangle (zero above it), as a new array the caller owns: the
+        dense rate engine overwrites it with exp(-K)."""
 
     def offset_grid(self, n: int, step: float) -> tuple[np.ndarray, np.ndarray] | None:
         """(value, cumulative) at elapsed durations k*step, k = 0..n-1,
@@ -149,11 +151,11 @@ class TwoPieceKernel(HazardKernel):
 
     def value_grid(self, times: np.ndarray) -> np.ndarray:
         value, _ = self.offset_grid(times.size, _grid_step(times))
-        return value[_node_offsets(times.size)]
+        return _toeplitz(value)
 
     def cumulative_grid(self, times: np.ndarray) -> np.ndarray:
         _, cum = self.offset_grid(times.size, _grid_step(times))
-        return cum[_node_offsets(times.size)]
+        return _toeplitz(cum)
 
 
 def _grid_step(times: np.ndarray) -> float:
@@ -161,10 +163,11 @@ def _grid_step(times: np.ndarray) -> float:
     return float(times[1] - times[0]) if times.size > 1 else 1.0
 
 
-def _node_offsets(n: int) -> np.ndarray:
-    """Matrix of node offsets i - j, clipped at 0 above the diagonal."""
-    k = np.arange(n)
-    return np.maximum(k[:, None] - k[None, :], 0)
+def _toeplitz(g: np.ndarray) -> np.ndarray:
+    """Matrix M[i, j] = g[max(i - j, 0)], copied from the windows of g
+    padded in front with g[0]: window i, reversed, is row i."""
+    padded = np.concatenate((np.full(g.size - 1, g[0]), g))
+    return sliding_window_view(padded, g.size)[:, ::-1].copy()
 
 
 @dataclass(frozen=True)
@@ -200,7 +203,8 @@ class MarkovKernel(HazardKernel):
 
     def cumulative_grid(self, times: np.ndarray) -> np.ndarray:
         c = self._cum(times)
-        return np.maximum(c[:, None] - c[None, :], 0.0)
+        k = c[:, None] - c[None, :]
+        return np.maximum(k, 0.0, out=k)
 
 
 class GridKernel(HazardKernel):
@@ -220,7 +224,7 @@ class GridKernel(HazardKernel):
             raise ValueError(f"values must have shape ({n}, {n}), got {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("values must be finite")
-        if np.any(np.tril(vals) < 0):
+        if np.any(np.tril(vals < 0)):
             raise ValueError("hazard values must be nonnegative on t >= u")
         vals.flags.writeable = False
         self.t_max = float(t_max)
@@ -229,7 +233,10 @@ class GridKernel(HazardKernel):
         self._times = np.arange(n) * self.step
         # trapezoid cumulative along t of every column, from t = 0
         cum = np.zeros_like(vals)
-        cum[1:] = np.cumsum(0.5 * (vals[1:] + vals[:-1]) * self.step, axis=0)
+        rise = np.add(vals[1:], vals[:-1], out=cum[1:])
+        rise *= 0.5
+        rise *= self.step
+        np.cumsum(rise, axis=0, out=rise)
         cum.flags.writeable = False
         self._cum = cum
 
@@ -295,7 +302,9 @@ class GridKernel(HazardKernel):
     def cumulative_grid(self, times: np.ndarray) -> np.ndarray:
         if times.size != self._times.size or abs(times[-1] - self._times[-1]) > NODE_TOL:
             raise ValueError("grid mismatch between kernel and request")
-        return np.tril(self._cum - np.diag(self._cum)[None, :])
+        k = self._cum - np.diag(self._cum)[None, :]
+        k[~np.tri(times.size, dtype=bool)] = 0.0  # +0.0, as np.tril writes
+        return k
 
 
 def _crossing_after(u, value_at, n_nodes: int, step: float, e: np.ndarray) -> np.ndarray:

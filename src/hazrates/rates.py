@@ -57,11 +57,11 @@ __all__ = [
     "ode_residual",
 ]
 
-# Most grid nodes the dense quadrature takes.  At its peak it holds about
-# 3.1 n-by-n float arrays: rate_treated on a MarkovKernel model measured
-# 0.013 s and 9.0 MB traced at 601 nodes, 0.11 s and 100 MB at 2,001,
-# 0.56 s and 400 MB at 4,001 (2-CPU x86_64), so memory, not time, binds,
-# and this limit keeps the peak near 0.6 GB.
+# Most grid nodes the dense quadrature takes.  At its peak it holds two
+# n-by-n float arrays, exp(-K) and exp(-K) * lambda12: rate_treated on a
+# MarkovKernel model measured 0.006 s and 5.8 MB traced at 601 nodes,
+# 0.053 s and 64 MB at 2,001, 0.21 s and 256 MB at 4,001 (2-CPU x86_64),
+# so memory, not time, binds, and this limit keeps the peak near 0.4 GB.
 MAX_DENSE_NODES = 5_000
 
 # Occupation mass below this level makes the treated rate an average
@@ -127,7 +127,9 @@ class _Dense(KernelQuadrature):
 
     def __init__(self, n, step, value, cum):
         super().__init__(n, step)
-        self.survival = np.tril(np.exp(-cum))
+        # exp(-K) in place: cum is the caller's new array (cumulative_grid)
+        self.survival = np.exp(np.negative(cum, out=cum), out=cum)
+        self.survival[~np.tri(n, dtype=bool)] = 0.0  # +0.0, as np.tril writes
         self.weighted = self.survival * value
         self.diagonal = np.diag(value).copy()
 

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import BETA, EARLY, LAG, LAM01, LATE, STEP, T_MAX
+from conftest import BETA, EARLY, LAG, LAM01, LATE, STEP, T_MAX, traced_peak
 
 import hazrates as hz
 from hazrates.rates import (
@@ -182,6 +182,79 @@ def test_dense_markov_rates_hold_about_three_grid_arrays():
     arrays = peak / (8 * n * n)
     assert arrays < 3.5, f"peaked at {arrays:.2f} n-by-n float arrays"
     np.testing.assert_allclose(r12.values, 0.5, rtol=0, atol=1e-12)
+
+
+def _dense_models(n, step):
+    """A Markov and a GridKernel model on n nodes of ``step``, and the
+    GridKernel's table, which is negative above the diagonal (storage
+    the kernel never reads, so it accepts it)."""
+    t_max = (n - 1) * step
+    lam = hz.GridFunction.constant(t_max, step, 0.3)
+    times = lam.times
+    markov = hz.MarkovKernel(lam.with_values(0.5 + 0.3 * np.sin(times)))
+    two_piece = hz.TwoPieceKernel(EARLY, LATE, LAG)
+    table = two_piece.value_grid(times) * (1 + 0.5 * np.cos(times)[:, None])
+    table[np.triu_indices(n, 1)] *= -0.5
+    tabulated = hz.GridKernel(t_max, step, table)
+    return [hz.IllnessDeathModel(lam, lam, k) for k in (markov, tabulated)], table
+
+
+@pytest.mark.parametrize(
+    "call, bound",
+    [("markov rates", 2.25), ("grid kernel rates", 2.25), ("GridKernel", 2.25),
+     ("two-piece value_grid", 1.25)],
+)
+def test_dense_grid_arrays_are_made_once(call, bound):
+    # the dense rates hold exp(-K) and exp(-K) * lambda12 alone, a
+    # GridKernel its table and cumulative, a two-piece grid its one copy
+    n = 1001
+    step = T_MAX / (n - 1)
+    (markov, tabulated), table = _dense_models(n, step)
+    two_piece = hz.TwoPieceKernel(EARLY, LATE, LAG)
+    calls = {
+        "markov rates": lambda: rate_treated(markov),
+        "grid kernel rates": lambda: rate_treated(tabulated),
+        "GridKernel": lambda: hz.GridKernel(T_MAX, step, table),
+        "two-piece value_grid": lambda: two_piece.value_grid(markov.times),
+    }
+    _, peak = traced_peak(calls[call])
+    arrays = peak / (8 * n * n)
+    assert arrays < bound, f"{call} peaked at {arrays:.2f} n-by-n float arrays"
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [1, 2, 601])
+def test_dense_grid_arrays_equal_their_plain_expressions_bit_for_bit(n):
+    step = STEP
+    models, table = _dense_models(n, step)
+    times = models[0].times
+    upper = np.triu_indices(n, 1)
+    kernel = models[1].lambda12
+    cum = np.zeros((n, n))
+    cum[1:] = np.cumsum(0.5 * (table[1:] + table[:-1]) * step, axis=0)
+    assert _same_bits(kernel._cum, cum)
+    k_grid = kernel.cumulative_grid(times)
+    assert _same_bits(k_grid, np.tril(cum - np.diag(cum)[None, :]))
+    c = models[0].lambda12._cum(times)
+    k_markov = np.maximum(c[:, None] - c[None, :], 0.0)
+    assert _same_bits(models[0].lambda12.cumulative_grid(times), k_markov)
+    for model in models:
+        value, k_grid = model.lambda12.value_grid(times), model.lambda12.cumulative_grid(times)
+        assert not np.signbit(k_grid[upper]).any()
+        survival = np.tril(np.exp(-k_grid))
+        dense = _Dense(n, step, value, k_grid)
+        assert _same_bits(dense.survival, survival)
+        assert not np.signbit(dense.survival[upper]).any()
+        assert _same_bits(dense.weighted, survival * value)
+    two_piece = hz.TwoPieceKernel(EARLY, LATE, LAG + 0.4 * step)
+    i, j = np.indices((n, n))
+    offsets = np.maximum(i - j, 0)
+    g_value, g_cum = two_piece.offset_grid(n, step)
+    assert _same_bits(two_piece.value_grid(times), g_value[offsets])
+    assert _same_bits(two_piece.cumulative_grid(times), g_cum[offsets])
 
 
 def test_dense_rates_refuse_a_grid_past_the_node_limit():
