@@ -149,13 +149,21 @@ def _row_blocks(col: dict[str, np.ndarray], risk):
         s, t, e = start[rows], stop[rows], ev[rows]
         lo = np.zeros(s.size, dtype=np.intp)
         late = s > 0.0
-        lo[late] = np.searchsorted(times, s[late], side="right")
+        lo[late] = _sorted_search(times, s[late])
         hi = np.empty(t.size, dtype=np.intp)
         last = first + np.count_nonzero(e)
         hi[e] = event_k[first:last] + 1
-        hi[~e] = np.searchsorted(times, t[~e], side="right")
+        hi[~e] = _sorted_search(times, t[~e])
         first = last
         yield rows, lo, hi
+
+
+def _sorted_search(times: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """np.searchsorted(times, q, side="right"), in sorted order of q so lookups stay in cache."""
+    order = np.argsort(q)
+    out = np.empty(q.size, dtype=np.intp)
+    out[order] = np.searchsorted(times, q[order], side="right")
+    return out
 
 
 def _subject_codes(ids: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ of records is accepted too and made into a table by ``coerce``.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -405,10 +406,12 @@ def _history_rules(col):
     may carry the event, and no untreated row may follow a treated one
     (initiation is irreversible).  Each rule flags the row that breaks
     it: the later of two overlapping rows, the row with the early event,
-    the untreated row.
+    the untreated row.  Rows already in (id, start) order, as written,
+    skip the sort, whose stable result is then the identity.
     """
     ids, start, stop, treat, event = (col[name] for name in COUNTING_HEADER)
-    order = np.lexsort((start, ids))
+    ordered = (ids[1:] > ids[:-1]) | ((ids[1:] == ids[:-1]) & (start[1:] >= start[:-1]))
+    order = np.arange(ids.size) if ordered.all() else np.lexsort((start, ids))
     prev, nxt = order[:-1], order[1:]
     same = ids[prev] == ids[nxt]
 
@@ -542,9 +545,18 @@ def _parse_error(fh, exc: ValueError) -> ValueError:
 
 
 def _load_rows(fh) -> np.ndarray:
-    """The data rows from the current position of the open CSV to its end."""
+    """The data rows after the header line of the open CSV.
+
+    numpy reads them by the file's path, a chunk at a time, with no
+    Python object per line.  The path is made absolute (not normalized:
+    "link/.." is what the system resolves), so numpy cannot take it for
+    a URL to fetch.  A file named by bytes or a descriptor, or whose name
+    ends .gz, .bz2, .xz or .lzma, which numpy would decompress, is passed
+    open instead and read a line at a time.
+    """
     # np.loadtxt warns on input with no rows, so step over blank lines
     # to the first row and stop there if there is none
+    skip = 1
     while True:
         first = fh.tell()
         line = fh.readline()
@@ -552,9 +564,12 @@ def _load_rows(fh) -> np.ndarray:
             return np.empty(0, dtype=_CSV_DTYPE)
         if line.rstrip("\r\n"):
             break
+        skip += 1
     fh.seek(first)
+    by_path = isinstance(fh.name, str) and not fh.name.endswith((".gz", ".bz2", ".xz", ".lzma"))
+    source, skip = (os.path.join(os.getcwd(), fh.name), skip) if by_path else (fh, 0)
     try:
-        return np.loadtxt(fh, dtype=_CSV_DTYPE, delimiter=",", comments=None, ndmin=1)
+        return np.loadtxt(source, dtype=_CSV_DTYPE, delimiter=",", comments=None, skiprows=skip, ndmin=1)
     except ValueError as exc:
         raise _parse_error(fh, exc) from exc
 
@@ -562,7 +577,8 @@ def _load_rows(fh) -> np.ndarray:
 def read_counting_rows(path) -> CountingTable:
     """Read a counting-process CSV written by write_counting_rows.
 
-    The file is parsed as it is read, never held as text or lines.
+    numpy reads the rows by the file's path, a chunk at a time, with no
+    Python object per line (_load_rows names the exceptions).
     Each row must pass CountingRow's checks and have event 0 or 1, and
     each subject's rows must form one history (see _history_rules).
     Errors name the offending line as "line N: ...", counting blank

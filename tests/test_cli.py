@@ -177,6 +177,13 @@ class TestSimulateAndEstimate:
         assert header == ["t", "b0", "b1"]
         assert "aalen_na_identity: PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name", ["rows.csv.gz", "rows.csv.xz"])
+    def test_estimate_reads_plain_rows_under_a_compressed_name(self, tmp_path, rows_file, name):
+        # numpy's opener would decompress a file so named, so it is read as it is
+        shutil.copy(rows_file, tmp_path / name)
+        assert read_counting_rows(tmp_path / name) == read_counting_rows(rows_file)
+        assert run_cli("estimate", "--rows", name, "--method", "na") == 0
+
     def test_estimate_missing_rows_file(self, capsys):
         assert run_cli("estimate", "--rows", "nope.csv", "--method", "na") == 1
         assert "error:" in capsys.readouterr().err

@@ -475,3 +475,84 @@ def test_read_of_1e5_subjects_runs_in_bounded_memory(rows_100k, tmp_path):
     # the parsed rows and the table's columns, never the file's text (about 23 MB with its lines)
     assert peak < 16e6, f"read peaked at {peak / 1e6:.1f} MB"
     assert back == rows_100k
+
+
+# Each case is one subject's rows that break a history rule, with the
+# error it gives; the other subjects' rows are valid.  Rows of equal
+# (id, start) are flagged by their order in the file, so the shuffles
+# below keep them in that order.
+_OTHER_SUBJECTS = [
+    "1,0.0,1.0,0,0", "1,1.0,2.0,1,1", "2,0.0,0.5,0,0", "2,0.5,3.0,1,0", "4,0.0,2.0,0,1",
+]
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["3,0.0,1.0,0,0", "3,0.5,2.0,0,0"], "overlaps an earlier interval"),
+        (["3,0.0,1.0,0,0", "3,0.0,2.0,0,0"], "overlaps an earlier interval"),
+        (["3,0.0,1.0,0,1", "3,1.0,2.0,0,0"], "is not on the subject's last row"),
+        (["3,0.0,1.0,0,1", "3,0.0,2.0,0,0"], "is not on the subject's last row"),
+        (["3,0.0,1.0,1,0", "3,1.0,2.0,0,0"], "untreated row after a treated one"),
+        # both rules flag the second row, and the overlap is listed first
+        (["3,0.0,1.0,1,0", "3,0.0,2.0,0,0"], "overlaps an earlier interval"),
+    ],
+    ids=["overlap", "overlap-equal-starts", "event", "event-equal-starts", "untreated",
+         "untreated-equal-starts"],
+)
+def test_history_errors_do_not_depend_on_the_row_order(tmp_path, rows, message):
+    lines = sorted(_OTHER_SUBJECTS + rows, key=lambda line: int(line.split(",")[0]))
+    # the rows of each (id, start) stay together and in their order
+    groups = {}
+    for line in lines:
+        groups.setdefault(tuple(line.split(",")[:2]), []).append(line)
+    groups = list(groups.values())
+    errors = []
+    for seed in range(5):
+        order = np.random.default_rng(seed).permutation(len(groups)) if seed else range(len(groups))
+        written = [line for k in order for line in groups[k]]
+        path = tmp_path / f"rows{seed}.csv"
+        path.write_text(HEADER + "\n" + "\n".join(written) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_counting_rows(path)
+        lineno, text = str(info.value).split(": ", 1)
+        # the error names the same row, wherever it was written
+        errors.append((written[int(lineno.removeprefix("line ")) - 2], text))
+    assert message in errors[0][1]
+    assert errors == [errors[0]] * len(errors)
+
+
+def test_cr_line_ends_read_and_name_lines_as_lf_ones(tmp_path, rows_100k):
+    # numpy parses the file by its path a chunk at a time and the error
+    # paths reread it a line at a time: both must split lines alike
+    path = tmp_path / "rows.csv"
+    write_counting_rows(rows_100k, path)
+    crlf = path.read_bytes()
+    lf = crlf.replace(b"\r\n", b"\n")
+    cr = crlf.replace(b"\r\n", b"\r")
+    for text in (lf, cr):
+        path.write_bytes(text)
+        assert read_counting_rows(path) == rows_100k
+    k = 3 * _CHUNK + 17
+    for end in (b"\n", b"\r", b"\r\n"):
+        lines = crlf.split(b"\r\n")
+        lines[k] = b"1,0.0,abc,0,0"
+        lines.insert(5, b"")
+        path.write_bytes(end.join(lines))
+        with pytest.raises(ValueError, match=f"^line {k + 2}: could not convert string to float"):
+            read_counting_rows(path)
+
+
+def test_read_parses_the_file_that_open_resolves(tmp_path, monkeypatch):
+    # "link/../rows.csv" is b/rows.csv to the system; normalizing the
+    # path first would read a/rows.csv instead
+    (tmp_path / "a" / "c").mkdir(parents=True)
+    (tmp_path / "b" / "c").mkdir(parents=True)
+    (tmp_path / "a" / "link").symlink_to(tmp_path / "b" / "c")
+    (tmp_path / "a" / "rows.csv").write_text(f"{HEADER}\n1,0.0,1.0,0,0\n")
+    (tmp_path / "b" / "rows.csv").write_text(f"{HEADER}\n2,0.0,2.0,0,1\n")
+    monkeypatch.chdir(tmp_path / "a")
+    expected = [CountingRow(2, 0.0, 2.0, 0, True)]
+    assert list(read_counting_rows("link/../rows.csv")) == expected
+    # a bytes path, which numpy would not take as a file name, reads alike
+    assert list(read_counting_rows(b"link/../rows.csv")) == expected
