@@ -11,7 +11,7 @@ partial likelihood, Aalen additive) that a practitioner would run on
 the simulated data.
 """
 
-from .construct import BuildReport, IterationRecord, build, rate_ratio
+from .construct import BuildReport, build, rate_ratio
 from .contrast import (
     causal_hazard_ratio,
     duration_model_ratio,
@@ -83,7 +83,6 @@ __all__ = [
     "rate_untreated",
     "ode_residual",
     "BuildReport",
-    "IterationRecord",
     "build",
     "rate_ratio",
     "FrailtySpec",

@@ -41,7 +41,6 @@ from .model import (
     write_rows,
 )
 from .numerics import ConvergenceError, SolverConfig
-from .rates import rate_untreated
 from .simulate import SimConfig, simulate_cohort, to_counting_rows
 
 __all__ = ["ExperimentConfig", "main", "entry_point"]
@@ -148,23 +147,23 @@ def _write_csv(path: Path, header: Sequence[str], columns: Sequence[np.ndarray])
         write_rows(fh, line, columns)
 
 
-def _build(cfg: ExperimentConfig) -> tuple[IllnessDeathModel, construct.BuildReport]:
+def _build(cfg: ExperimentConfig) -> construct.BuildReport:
     lam01 = GridFunction.constant(cfg.t_max, cfg.step, cfg.lam01)
     kernel = TwoPieceKernel(early=cfg.early, late=cfg.late, lag=cfg.lag)
     config = SolverConfig(tol=cfg.tol, max_iter=cfg.max_iter)
-    report = construct.build(lam01, kernel, cfg.beta, config=config)
-    model = IllnessDeathModel(lambda01=lam01, lambda02=report.lambda02, lambda12=kernel)
-    return model, report
+    return construct.build(lam01, kernel, cfg.beta, config=config)
 
 
-def _survival_contrasts(model: IllnessDeathModel, r12: GridFunction, r02: GridFunction):
+def _survival_contrasts(report: construct.BuildReport):
     """(S always, S never, rate-based S treated, untreated) and the true
     and rate-based contrasts at t_max, each treated minus untreated."""
+    model = report.model
     curves = (
         potential_survival(model, TreatmentPath.always()),
         potential_survival(model, TreatmentPath.never()),
-        rate_based_survival(r12),
-        rate_based_survival(r02),
+        rate_based_survival(report.rate),
+        # the untreated rate r02 is the hazard lambda02 itself
+        rate_based_survival(report.lambda02),
     )
     s_always, s_never, s_rt, s_ru = (s(model.t_max) for s in curves)
     return curves, (float(s_always - s_never), float(s_rt - s_ru))
@@ -173,34 +172,32 @@ def _survival_contrasts(model: IllnessDeathModel, r12: GridFunction, r02: GridFu
 def _require_converged(report: construct.BuildReport) -> None:
     if not report.converged:
         raise ConvergenceError(
-            f"builder stopped at sup deviation {report.iterations[-1].sup_dev:.3e} "
+            f"builder stopped at sup deviation {report.iterations[-1]:.3e} "
             f"after {len(report.iterations) - 1} iterations"
         )
 
 
-def _converged_build(cfg: ExperimentConfig):
-    """The built model, its report and its treated and untreated rates
-    r12 and r02; ConvergenceError if the builder did not converge."""
-    model, report = _build(cfg)
+def _converged_build(cfg: ExperimentConfig) -> construct.BuildReport:
+    """The builder's report; ConvergenceError if it did not converge."""
+    report = _build(cfg)
     _require_converged(report)
-    # the builder's last sweep already holds the final model's r12
-    return model, report, report.iterations[-1].rate, rate_untreated(model)
+    return report
 
 
 # ---------------------------------------------------------------- commands
 
 
 def _cmd_construct(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
-    model, report = _build(cfg)
+    report = _build(cfg)
     lam02 = report.lambda02
-    _write_csv(out / "lambda02.csv", ["t", "lambda02"], [model.times, lam02.values])
+    _write_csv(out / "lambda02.csv", ["t", "lambda02"], [report.model.times, lam02.values])
     _write_csv(
         out / "iterations.csv",
         ["iteration", "sup_deviation"],
-        [np.array([rec.index for rec in report.iterations]), report.deviations],
+        [np.arange(len(report.iterations)), report.deviations],
     )
-    for rec in report.iterations:
-        print(f"iteration {rec.index}: sup deviation {_fmt(rec.sup_dev)}")
+    for index, dev in enumerate(report.iterations):
+        print(f"iteration {index}: sup deviation {_fmt(dev)}")
     print(f"wrote {out / 'lambda02.csv'}")
     print(f"wrote {out / 'iterations.csv'}")
     _require_converged(report)
@@ -209,12 +206,13 @@ def _cmd_construct(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -
 
 
 def _cmd_rates(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
-    model, report, r12, r02 = _converged_build(cfg)
+    report = _converged_build(cfg)
+    r12, r02 = report.rate, report.lambda02
     ratio = construct.ratio_of_rates(r12, r02)
     _write_csv(
         out / "rates.csv",
         ["t", "r12", "r02", "rate_ratio"],
-        [model.times, r12.values, r02.values, ratio.values],
+        [report.model.times, r12.values, r02.values, ratio.values],
     )
     print(f"wrote {out / 'rates.csv'}")
     print(f"sup |rate ratio - {_fmt(np.exp(cfg.beta))}| = {_fmt(report.deviations[-1])}")
@@ -222,10 +220,11 @@ def _cmd_rates(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> in
 
 
 def _cmd_contrast(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
-    model, _, r12, r02 = _converged_build(cfg)
-    curves, (true_c, rate_c) = _survival_contrasts(model, r12, r02)
+    report = _converged_build(cfg)
+    model = report.model
+    curves, (true_c, rate_c) = _survival_contrasts(report)
     chr_ = causal_hazard_ratio(model)
-    rr = construct.ratio_of_rates(r12, r02)
+    rr = construct.ratio_of_rates(report.rate, report.lambda02)
     _write_csv(
         out / "contrast.csv",
         [
@@ -258,7 +257,7 @@ def _simulate_rows(model: IllnessDeathModel, cfg: ExperimentConfig, path: Path):
 
 def _cmd_simulate(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
     out_path = Path(args.out) if args.out else out / "rows.csv"
-    cohort, rows = _simulate_rows(_converged_build(cfg)[0], cfg, out_path)
+    cohort, rows = _simulate_rows(_converged_build(cfg).model, cfg, out_path)
     n_events = int(np.count_nonzero(rows.event))
     n_treated = int(np.count_nonzero(~np.isnan(cohort.u_init)))
     print(f"wrote {out_path}")
@@ -370,18 +369,18 @@ def _cmd_collider(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) ->
 
 
 def _cmd_reproduce(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
-    model, report, r12, r02 = _converged_build(cfg)
+    report = _converged_build(cfg)
+    model, r12, lam02 = report.model, report.rate, report.lambda02
     deviations = report.deviations
-    lam02 = report.lambda02
     t_end = model.t_max
-    _, (true_c, rate_c) = _survival_contrasts(model, r12, r02)
+    _, (true_c, rate_c) = _survival_contrasts(report)
 
     rows = _simulate_rows(model, cfg, out / "rows.csv")[1]
 
     na = estimators.nelson_aalen_by_treatment(rows)
     check_times = model.times[model.times <= min(2.5, t_end)]
     r12_cum = cumulative(r12)(check_times)
-    r02_cum = cumulative(r02)(check_times)
+    r02_cum = cumulative(lam02)(check_times)
     sup0 = float(np.max(np.abs(na[0](check_times) - r02_cum)))
     sup1 = float(np.max(np.abs(na[1](check_times) - r12_cum)))
 

@@ -9,9 +9,10 @@ lambda02 such that the model's treated rate satisfies
 Since r12 itself depends on lambda02 through the initiation-time
 weights, this is a fixed-point problem.  Starting from the constant
 1, each sweep computes r12 for the current lambda02 and replaces
-lambda02 by exp(-beta) * r12.  There is no convergence proof for this
-scheme, so the full deviation trace is part of the result and callers
-are expected to inspect it.
+lambda02 by exp(-beta) * r12.  The result holds the last iterate's
+model and its r12.  There is no convergence proof for this scheme, so
+the full deviation trace is part of the result and callers are
+expected to inspect it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .numerics import SolverConfig
 from .rates import kernel_quadrature, rate_treated, rate_untreated
 
 __all__ = [
-    "IterationRecord",
     "BuildReport",
     "build",
     "rate_ratio",
@@ -42,30 +42,23 @@ MAX_ABS_BETA = float(np.log(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
-class IterationRecord:
-    """Snapshot of one fixed-point sweep.
-
-    ``sup_dev`` is the sup over grid nodes in (0, t_max] of
-    |r12/lambda02 - exp(beta)| evaluated at this iterate.
-    """
-
-    index: int
-    sup_dev: float
-    lambda02: GridFunction
-    rate: GridFunction
-
-
-@dataclass(frozen=True)
 class BuildReport:
-    """Result of the fixed-point construction."""
+    """Result of the fixed-point construction: the last iterate's model
+    and its treated rate r12, and each iterate's sup over grid nodes in
+    (0, t_max] of |r12/lambda02 - exp(beta)|, the initial iterate first."""
 
-    lambda02: GridFunction
+    model: IllnessDeathModel
+    rate: GridFunction
     converged: bool
-    iterations: tuple[IterationRecord, ...]
+    iterations: tuple[float, ...]
+
+    @property
+    def lambda02(self) -> GridFunction:
+        return self.model.lambda02
 
     @property
     def deviations(self) -> np.ndarray:
-        return np.array([rec.sup_dev for rec in self.iterations])
+        return np.array(self.iterations)
 
 
 def build(
@@ -102,8 +95,7 @@ def build(
         raise ValueError(f"beta must be finite with |beta| <= {MAX_ABS_BETA:.2f}, got {beta!r}")
     target = float(np.exp(beta))
     lam02 = GridFunction.constant(lambda01.t_max, lambda01.step, 1.0)
-    records: list[IterationRecord] = []
-    converged = False
+    deviations: list[float] = []
     # the kernel's grid arrays do not depend on lambda02
     quadrature = kernel_quadrature(lambda12, lambda01)
 
@@ -111,21 +103,13 @@ def build(
         model = IllnessDeathModel(lambda01, lam02, lambda12)
         r12 = quadrature.rate_treated(model)
         dev = _sup_deviation(r12, lam02, target)
-        records.append(
-            IterationRecord(index=index, sup_dev=dev, lambda02=lam02, rate=r12)
-        )
-        if dev < config.tol:
-            converged = True
-            break
-        if index == config.max_iter:
+        deviations.append(dev)
+        if dev < config.tol or index == config.max_iter:
             break
         lam02 = lam02.with_values(np.exp(-beta) * r12.values)
 
-    # the loop always breaks right after recording the final iterate
     return BuildReport(
-        lambda02=records[-1].lambda02,
-        converged=converged,
-        iterations=tuple(records),
+        model=model, rate=r12, converged=dev < config.tol, iterations=tuple(deviations)
     )
 
 
@@ -155,7 +139,7 @@ def rate_ratio(model: IllnessDeathModel) -> GridFunction:
 
 
 def ratio_of_rates(r12: GridFunction, r02: GridFunction) -> GridFunction:
-    """``rate_ratio`` from rates already computed, such as the r12 of
-    the last sweep in a ``BuildReport``."""
+    """``rate_ratio`` from rates already computed, such as a
+    ``BuildReport``'s ``rate`` and ``lambda02``."""
     _check_denominator(r02.times, r02.values)
     return r12.with_values(r12.values / r02.values)

@@ -21,7 +21,8 @@ class ConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class SolverConfig:
     """Tolerance and iteration cap of the fixed-point builder
-    (``construct.build``), the package's one iterative solver."""
+    (``construct.build``).  The Cox fits' Newton driver
+    (``estimators._newton``) has fixed limits of its own."""
 
     tol: float = 1e-6
     max_iter: int = 50

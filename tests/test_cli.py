@@ -335,6 +335,17 @@ class TestConfigResolution:
         assert run_cli("construct", "--config", str(cfg)) == 1
         assert "bad value" in capsys.readouterr().err
 
+    def test_missing_config_file_exits_1(self, tmp_path, capsys):
+        missing = tmp_path / "absent.cfg"
+        assert run_cli("construct", "--config", str(missing)) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read config file {missing}: ")
+
+    def test_line_without_equals_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("step = 0.05\noops\n")
+        assert run_cli("construct", "--config", str(cfg)) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:2: expected key=value, got 'oops'\n"
+
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         target = tmp_path / "elsewhere"
         monkeypatch.setenv("HAZRATES_OUT_DIR", str(target))

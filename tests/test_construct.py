@@ -6,6 +6,7 @@ from conftest import BETA, STEP, T_MAX
 import hazrates as hz
 from hazrates.construct import BuildReport, build, rate_ratio
 from hazrates.numerics import SolverConfig
+from hazrates.rates import rate_treated
 
 # Deviation trace of the undamped iteration from the constant-1 start,
 # frozen from an independent run of the same scheme.
@@ -51,6 +52,29 @@ def test_non_convergence_is_reported_not_raised(standard_build):
     assert not report.converged
     assert len(report.iterations) == 3  # initial iterate plus two sweeps
     assert report.deviations[-1] > 1e-12
+
+
+def _bits(f):
+    return f.values.view(np.uint64)
+
+
+def test_report_holds_the_last_iterates_model_and_rate(standard_build):
+    lam01, kernel, report = standard_build
+    assert np.array_equal(_bits(report.rate), _bits(rate_treated(report.model)))
+    assert report.lambda02 is report.model.lambda02
+    assert report.model.lambda01 is lam01 and report.model.lambda12 is kernel
+    assert np.array_equal(report.deviations, np.array(report.iterations))
+    assert all(type(dev) is float for dev in report.iterations)
+
+    # one sweep: lambda02 = exp(-beta) * r12 of the constant-1 start
+    one = build(lam01, kernel, BETA, config=SolverConfig(max_iter=1))
+    assert not one.converged
+    assert len(one.iterations) == 2
+    np.testing.assert_allclose(one.deviations, EXPECTED_DEVIATIONS[:2], rtol=1e-4)
+    start = hz.IllnessDeathModel(lam01, hz.GridFunction.constant(T_MAX, STEP, 1.0), kernel)
+    swept = np.exp(-BETA) * rate_treated(start).values
+    assert np.array_equal(one.lambda02.values.view(np.uint64), swept.view(np.uint64))
+    assert np.array_equal(_bits(one.rate), _bits(rate_treated(one.model)))
 
 
 def test_rate_ratio_of_built_model_is_flat(model):

@@ -49,6 +49,12 @@ def hand_rows():
     ]
 
 
+def test_loglik_parts_need_an_event(hand_rows):
+    censored = [CountingRow(r.id, r.start, r.stop, r.treat, False) for r in hand_rows]
+    with pytest.raises(ValueError, match="^need at least one event$"):
+        cox_loglik_parts(censored, 0.0)
+
+
 class TestNelsonAalenAndKm:
     def test_hand_example(self, hand_rows):
         na = nelson_aalen_by_treatment(hand_rows)

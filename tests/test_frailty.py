@@ -240,6 +240,17 @@ class TestCollider:
         with pytest.raises(ValueError):
             ColliderScenario(z_levels=(0.5, 1.5), z_probs=(0.5, 0.5), p1=0.2, effect=-1.0)
 
+    def test_levels_and_probs_must_pair_up(self):
+        message = "^z_levels and z_probs must be nonempty and equal length$"
+        with pytest.raises(ValueError, match=message):
+            ColliderScenario((0.5, 1.5), (1.0,), 0.2, 0.5)
+
+    def test_certain_first_period_death_leaves_no_survivors(self):
+        # z * p1 = 1 kills everyone in period 1 under a1=0, so no
+        # conditional on surviving it exists
+        with pytest.raises(ValueError, match="^no survivors of period 1 under a1=0$"):
+            collider_table(ColliderScenario((1.0,), (1.0,), 1.0, 1.0))
+
     @pytest.mark.parametrize(
         "z_levels, z_probs",
         [

@@ -29,6 +29,15 @@ def test_call_rejects_out_of_range():
         f(1.2)
 
 
+def test_array_call_names_its_range_and_a_0d_array_gives_a_float():
+    f = GridFunction.constant(3.0, 0.005, 1.0)
+    message = "evaluation outside [0, 3.0]: got range [3.5, 3.5]"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        f(np.array([3.5]))
+    out = f(np.array(1.0))
+    assert type(out) is float and out == 1.0
+
+
 def test_call_clamps_past_last_node_when_tmax_off_grid():
     # t_max = 1.2 with step 0.5 has nodes at 0, 0.5, 1.0 only
     f = GridFunction(1.2, 0.5, np.array([1.0, 2.0, 3.0]))

@@ -174,6 +174,8 @@ class TestGridKernel:
         bad[2, 0] = -1.0
         with pytest.raises(ValueError):
             GridKernel(1.0, 0.5, bad)
+        with pytest.raises(ValueError, match="^values must be finite$"):
+            GridKernel(1.0, 0.5, np.full((3, 3), np.nan))
         # negative entries above the diagonal are dead storage, keep them legal
         above = np.zeros((3, 3))
         above[0, 2] = -5.0

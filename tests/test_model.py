@@ -214,6 +214,8 @@ def test_tables_iterate_as_records():
     assert len(table) == 3
     assert list(table) == rows
     assert table == CountingTable.coerce(rows) and table != CountingTable.coerce(rows[:2])
+    # no equality with a list, not even of the table's own records
+    assert (table == rows) is False and (rows == table) is False
     first = next(iter(table))
     assert type(first.id) is int and type(first.event) is bool
     # a table's columns are its own read-only arrays
@@ -327,7 +329,9 @@ def test_a_start_of_minus_zero_reads_back_with_its_sign(tmp_path):
     write_counting_rows(rows, path)
     assert path.read_text().splitlines()[1:] == ["1,-0.0,1.0,0,0", "2,0.0,1.0,0,1"]
     back = read_counting_rows(path)
-    # table equality compares values, and -0.0 == 0.0: compare the bits
+    # table equality tells -0.0 from 0.0 (see the next test); the bits
+    # and the sign bits say so of the column itself
+    assert back == rows
     assert np.array_equal(back.start.view(np.int64), rows.start.view(np.int64))
     assert np.signbit(back.start).tolist() == [True, False]
 
