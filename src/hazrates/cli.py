@@ -38,7 +38,7 @@ from .model import (
     TreatmentPath,
     read_counting_rows,
     write_counting_rows,
-    write_rows,
+    write_csv,
 )
 from .numerics import ConvergenceError, SolverConfig
 from .simulate import SimConfig, simulate_cohort, to_counting_rows
@@ -133,8 +133,8 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path: Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    """Write equal-length 1-d columns under a header: integers in decimal,
-    floats as _fmt does, \\r\\n line ends, a block of rows at a time."""
+    """Write equal-length 1-d columns under a header with model.write_csv
+    (integers in decimal, floats as _fmt does), then print "wrote <path>"."""
     columns = [np.asarray(c) for c in columns]
     if any(c.dtype.kind not in _SPECS for c in columns):
         raise TypeError(f"cannot write columns of dtypes {[c.dtype.name for c in columns]}")
@@ -142,9 +142,8 @@ def _write_csv(path: Path, header: Sequence[str], columns: Sequence[np.ndarray])
         raise ValueError("columns must be 1-d arrays of equal length")
     line = ",".join(_SPECS[c.dtype.kind] for c in columns) + "\r\n"
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        write_rows(fh, line, columns)
+    write_csv(path, header, line, columns[0].size, lambda lo, hi: [c[lo:hi].tolist() for c in columns])
+    print(f"wrote {path}")
 
 
 def _build(cfg: ExperimentConfig) -> construct.BuildReport:
@@ -189,17 +188,14 @@ def _converged_build(cfg: ExperimentConfig) -> construct.BuildReport:
 
 def _cmd_construct(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
     report = _build(cfg)
-    lam02 = report.lambda02
-    _write_csv(out / "lambda02.csv", ["t", "lambda02"], [report.model.times, lam02.values])
+    for index, dev in enumerate(report.iterations):
+        print(f"iteration {index}: sup deviation {_fmt(dev)}")
+    _write_csv(out / "lambda02.csv", ["t", "lambda02"], [report.model.times, report.lambda02.values])
     _write_csv(
         out / "iterations.csv",
         ["iteration", "sup_deviation"],
         [np.arange(len(report.iterations)), report.deviations],
     )
-    for index, dev in enumerate(report.iterations):
-        print(f"iteration {index}: sup deviation {_fmt(dev)}")
-    print(f"wrote {out / 'lambda02.csv'}")
-    print(f"wrote {out / 'iterations.csv'}")
     _require_converged(report)
     print(f"converged: sup|rate ratio - {_fmt(np.exp(cfg.beta))}| < {_fmt(cfg.tol)}")
     return 0
@@ -214,7 +210,6 @@ def _cmd_rates(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> in
         ["t", "r12", "r02", "rate_ratio"],
         [report.model.times, r12.values, r02.values, ratio.values],
     )
-    print(f"wrote {out / 'rates.csv'}")
     print(f"sup |rate ratio - {_fmt(np.exp(cfg.beta))}| = {_fmt(report.deviations[-1])}")
     return 0
 
@@ -238,7 +233,6 @@ def _cmd_contrast(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) ->
         ],
         [model.times, *(s.values for s in curves), chr_.values, rr.values],
     )
-    print(f"wrote {out / 'contrast.csv'}")
     t_end = model.t_max
     print(f"true contrast at t={_fmt(t_end)}: {true_c:.2f} (unrounded {_fmt(true_c)})")
     print(f"rate-based contrast at t={_fmt(t_end)}: {rate_c:.2f} (unrounded {_fmt(rate_c)})")
@@ -299,7 +293,6 @@ def _cmd_estimate(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) ->
         )
         path = Path(args.out) if args.out else out / f"estimate_{method}.csv"
         _write_csv(path, ["level", "t", "value"], _step_csv_columns(curves))
-        print(f"wrote {path}")
         return 0
     if method in ("cox", "cox-duration"):
         covariates = "current" if method == "cox" else "duration"
@@ -307,19 +300,17 @@ def _cmd_estimate(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) ->
         print("beta_hat,model_se,robust_se,loglik,iters")
         print(_fit_summary(fit))
         return 0
-    if method == "aalen":
-        fit = estimators.aalen_additive(rows)
-        na = estimators.nelson_aalen_by_treatment(rows)
-        path = Path(args.out) if args.out else out / "estimate_aalen.csv"
-        _write_csv(path, ["t", "b0", "b1"], [fit.b0.jump_times, fit.b0.values, fit.b1.values])
-        print(f"wrote {path}")
-        times = fit.b0.jump_times
-        ok = np.allclose(fit.b0(times), na[0](times), rtol=0, atol=1e-12) and np.allclose(
-            fit.b0(times) + fit.b1(times), na[1](times), rtol=0, atol=1e-12
-        )
-        print(f"aalen_na_identity: {'PASS' if ok else 'FAIL'}")
-        return 0 if ok else 1
-    raise CliError(f"unknown method {method!r}")
+    # "aalen", the last of the --method choices
+    fit = estimators.aalen_additive(rows)
+    na = estimators.nelson_aalen_by_treatment(rows)
+    path = Path(args.out) if args.out else out / "estimate_aalen.csv"
+    _write_csv(path, ["t", "b0", "b1"], [fit.b0.jump_times, fit.b0.values, fit.b1.values])
+    times = fit.b0.jump_times
+    ok = np.allclose(fit.b0(times), na[0](times), rtol=0, atol=1e-12) and np.allclose(
+        fit.b0(times) + fit.b1(times), na[1](times), rtol=0, atol=1e-12
+    )
+    print(f"aalen_na_identity: {'PASS' if ok else 'FAIL'}")
+    return 0 if ok else 1
 
 
 def _cmd_frailty_demo(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
@@ -341,7 +332,6 @@ def _cmd_frailty_demo(args: argparse.Namespace, cfg: ExperimentConfig, out: Path
         ["t", "mhaz_never", "mhaz_always", f"mhaz_initiate_{u:g}", "gap"],
         [times, m_never.values, m_always.values, m_init.values, gap],
     )
-    print(f"wrote {out / 'frailty_demo.csv'}")
     print(f"max violation gap on [{_fmt(u)}, {_fmt(cfg.t_max)}]: {_fmt(np.max(gap))}")
     return 0
 
@@ -362,7 +352,6 @@ def _cmd_collider(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) ->
     keys = sorted(table)
     columns = [*np.array(keys).T, np.array([table[key] for key in keys])]
     _write_csv(out / "collider.csv", ["a1", "a2", "p_death_given_alive"], columns)
-    print(f"wrote {out / 'collider.csv'}")
     for (a1, a2) in keys:
         print(f"P(second-period death | alive, a1={a1}, a2={a2}) = {_fmt(table[(a1, a2)])}")
     return 0

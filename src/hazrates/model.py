@@ -47,8 +47,8 @@ _CSV_DTYPE = np.dtype(
 )
 
 # Rows converted from the columns to Python values at a time: records
-# when a table is iterated, CSV lines when it is written (each block's
-# distinct times are formatted once).
+# when a table is iterated, CSV lines when write_csv writes rows.csv or
+# one of the CLI's tables (a rows block formats its distinct times once).
 _CHUNK = 4096
 
 # The end of a counting-row CSV line, indexed by 2 * treat + event.
@@ -439,20 +439,26 @@ def _history_rules(col):
     ]
 
 
-def write_rows(fh, line: str, columns: list[np.ndarray]) -> None:
-    """Write the rows of equal-length 1-d columns to ``fh`` as ``line % row``.
+def write_csv(path, header: list[str], line: str, n: int, block) -> None:
+    """Write a new CSV at path: the header, then n rows as ``line % row``.
 
     ``line`` is a %-format template with one field per column and its
-    own line end.  One %-format runs per block of _CHUNK rows, so Python
-    values exist for at most one block at a time.
+    own line end; ``block(lo, hi)`` returns the fields of rows lo..hi-1
+    as one Python list per column.  One %-format runs per block of _CHUNK
+    rows, and a block's strings are freed before the next block's are
+    made, so Python values exist for at most one block at a time.
     """
-    k, n = len(columns), columns[0].size
-    for lo in range(0, n, _CHUNK):
-        m = min(_CHUNK, n - lo)
-        flat = [None] * (k * m)
-        for j, c in enumerate(columns):
-            flat[j::k] = c[lo:lo + m].tolist()
-        fh.write((line * m) % tuple(flat))
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, n, _CHUNK):
+            fields = block(lo, min(lo + _CHUNK, n))
+            k, m = len(fields), len(fields[0])
+            flat = [None] * (k * m)
+            for j in range(k):
+                flat[j::k] = fields[j]
+            del fields
+            fh.write((line * m) % tuple(flat))
+            del flat
 
 
 def write_counting_rows(rows: CountingTable, path) -> None:
@@ -476,24 +482,17 @@ def write_counting_rows(rows: CountingTable, path) -> None:
     """
     col = CountingTable.coerce(rows).columns
     ids, start, stop, treat, event = (col[name] for name in COUNTING_HEADER)
-    n = ids.size
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(COUNTING_HEADER) + "\r\n")
-        for lo in range(0, n, _CHUNK):
-            hi = min(lo + _CHUNK, n)
-            m = hi - lo
-            times = np.concatenate((start[lo:hi], stop[lo:hi]))
-            bits, inverse = np.unique(times.view(np.int64), return_inverse=True)
-            text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-            text = text[inverse].tolist()
-            flat = [None] * (4 * m)
-            flat[0::4] = ids[lo:hi].tolist()
-            flat[1::4] = text[:m]
-            flat[2::4] = text[m:]
-            flat[3::4] = _TAILS[2 * treat[lo:hi] + event[lo:hi]].tolist()
-            fh.write(("%d,%s,%s%s" * m) % tuple(flat))
-            # free this block's strings before the next block's are made
-            del text, flat
+
+    def block(lo: int, hi: int) -> list[list]:
+        times = np.concatenate((start[lo:hi], stop[lo:hi]))
+        bits, inverse = np.unique(times.view(np.int64), return_inverse=True)
+        text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+        text = text[inverse].tolist()
+        m = hi - lo
+        tails = _TAILS[2 * treat[lo:hi] + event[lo:hi]].tolist()
+        return [ids[lo:hi].tolist(), text[:m], text[m:], tails]
+
+    write_csv(path, COUNTING_HEADER, "%d,%s,%s%s", ids.size, block)
 
 
 _INT64 = np.iinfo(np.int64)

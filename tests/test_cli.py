@@ -184,6 +184,12 @@ class TestSimulateAndEstimate:
         assert read_counting_rows(tmp_path / name) == read_counting_rows(rows_file)
         assert run_cli("estimate", "--rows", name, "--method", "na") == 0
 
+    def test_estimate_of_an_unknown_method_is_one_error_line(self, capsys):
+        # argparse's choices reject it before the command runs
+        assert run_cli("estimate", "--rows", "rows.csv", "--method", "bogus") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --method: invalid choice") and err.count("\n") == 1
+
     def test_estimate_missing_rows_file(self, capsys):
         assert run_cli("estimate", "--rows", "nope.csv", "--method", "na") == 1
         assert "error:" in capsys.readouterr().err
@@ -575,7 +581,7 @@ class TestReproduce:
         rc, peak = traced_peak(lambda: run_cli("reproduce", "--n", "100000"))
         assert rc == 0 and peak < 17.5e6, f"peaked at {peak / 1e6:.1f} MB"
 
-    def test_default_curves_match_golden_outputs(self, tmp_path):
+    def test_default_curves_match_golden_outputs(self, tmp_path, capsys):
         # The along-path integrals (potential survival, frailty loads)
         # and the rate ratio behind these files must keep their bits.
         for command, name in [
@@ -585,16 +591,29 @@ class TestReproduce:
         ]:
             assert run_cli(command) == 0
             assert _sha256(tmp_path / name) == GOLDEN_CURVES_SHA256[name], name
+            assert capsys.readouterr().out == GOLDEN_STDOUT[command], command
 
-    def test_estimate_and_trace_outputs_match_golden(self, tmp_path):
+    def test_estimate_and_trace_outputs_match_golden(self, tmp_path, capsys):
         # The curve CSVs of `estimate` on a cohort with both treatment
         # levels, the builder trace and the collider table, as the CLI's
-        # CSV writer prints them.
-        assert run_cli("simulate", "--n", "20000", "--seed", "5") == 0
+        # CSV writer prints them, and each command's stdout.
+        def run(*argv, rc=0):
+            assert run_cli(*argv) == rc
+            command = " ".join(argv)
+            captured = capsys.readouterr()
+            assert captured.out == GOLDEN_STDOUT[command], command
+            return captured.err
+
+        run("simulate", "--n", "20000", "--seed", "5")
         for method in ("na", "ekm", "aalen"):
-            assert run_cli("estimate", "--rows", "rows.csv", "--method", method) == 0
-        assert run_cli("construct") == 0
-        assert run_cli("collider") == 0
+            run("estimate", "--rows", "rows.csv", "--method", method)
+        # a builder that stops short announces its trace and both files,
+        # then fails; the converged run below overwrites the files
+        assert run("construct", "--max-iter", "1", rc=2) == (
+            "solver failed: builder stopped at sup deviation 6.369e-02 after 1 iterations\n"
+        )
+        run("construct")
+        run("collider")
         for name, digest in GOLDEN_TABLES_SHA256.items():
             assert _sha256(tmp_path / name) == digest, name
 
@@ -631,6 +650,47 @@ GOLDEN_TABLES_SHA256 = {
     "estimate_aalen.csv": "0413f727237f7b59b734f8bf93b10348c4eaeb98bcb10d543f90b716723246d9",
     "iterations.csv": "f79b92c6e9bc19f4bcef70f473abe910b4e062edaa0d26906912dd759cc0aa78",
     "collider.csv": "61856a557e11b1638b11998da1946f2a5f479ae156fc6d48aa8852100e553f5a",
+}
+
+# stdout of the commands above; their out-dir is the working directory,
+# so each file is announced by its bare name
+GOLDEN_STDOUT = {
+    "rates": "wrote rates.csv\nsup |rate ratio - 0.666667| = 2.78775e-07\n",
+    "contrast": (
+        "wrote contrast.csv\n"
+        "true contrast at t=3: 0.22 (unrounded 0.216908)\n"
+        "rate-based contrast at t=3: 0.15 (unrounded 0.145601)\n"
+    ),
+    "frailty-demo": "wrote frailty_demo.csv\nmax violation gap on [1.5, 3]: 0.0591133\n",
+    "simulate --n 20000 --seed 5": "wrote rows.csv\nsubjects 20000, treated 6467, deaths 14542\n",
+    "estimate --rows rows.csv --method na": "wrote estimate_na.csv\n",
+    "estimate --rows rows.csv --method ekm": "wrote estimate_ekm.csv\n",
+    "estimate --rows rows.csv --method aalen": (
+        "wrote estimate_aalen.csv\naalen_na_identity: PASS\n"
+    ),
+    "construct --max-iter 1": (
+        "iteration 0: sup deviation 0.450026\n"
+        "iteration 1: sup deviation 0.0636918\n"
+        "wrote lambda02.csv\n"
+        "wrote iterations.csv\n"
+    ),
+    "construct": (
+        "iteration 0: sup deviation 0.450026\n"
+        "iteration 1: sup deviation 0.0636918\n"
+        "iteration 2: sup deviation 0.00269008\n"
+        "iteration 3: sup deviation 4.38069e-05\n"
+        "iteration 4: sup deviation 2.78775e-07\n"
+        "wrote lambda02.csv\n"
+        "wrote iterations.csv\n"
+        "converged: sup|rate ratio - 0.666667| < 1e-06\n"
+    ),
+    "collider": (
+        "wrote collider.csv\n"
+        "P(second-period death | alive, a1=0, a2=0) = 0.1875\n"
+        "P(second-period death | alive, a1=0, a2=1) = 0.09375\n"
+        "P(second-period death | alive, a1=1, a2=0) = 0.194444\n"
+        "P(second-period death | alive, a1=1, a2=1) = 0.0972222\n"
+    ),
 }
 
 
