@@ -2,10 +2,10 @@
 
 Every continuous-time curve in this package (hazards, rates, cumulative
 hazards, survival curves) is stored as its values on the uniform grid
-``{0, step, 2*step, ...}`` and interpreted as piecewise linear between
-nodes.  Quadrature is trapezoidal throughout, which integrates that
-interpretation exactly, so the grid convention and the quadrature rule
-never disagree with each other.
+``{0, step, 2*step, ...}`` and read as piecewise linear between nodes,
+by ``np.interp`` or, bit for bit, by cell arithmetic.  Quadrature is
+trapezoidal throughout, which integrates that reading exactly, so the
+grid convention and the quadrature rule never disagree with each other.
 """
 
 from __future__ import annotations
@@ -49,11 +49,11 @@ def n_intervals(t_max: float, step: float) -> int:
 class GridFunction:
     """A real function of time sampled on a uniform grid.
 
-    The function is defined on [0, t_max] with nodes at multiples of
-    ``step``; values between nodes are linearly interpolated and
-    evaluation past the last node (possible when t_max is not an exact
-    multiple of step) clamps to the final value.  Instances are
-    immutable: the value array is copied and marked read-only.
+    Defined on [0, t_max] with nodes at multiples of ``step``, linear
+    between them and the final value past the last (t_max off the step).
+    A call searches the grid with np.interp; ``cell_of`` and ``in_cell``
+    give its bits by O(1) arithmetic per entry, for large unsorted arrays.
+    Instances are immutable: the value array is copied and read-only.
     """
 
     t_max: float
@@ -117,6 +117,32 @@ class GridFunction:
         out = np.interp(t_arr, self.times, self.values)
         if t_arr.ndim == 0:
             return float(out)
+        return out
+
+    @cached_property
+    def _slopes(self) -> np.ndarray:
+        """np.interp's cell slopes; -0.0 past the last node, where d * -0.0 + v is v."""
+        return np.append(np.diff(self.values) / np.diff(self.times), -0.0)
+
+    def cell_of(self, t: np.ndarray) -> np.ndarray:
+        """The cell np.interp's search reads each t of [0, t_max] in, by
+        arithmetic: times[j] <= t < times[j + 1], or the last node at or
+        past it (NaN reads cell 0)."""
+        with np.errstate(invalid="ignore"):  # NaN casts to an integer clipped here
+            j = np.clip((t / self.step).astype(np.intp), 0, self.n_nodes - 1)
+        j -= t < self.times[j]  # roundoff puts the quotient at most one cell off
+        j += t >= np.append(self.times, np.inf)[j + 1]
+        return j
+
+    def in_cell(self, cell: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """self(t) for each t in its grid cell (``cell_of``, or one a search
+        found) by np.interp's own arithmetic: bit for bit, with no search."""
+        out = t - self.times[cell]
+        on_node = out == 0  # np.interp returns the node's value there, -0.0 too
+        out *= self._slopes[cell]
+        node = self.values[cell]
+        out += node
+        np.copyto(out, node, where=on_node)
         return out
 
     def node_index(self, t: float) -> int:

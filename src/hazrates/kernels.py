@@ -176,6 +176,7 @@ class MarkovKernel(HazardKernel):
 
     Models built from it satisfy the Markov property by construction,
     which makes this the reference case in which rates and hazards agree.
+    Its inversion reads cum(u) by ``GridFunction.cell_of`` arithmetic.
     """
 
     rate: GridFunction
@@ -196,7 +197,9 @@ class MarkovKernel(HazardKernel):
 
     def _invert(self, u, e):
         cum = self._cum
-        return _crossing_after(u, lambda k, rows: cum.values[k], cum.n_nodes, cum.step, cum(u) + e)
+        u_in = np.clip(u, 0.0, cum.times[-1])  # np.interp's end rule
+        target = cum.in_cell(cum.cell_of(u_in), u_in) + e
+        return _crossing_after(u, lambda k, rows: cum.values[k], cum.n_nodes, cum.step, target)
 
     def value_grid(self, times: np.ndarray) -> np.ndarray:
         return np.broadcast_to(self.rate(times)[:, None], (times.size, times.size))

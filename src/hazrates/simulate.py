@@ -94,30 +94,19 @@ def _exit_times(
     return t, cell
 
 
-def _in_cell(f: GridFunction, cell: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """f(t) for each t in grid cell [times[cell], times[cell + 1]) (or on
-    the last node), by np.interp's own arithmetic, so it equals f(t)
-    bit for bit without searching the grid again."""
-    xp, v = f.times, f.values
-    slope = np.append(np.diff(v) / np.diff(xp), 0.0)
-    out = t - xp[cell]
-    out *= slope[cell]
-    out += v[cell]
-    return out
-
-
 def _treat_probability(
     model: IllnessDeathModel, z: Optional[np.ndarray], cell: np.ndarray, t: np.ndarray
 ) -> np.ndarray:
     """lam01 / (lam01 + z*lam02) at each exit time t, in its grid cell.
 
     The hazards are nonnegative, so where the total vanishes lam01 is 0
-    and so is the probability.  Working in place frees every temporary
+    and so is the probability; it is NaN where t is (no exit), and no
+    cause is drawn there.  Working in place frees every temporary
     before the caller goes on to the death times.
     """
-    lam01 = _in_cell(model.lambda01, cell, t)
+    lam01 = model.lambda01.in_cell(cell, t)
     if model.lambda02.step == model.step:
-        lam02 = _in_cell(model.lambda02, cell, t)
+        lam02 = model.lambda02.in_cell(cell, t)
     else:  # the same grid only within NODE_TOL: its nodes lie elsewhere
         lam02 = model.lambda02(t)
     if z is not None:
@@ -149,13 +138,11 @@ def _assemble(
     initiates = exits & is_treat & (t_exit < t_cens)
     del exits
     dies_treated = initiates & (t_death_treated <= t_cens)
-    t_event = np.full(n, float(t_cens))
-    t_event[dies_untreated] = t_exit[dies_untreated]
-    t_event[dies_treated] = np.maximum(
-        t_death_treated[dies_treated], t_exit[dies_treated] + _TIME_EPS
-    )
+    t_event = np.where(dies_untreated, t_exit, float(t_cens))
+    np.add(t_exit, _TIME_EPS, out=t_event, where=dies_treated)
+    np.maximum(t_death_treated, t_event, out=t_event, where=dies_treated)
     u_init = t_exit
-    u_init[~initiates] = np.nan
+    np.copyto(u_init, np.nan, where=~initiates)
     return Cohort._adopt(
         id=np.arange(n),
         u_init=u_init,
@@ -173,8 +160,8 @@ def simulate_cohort(model: IllnessDeathModel, config: SimConfig) -> Cohort:
     time solves Lam01 + z*Lam02 >= e; the cause at the drawn time is
     treatment with probability lam01 / (lam01 + z*lam02), the exact
     ratio of the competing intensities there.  Both hazards are read in
-    the grid cell the exit search found, with the arithmetic of
-    ``GridFunction.__call__``, so the grid is searched once per subject.
+    the grid cell the exit search found, by ``GridFunction.in_cell``,
+    so the grid is searched once per subject.
     """
     rng = _rng(config.seed)
     n = config.n
@@ -182,19 +169,18 @@ def simulate_cohort(model: IllnessDeathModel, config: SimConfig) -> Cohort:
     lam01_cum = cumulative(model.lambda01).values
     lam02_cum = cumulative(model.lambda02).values
     t_exit, cell = _exit_times(model.step, rng.exponential(size=n), z, lam01_cum, lam02_cum)
-    t_safe = np.where(np.isnan(t_exit), 0.0, t_exit)
-    p_treat = _treat_probability(model, z, cell, t_safe)
-    del cell, t_safe
+    p_treat = _treat_probability(model, z, cell, t_exit)
+    del cell
     is_treat = rng.uniform(size=n) < p_treat
     del p_treat
 
     t_death_treated = np.full(n, np.inf)
-    treated = is_treat & ~np.isnan(t_exit)
-    if np.any(treated):
+    # p_treat is NaN where no exit comes, so treated subjects all exited
+    treated = np.flatnonzero(is_treat)
+    if treated.size:
         e1 = rng.exponential(size=n)[treated]
         if z is not None:
             e1 /= z[treated]
-        # treated subjects all exited, so their t_exit is finite
         t_death_treated[treated] = model.lambda12.invert_cumulative(t_exit[treated], e1)
         del e1
     del treated

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from hazrates.grid import MAX_NODES, GridFunction, cumulative, n_intervals
+from hazrates.grid import MAX_NODES, NODE_TOL, GridFunction, cumulative, n_intervals
 
 
 def test_constant_samples_all_nodes():
@@ -97,3 +97,29 @@ def test_node_limit():
             n_intervals(t_max, step)
         with pytest.raises(ValueError, match=re.escape(limit)):
             GridFunction.constant(t_max, step, 0.3)
+
+
+@pytest.mark.parametrize("t_max, step", [(3.0, 0.005), (3.0013, 0.005), (2.0, 0.1)])
+def test_cell_read_is_np_interp_bit_for_bit(t_max, step):
+    # 2e5 unsorted times, every node and one ulp either side of it, times
+    # within NODE_TOL outside [0, t_max] (clipped, as callers clip) and
+    # NaN; values of both signs and -0.0, which np.interp returns as it is
+    # on a node; with t_max off the step, times past the last node
+    rng = np.random.default_rng(8)
+    f = GridFunction.constant(t_max, step, 0.0)
+    values = rng.normal(size=f.n_nodes)
+    values[rng.integers(0, f.n_nodes, size=f.n_nodes // 4)] = -0.0
+    values[-1] = -0.0
+    f = f.with_values(values)
+    x = f.times
+    t = np.concatenate([
+        rng.uniform(-NODE_TOL, t_max + NODE_TOL, size=200_000),
+        x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
+        [-NODE_TOL, -0.0, t_max + NODE_TOL, np.nan],
+    ])
+    rng.shuffle(t)
+    t = np.clip(t, 0.0, t_max)
+    got = f.in_cell(f.cell_of(t), t)
+    assert np.array_equal(got.view(np.int64), np.interp(t, x, f.values).view(np.int64))
+    assert np.any((got == 0) & np.signbit(got)) and np.isnan(got).sum() == 1
+    assert np.any(t > x[-1]) == (t_max > x[-1])

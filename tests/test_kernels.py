@@ -9,6 +9,7 @@ from hazrates.kernels import (
     HazardKernel,
     MarkovKernel,
     TwoPieceKernel,
+    _crossing_after,
 )
 
 
@@ -416,3 +417,25 @@ def test_vectorized_grid_kernel_matches_the_loop():
     finite = np.isfinite(want)
     np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=1e-12)
     assert kernel.cumulative(0.3, 1.7) == pytest.approx(ref.cumulative([0.3], [1.7])[0], abs=1e-12)
+
+
+def test_markov_inversion_reads_cum_u_as_np_interp_does():
+    # the inversion reads cum(u) by cell arithmetic; the reference reads
+    # it with np.interp, through GridFunction.__call__, on 2e5 unsorted u
+    # with every node, a NaN (NaN out, no warning), u just below 0 and,
+    # with t_max off the step, u past the last node
+    rng = np.random.default_rng(9)
+    t_max, step = 3.0013, 0.005
+    times = GridFunction.constant(t_max, step, 0.0).times
+    kernel = MarkovKernel(GridFunction(t_max, step, 0.2 + 0.3 * np.sin(3 * times) ** 2))
+    cum = kernel._cum
+    u = np.concatenate([
+        rng.uniform(0.0, t_max, size=200_000), times, [np.nan, -NODE_TOL / 2, t_max],
+    ])
+    rng.shuffle(u)
+    e = rng.exponential(0.5, size=u.size)
+    e[::9] = 0.0
+    want = _crossing_after(u, lambda k, rows: cum.values[k], cum.n_nodes, cum.step, cum(u) + e)
+    got = kernel.invert_cumulative(u, e)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.isnan(got[np.isnan(u)]).all() and np.any(np.isinf(got))

@@ -13,9 +13,10 @@ from hazrates.model import _CHUNK, CountingTable
 from hazrates.numerics import first_crossing
 from hazrates.rates import _initiation_density, kernel_quadrature, rate_treated
 from hazrates.simulate import (
+    _TIME_EPS,
     SimConfig,
+    _assemble,
     _exit_times,
-    _in_cell,
     _treat_probability,
     sample_frailty_cohort,
     simulate_cohort,
@@ -285,7 +286,7 @@ def _exit_cells(model, e0, z=None):
 def _assert_cell_reads_equal_calls(model, t, cell):
     t_safe = np.where(np.isnan(t), 0.0, t)
     for f in (model.lambda01, model.lambda02):
-        assert np.array_equal(_in_cell(f, cell, t_safe), f(t_safe))
+        assert np.array_equal(f.in_cell(cell, t_safe), f(t_safe))
 
 
 @pytest.mark.parametrize("frailty", [None, hz.GammaFrailty(variance=1.0)])
@@ -347,6 +348,78 @@ def test_simulate_cohort_peak_memory(model, frailty):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 8 * n, f"peaked at {peak / (8 * n):.1f} float arrays of length n"
+
+
+def _assemble_by_scatter(t_exit, is_treat, t_death_treated, t_cens, z):
+    """``_assemble``'s columns by boolean gathers and scatters: the reference."""
+    n = t_exit.size
+    exits = ~(np.isnan(t_exit) | (t_exit > t_cens))
+    dies_untreated = exits & ~is_treat
+    initiates = exits & is_treat & (t_exit < t_cens)
+    dies_treated = initiates & (t_death_treated <= t_cens)
+    t_event = np.full(n, float(t_cens))
+    t_event[dies_untreated] = t_exit[dies_untreated]
+    t_event[dies_treated] = np.maximum(
+        t_death_treated[dies_treated], t_exit[dies_treated] + _TIME_EPS
+    )
+    u_init = t_exit.copy()
+    u_init[~initiates] = np.nan
+    return {
+        "id": np.arange(n), "u_init": u_init, "t_event": t_event,
+        "event": dies_untreated | dies_treated,
+        "frailty": np.full(n, np.nan) if z is None else z,
+    }
+
+
+@pytest.mark.parametrize("frailty", [False, True])
+def test_assemble_equals_the_boolean_scatter_form(frailty):
+    # planted (t_exit, treated, t_death): no exit, an exit after the
+    # horizon, treated and untreated exits at it, treated deaths at the
+    # initiation instant (floored to u + _TIME_EPS, at u = 0 too), after
+    # the horizon and never; then 1e4 random subjects
+    planted = [
+        (np.nan, False, np.inf), (np.nan, True, np.inf), (3.5, True, np.inf),
+        (3.5, False, np.inf), (3.0, True, 3.2), (3.0, False, np.inf),
+        (1.0, True, 1.0), (0.0, True, 0.0), (1.0, True, 2.5), (1.0, True, 3.4),
+        (1.0, True, np.inf), (2.0, False, np.inf),
+    ]
+    rng = np.random.default_rng(10)
+    n = 10_000
+    t_exit = rng.exponential(2.0, size=n)
+    t_exit[::7] = np.nan
+    t_death = t_exit + rng.exponential(1.0, size=n)
+    t_death[::5] = t_exit[::5]
+    t_death[::11] = np.inf
+    t_exit = np.concatenate([[p[0] for p in planted], t_exit])
+    is_treat = np.concatenate([[p[1] for p in planted], rng.uniform(size=n) < 0.5])
+    t_death = np.concatenate([[p[2] for p in planted], t_death])
+    z = rng.gamma(1.0, size=t_exit.size) if frailty else None
+    want = _assemble_by_scatter(t_exit, is_treat, t_death, 3.0, z)
+    got = _assemble(t_exit.copy(), is_treat, t_death.copy(), 3.0, z)
+    for name, col in want.items():
+        assert got.columns[name].tobytes() == col.tobytes(), name
+    assert got.t_event[6] == 1.0 + _TIME_EPS and got.t_event[7] == _TIME_EPS
+
+
+def test_frailty_workload_cohort_golden():
+    # sha256 of the columns of the frailty workload's Markov-kernel cohort
+    # at its benchmark size: 5e5 subjects, h0 0.3, h1 0.5, exposure 0.3,
+    # gamma variance 1, step 0.005
+    h0 = hz.GridFunction.constant(T_MAX, STEP, 0.3)
+    spec = hz.ConditionalHazardSpec(h0=h0, h1=hz.GridFunction.constant(T_MAX, STEP, 0.5))
+    cohort = sample_frailty_cohort(
+        spec, hz.GammaFrailty(variance=1.0), h0, SimConfig(n=500_000, seed=3)
+    )
+    assert _columns_sha256(cohort) == GOLDEN_FRAILTY_WORKLOAD_COHORT_SHA256
+
+
+def test_gamma_workload_cohort_golden(model):
+    # sha256 of the columns of the frailty workload's gamma cohort of the
+    # default model at its benchmark size, 2e5 subjects
+    cohort = simulate_cohort(
+        model, SimConfig(n=200_000, seed=4, frailty=hz.GammaFrailty(variance=1.0))
+    )
+    assert _columns_sha256(cohort) == GOLDEN_GAMMA_WORKLOAD_COHORT_SHA256
 
 
 def _tabulated_kernel_model():
@@ -421,3 +494,5 @@ def _columns_sha256(cohort) -> str:
 GOLDEN_GAMMA_COHORT_SHA256 = "ecea83d859e78f4fc04027aebb66f140f4fcd03c2f774701301fb7da1143d144"
 GOLDEN_MARKOV_KERNEL_COHORT_SHA256 = "f14750e5af76d25ee8df2f85bad5f68539639634857de08e136c6dc7badd815f"
 GOLDEN_GRID_KERNEL_COHORT_SHA256 = "10a1c244ec89d475f235536f64a4e899716cf00512c20544689ca27c7a9ad599"
+GOLDEN_FRAILTY_WORKLOAD_COHORT_SHA256 = "7a4a7b599c3b215fd0530bbc60b2e00212efb3f2297a3261ed2a8eb8534c2aa1"
+GOLDEN_GAMMA_WORKLOAD_COHORT_SHA256 = "94a42df7d232a5b6be804f3670968716a11a7bbc42dfcc8761b047a709d67296"
