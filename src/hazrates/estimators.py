@@ -9,8 +9,10 @@ search over the sorted start and stop arrays, which keeps every
 estimator O(n log n) in the number of rows.  Both Cox models (current
 level, and with time since initiation) also read each row's bounds on
 the event-time axis, a block of rows at a time, from the risk table's
-event times and each event row's index among them, and sum their
-robust score residuals within subject by one bincount per covariate.
+event times and each event row's index among them.  Their robust score
+residuals are summed one covariate at a time, block by block: each
+block's residuals go into the subject totals as soon as the block is
+done, in row order, so no residual array for the whole table exists.
 Both fits run one Newton-Raphson driver, ``_newton``, which holds the
 stopping and failure rules.
 """
@@ -148,12 +150,15 @@ def _row_blocks(col: dict[str, np.ndarray], risk):
         rows = slice(a, a + _BLOCK)
         s, t, e = start[rows], stop[rows], ev[rows]
         lo = np.zeros(s.size, dtype=np.intp)
-        late = s > 0.0
+        late = np.flatnonzero(s > 0.0)
         lo[late] = _sorted_search(times, s[late])
         hi = np.empty(t.size, dtype=np.intp)
-        last = first + np.count_nonzero(e)
-        hi[e] = event_k[first:last] + 1
-        hi[~e] = _sorted_search(times, t[~e])
+        at_event = np.flatnonzero(e)
+        last = first + at_event.size
+        hi[at_event] = event_k[first:last] + 1
+        others = np.flatnonzero(~e)
+        hi[others] = _sorted_search(times, t[others])
+        del late, at_event, others  # not held while the caller works on the block
         first = last
         yield rows, lo, hi
 
@@ -166,15 +171,31 @@ def _sorted_search(times: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
+def _code_blocks(ids: np.ndarray):
+    """(number of subjects, their codes _BLOCK rows at a time): codes
+    0, 1, ... of the ids in sorted order, as np.unique's inverse.
+    Nondecreasing ids, as the simulator writes them, are coded a block
+    at a time by a running count of id changes instead of a sort."""
+    if not np.all(ids[1:] >= ids[:-1]):
+        codes = np.unique(ids, return_inverse=True)[1]
+        return codes.max() + 1, (codes[a : a + _BLOCK] for a in range(0, ids.size, _BLOCK))
+    new = np.zeros(ids.size, dtype=bool)  # row starts a subject other than row 0's
+    np.not_equal(ids[1:], ids[:-1], out=new[1:])
+    return np.count_nonzero(new) + 1, _running_counts(new)
+
+
+def _running_counts(new: np.ndarray):
+    last = 0
+    for a in range(0, new.size, _BLOCK):
+        codes = np.cumsum(new[a : a + _BLOCK], dtype=np.intp)
+        codes += last
+        last = codes[-1]
+        yield codes
+
+
 def _subject_codes(ids: np.ndarray) -> np.ndarray:
-    """Codes 0, 1, ... of the ids in sorted order, as np.unique's
-    inverse; nondecreasing ids, as the simulator writes them, are coded
-    by a running count of id changes instead of a sort."""
-    if np.all(ids[1:] >= ids[:-1]):
-        codes = np.zeros(ids.size, dtype=np.intp)
-        np.cumsum(ids[1:] != ids[:-1], out=codes[1:])
-        return codes
-    return np.unique(ids, return_inverse=True)[1]
+    """The subject codes of _code_blocks, for all rows at once."""
+    return np.concatenate(list(_code_blocks(ids)[1]))
 
 
 def _jumps(d: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -218,11 +239,27 @@ def extended_km(rows: CountingTable) -> dict[int, StepFunction]:
     }
 
 
-def _initiation_times(col: dict[str, np.ndarray], subject: np.ndarray, treated) -> np.ndarray:
+def _initiation_times(col: dict[str, np.ndarray], treated) -> np.ndarray:
     """Each treated row's initiation time: its subject's earliest treated-row start."""
+    subject = _subject_codes(col["id"])[treated]
     u_by_subject = np.full(subject.max() + 1, np.inf)
-    np.minimum.at(u_by_subject, subject[treated], col["start"][treated])
-    return u_by_subject[subject[treated]]
+    np.minimum.at(u_by_subject, subject, col["start"][treated])
+    return u_by_subject[subject]
+
+
+def _subject_totals(col: dict[str, np.ndarray], risk, residual, *args) -> np.ndarray:
+    """Per-subject totals of the per-row values residual(rows, lo, hi,
+    *args), made for one of _row_blocks' blocks at a time and added as
+    soon as it is made.  np.add.at adds in row order, so every subject
+    is summed in row order, as by np.bincount over all rows, however a
+    block edge cuts its rows."""
+    count, codes = _code_blocks(col["id"])
+    totals = np.zeros(count)
+    for rows, lo, hi in _row_blocks(col, risk):
+        values = residual(rows, lo, hi, *args)
+        np.add.at(totals, next(codes), values)
+        del lo, hi, values  # before the next block's bounds are searched
+    return totals
 
 
 def _padded_cumsum(x: np.ndarray) -> np.ndarray:
@@ -289,27 +326,32 @@ def _newton(parts, p: int):
 
 
 def _fit_current_level(col: dict[str, np.ndarray], risk) -> CoxFit:
-    _, d0, d1, _, _, event_k = risk
+    _, d0, d1, *_ = risk
     (beta,), iterations, info, (loglik, s0, xbar) = _newton(
         lambda theta: _current_level_parts(risk, theta[0]), 1
     )
 
-    # Robust part: per-row score residuals, summed within subject.
-    # Expected-part sums over event times in (start, stop] come from
-    # prefix sums over the unique-time axis, a block of rows at a time.
+    # Robust part: per-row score residuals, summed within subject a
+    # block of rows at a time.  Expected-part sums over event times in
+    # (start, stop] come from prefix sums over the unique-time axis.
     treat, ev = col["treat"], col["event"]
     d = d0 + d1
     p_level, p_mean = _padded_cumsum(d / s0), _padded_cumsum(d * xbar / s0)
-    residual = np.zeros(treat.size)
-    residual[ev] = treat[ev] - xbar[event_k]
-    for rows, lo, hi in _row_blocks(col, risk):
+    del d, s0
+
+    def residual(rows, lo, hi):
         x = treat[rows]
+        events = np.flatnonzero(ev[rows])
+        out = np.zeros(x.size)
+        out[events] = x[events] - xbar[hi[events] - 1]  # an event row's hi is its time index + 1
         expected = _range_sums(p_level, lo, hi)
         expected *= x
         expected -= _range_sums(p_mean, lo, hi)
         expected *= np.exp(beta * x)
-        residual[rows] -= expected
-    u_i = np.bincount(_subject_codes(col["id"]), weights=residual)
+        out -= expected
+        return out
+
+    u_i = _subject_totals(col, risk, residual)
     robust_var = float(np.sum(u_i**2)) / info**2
     return CoxFit(
         beta_hat=float(beta),
@@ -320,108 +362,163 @@ def _fit_current_level(col: dict[str, np.ndarray], risk) -> CoxFit:
     )
 
 
-def _duration_parts(col: dict[str, np.ndarray], treated, u: np.ndarray, risk, sum_ev_x):
-    """The function theta -> (score, info, s0, xbar) of the
+def _duration_parts(col: dict[str, np.ndarray], treated, u: np.ndarray, risk, d, sum_ev_x):
+    """The function theta -> (score, info, s0, xbar0, xbar1) of the
     duration-augmented partial likelihood at theta = (beta, gamma), s0
-    and xbar being the risk-set sums and means of (level, time since
-    initiation) at each event time; ``sum_ev_x`` sums those over events.
+    being the risk-set sums and xbar0, xbar1 the risk-set means of level
+    and time since initiation at each event time, where ``d`` counts the
+    events; ``sum_ev_x`` sums the two covariates over events.
 
     A treated row with initiation time u (``u``, in treated-row order)
     weighs e^{beta + gamma*(t - u)} = e^{beta + gamma*t} e^{-gamma*u} at
     event time t, so the risk-set sums reduce to T_k(t), the sums of
     e^{-gamma*u} * u^k over treated rows at risk at t: differences of
-    prefix sums in start and in stop order, whose sort orders and
-    risk-set positions are computed once here.  Where no treated row is
-    at risk that difference is roundoff, so it is set to exactly 0.
+    prefix sums in start and in stop order, for which u in each order
+    and the risk-set positions are computed once here.  Where no
+    treated row is at risk that difference is roundoff, so it is set to
+    exactly 0.  Each call builds its moments in place.
     """
-    uniq, d0, d1, y0, y1, _ = risk
-    d = d0 + d1
+    uniq, _, _, y0, y1, _ = risk
     sides = []
     for key in ("start", "stop"):
         bounds = col[key][treated]
         order = np.argsort(bounds, kind="stable")
-        sides.append((order, np.searchsorted(bounds[order], uniq, side="left")))
-    (in_order, entered), (out_order, exited) = sides
+        sides.append((u[order], np.searchsorted(bounds[order], uniq, side="left")))
+    (u_in, entered), (u_out, exited) = sides
     no_treated = y1 == 0
+    prefix = np.zeros(u.size + 1)
 
-    def at_risk(m: np.ndarray) -> np.ndarray:
-        out = _padded_cumsum(m[in_order])[entered] - _padded_cumsum(m[out_order])[exited]
+    def at_risk(m_in: np.ndarray, m_out: np.ndarray) -> np.ndarray:
+        """T(t) at each event time, from m in start and in stop order."""
+        np.cumsum(m_in, out=prefix[1:])
+        out = prefix[entered]
+        np.cumsum(m_out, out=prefix[1:])
+        out -= prefix[exited]
         out[no_treated] = 0.0
         return out
 
     def parts(theta: np.ndarray):
         beta, gamma = theta
-        w = np.exp(-gamma * u)
-        t0, t1, t2 = (at_risk(m) for m in (w, u * w, u * u * w))
+        w_in, w_out = np.exp(-gamma * u_in), np.exp(-gamma * u_out)
+        t0 = at_risk(w_in, w_out)
+        t1 = at_risk(u_in * w_in, u_out * w_out)
+        t2 = at_risk(u_in * u_in * w_in, u_out * u_out * w_out)
+        del w_in, w_out
+        # risk-set moments of (1, t - u) under the exponential weight w,
+        # m1a = w*t0, m1b = w*(t*t0 - t1), m2bb = w*(t^2*t0 - 2*t*t1 + t2),
+        # built in place so that a step holds at most six arrays like t0
+        m1b = uniq * t0
+        m1b -= t1
+        t1 *= 2 * uniq
+        m2bb = np.subtract(uniq**2 * t0, t1, out=t1)
+        m2bb += t2
+        del t2
         w = np.exp(beta + gamma * uniq)
-        # risk-set moments of (1, t - u) under the exponential weight
-        m1a = w * t0
+        m1b *= w
+        m2bb *= w
+        m1a = t0
+        m1a *= w
+        del w
         s0 = y0 + m1a
-        m1b = w * (uniq * t0 - t1)
-        m2bb = w * (uniq**2 * t0 - 2 * uniq * t1 + t2)
-        xbar = np.stack([m1a / s0, m1b / s0], axis=1)
-        score = sum_ev_x - np.array([np.sum(d * xbar[:, 0]), np.sum(d * xbar[:, 1])])
-        i00 = np.sum(d * (m1a / s0 - xbar[:, 0] ** 2))
-        i01 = np.sum(d * (m1b / s0 - xbar[:, 0] * xbar[:, 1]))
-        i11 = np.sum(d * (m2bb / s0 - xbar[:, 1] ** 2))
-        return score, np.array([[i00, i01], [i01, i11]]), s0, xbar
+        xbar0 = np.divide(m1a, s0, out=m1a)
+        xbar1 = np.divide(m1b, s0, out=m1b)
+        m2bb /= s0
+        score = sum_ev_x - np.array([np.sum(d * xbar0), np.sum(d * xbar1)])
+        i00 = np.sum(d * (xbar0 - xbar0**2))
+        i01 = np.sum(d * (xbar1 - xbar0 * xbar1))
+        i11 = np.sum(d * (m2bb - xbar1**2))
+        return score, np.array([[i00, i01], [i01, i11]]), s0, xbar0, xbar1
 
     return parts
 
 
+def _event_covariates(col: dict[str, np.ndarray], treated, u: np.ndarray, risk) -> np.ndarray:
+    """Each event's (level, time since initiation), in event-time order
+    and in row order among tied events.  Without ties each event row's
+    time index is its rank, so no sort is needed."""
+    times, *_, event_k = risk
+    rank = event_k if times.size == event_k.size else np.argsort(np.argsort(event_k, kind="stable"))
+    ev = col["event"]
+    rows = np.flatnonzero(ev)
+    x = np.zeros((event_k.size, 2))
+    x[rank, 0] = col["treat"][rows]
+    at_treated = np.flatnonzero(treated[rows])
+    x[rank[at_treated], 1] = col["stop"][rows[at_treated]] - u[ev[treated]]
+    return x
+
+
 def _fit_duration(col: dict[str, np.ndarray], risk) -> CoxFit:
     """Two-covariate model: current level and time since initiation."""
-    uniq, d0, d1, _, _, event_k = risk
-    subject = _subject_codes(col["id"])
+    uniq, d0, d1, *_ = risk
     d = d0 + d1
-    ev, treat = col["event"], col["treat"]
+    ev, treat, stop = col["event"], col["treat"], col["stop"]
     tr = treat == 1
-    u_tr = _initiation_times(col, subject, tr)
-    # per-event covariates (level, time since initiation) in row order;
-    # the score and log-likelihood sum them in event-time order
-    x_ev = np.zeros((event_k.size, 2))
-    x_ev[:, 0] = treat[ev]
-    x_ev[tr[ev], 1] = col["stop"][ev & tr] - u_tr[ev[tr]]
-    by_time = np.argsort(event_k, kind="stable")
-    parts = _duration_parts(col, tr, u_tr, risk, x_ev[by_time].sum(axis=0))
-    theta, iterations, info, (s0, xbar) = _newton(parts, 2)
-    loglik = float(np.sum(x_ev[by_time] @ theta) - np.sum(d * np.log(s0)))
-    del parts, by_time  # the treated rows' sort orders go with parts
+    u_tr = _initiation_times(col, tr)
+    # the score and the log-likelihood sum the event covariates in
+    # event-time order; they are made again for the log-likelihood, so
+    # as not to be held through the Newton steps
+    sum_ev_x = _event_covariates(col, tr, u_tr, risk).sum(axis=0)
+    parts = _duration_parts(col, tr, u_tr, risk, d, sum_ev_x)
+    theta, iterations, info, (s0, xbar0, xbar1) = _newton(parts, 2)
+    del parts  # u in start and in stop order and the risk-set positions go with it
+    loglik = float(np.sum(_event_covariates(col, tr, u_tr, risk) @ theta) - np.sum(d * np.log(s0)))
+    del d
     beta, gamma = theta
     cov_model = np.linalg.inv(info)
 
-    # Robust part, one residual array per covariate: per-row score
-    # residuals, summed within subject.  Expected-part sums over the
-    # event times in (start, stop] come from prefix sums over the
-    # unique times, a block of rows at a time; treated rows need the
-    # e^{gamma*t_k} weighted variants.
-    residuals = np.zeros((2, ev.size))
-    residuals[:, ev] = (x_ev - xbar[event_k]).T
-    egt = np.exp(gamma * uniq)
-    p_q0 = _padded_cumsum(d * egt / s0)
-    p_level = _padded_cumsum(d * egt * xbar[:, 0] / s0)
-    p_time = _padded_cumsum(d * uniq * egt / s0)
-    p_duration = _padded_cumsum(d * egt * xbar[:, 1] / s0)
-    # an untreated row's expected part is minus these sums
-    p_untreated = [_padded_cumsum(d * xbar[:, c] / s0) for c in (0, 1)]
-    first = 0
-    for rows, lo, hi in _row_blocks(col, risk):
+    # Robust part, one covariate at a time: per-row score residuals,
+    # summed within subject a block of rows at a time.  Expected-part
+    # sums over the event times in (start, stop] come from prefix sums
+    # over the unique times; treated rows need the e^{gamma*t_k}
+    # weighted variants, and an untreated row's expected part is minus
+    # the plain one.  Each prefix sum makes its own d, so that no d is
+    # held through a pass.
+    def prefix(*factors):
+        """The padded cumulative sums of d * factors[0] * ... / s0."""
+        x = d0 + d1
+        for f in factors:
+            x *= f
+        x /= s0
+        return _padded_cumsum(x)
+
+    def residual(rows, lo, hi, level, xbar, p_untreated):
+        """A block's per-row score residuals for the level covariate, or
+        else for the duration."""
         tr_b = tr[rows]
-        last = first + np.count_nonzero(tr_b)
-        u_b = u_tr[first:last]
-        w_b = np.exp(beta - gamma * u_b)
-        first = last
-        q0 = _range_sums(p_q0, lo, hi, tr_b)
-        expected = (
-            w_b * (q0 - _range_sums(p_level, lo, hi, tr_b)),
-            w_b * (_range_sums(p_time, lo, hi, tr_b) - _range_sums(p_duration, lo, hi, tr_b) - u_b * q0),
-        )
-        for residual, expected_tr, p in zip(residuals, expected, p_untreated):
-            block = residual[rows]
-            block[tr_b] -= expected_tr
-            block[~tr_b] += _range_sums(p, lo, hi, ~tr_b)
-    del p_q0, p_level, p_time, p_duration, p_untreated  # before the bincounts
-    u_i = np.stack([np.bincount(subject, weights=r) for r in residuals], axis=1)
+        first = np.count_nonzero(tr[: rows.start])  # the block's u are u_tr[first:]
+        u_b = u_tr[first : first + np.count_nonzero(tr_b)]
+        events = np.flatnonzero(ev[rows])
+        x = np.zeros(events.size)  # the covariate at the events
+        at_treated = tr_b[events]
+        x[at_treated] = 1.0 if level else stop[rows][events[at_treated]] - u_b[ev[rows][tr_b]]
+        out = np.zeros(tr_b.size)
+        out[events] = x - xbar[hi[events] - 1]  # an event row's hi is its time index + 1
+        del events, x, at_treated
+        untreated = np.flatnonzero(~tr_b)
+        out[untreated] += _range_sums(p_untreated, lo, hi, untreated)
+        del untreated
+        treated = np.flatnonzero(tr_b)
+        q0 = _range_sums(p_q0, lo, hi, treated)
+        if level:
+            expected = q0 - _range_sums(p_level, lo, hi, treated)
+        else:
+            expected = (
+                _range_sums(p_time, lo, hi, treated) - _range_sums(p_duration, lo, hi, treated) - u_b * q0
+            )
+        out[treated] -= np.exp(beta - gamma * u_b) * expected
+        return out
+
+    egt = np.exp(gamma * uniq)
+    p_q0, p_level = prefix(egt), prefix(egt, xbar0)
+    del egt  # made again below: held through the level pass, it would set the peak
+    level = _subject_totals(col, risk, residual, True, xbar0, prefix(xbar0))
+    del p_level, xbar0
+    egt = np.exp(gamma * uniq)
+    p_time, p_duration, p_untreated = prefix(uniq, egt), prefix(egt, xbar1), prefix(xbar1)
+    del egt, s0
+    duration = _subject_totals(col, risk, residual, False, xbar1, p_untreated)
+    del p_q0, p_time, p_duration, p_untreated
+    u_i = np.stack([level, duration], axis=1)
     meat = u_i.T @ u_i
     cov_robust = cov_model @ meat @ cov_model
     return CoxFit(

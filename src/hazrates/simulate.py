@@ -76,7 +76,8 @@ def _exit_times(
     ``first_crossing`` finds each subject's crossing, a block of
     subjects at a time.  The cell is the one ``np.interp`` reads the
     exit time in: t lies in [cell * step, (cell + 1) * step), or on the
-    last node; it is 0 where no exit comes.
+    last node.  Where no exit comes t is NaN, which reads NaN in any
+    cell.
     """
     if z is None:
         exit_cum = lam01_cum + lam02_cum
@@ -90,7 +91,6 @@ def _exit_times(
     t, cell = first_crossing(value_at, lam01_cum.size, step, e0)
     # a crossing at the far edge of its cell lies on the next node
     cell += t >= (cell + 1) * step
-    cell[np.isnan(t)] = 0
     return t, cell
 
 

@@ -576,7 +576,7 @@ class TestReproduce:
         assert _sha256(tmp_path / "lambda02.csv") == GOLDEN_LAMBDA02_SHA256
 
     def test_default_run_runs_in_bounded_memory(self):
-        # about 14.3 MB traced; NA and EKM curves kept through the Cox fit,
+        # about 13.3 MB traced; NA and EKM curves kept through the Cox fit,
         # or its row bounds searched for the whole table at once, exceed it
         rc, peak = traced_peak(lambda: run_cli("reproduce", "--n", "100000"))
         assert rc == 0 and peak < 17.5e6, f"peaked at {peak / 1e6:.1f} MB"

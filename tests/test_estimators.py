@@ -285,7 +285,134 @@ def test_both_fits_match_their_recorded_values_exactly(model):
     )
 
 
-@pytest.mark.parametrize("covariates, units", [("current", 14), ("duration", 20)])
+def _split_in_three(table):
+    """Each row of ``table`` as three rows of a third of its length, the event on the last."""
+    col = table.columns
+    start, stop = col["start"], col["stop"]
+    width = stop - start
+    bounds = np.stack([start, start + width / 3, start + 2 * width / 3, stop], axis=1)
+    event = np.zeros((start.size, 3), dtype=bool)
+    event[:, 2] = col["event"]
+    return CountingTable(
+        id=np.repeat(col["id"], 3),
+        start=bounds[:, :3].ravel(),
+        stop=bounds[:, 1:].ravel(),
+        treat=np.repeat(col["treat"], 3),
+        event=event.ravel(),
+    )
+
+
+def _rounded(table, decimals):
+    """``table`` with its times rounded, rows left empty dropped: tied event times."""
+    col = table.columns
+    start, stop = np.round(col["start"], decimals), np.round(col["stop"], decimals)
+    keep = start < stop
+    return CountingTable(
+        id=col["id"][keep], start=start[keep], stop=stop[keep],
+        treat=col["treat"][keep], event=col["event"][keep],
+    )
+
+
+def _shuffled(table, seed):
+    order = np.random.default_rng(seed).permutation(len(table))
+    return CountingTable(**{name: values[order] for name, values in table.columns.items()})
+
+
+@pytest.fixture(scope="module")
+def three_row_table(rows_100k):
+    """The first 25,000 subjects of the n=1e5 cohort, every row in three:
+    99,177 rows in four blocks, each subject with 3 or 6 rows."""
+    keep = rows_100k.id < 25_000
+    return _split_in_three(CountingTable(**{k: v[keep] for k, v in rows_100k.columns.items()}))
+
+
+def _later_block_holds_two(ids):
+    """Whether some subject has rows before a block edge and two or more after it."""
+    edges = np.arange(estimators._BLOCK, ids.size - 1, estimators._BLOCK)
+    return bool(np.any((ids[edges - 1] == ids[edges]) & (ids[edges] == ids[edges + 1])))
+
+
+# (table, covariates) -> CoxFit, recorded with each robust part summed
+# within subject by one np.bincount over all rows
+EXTERNAL_TABLE_FITS = {
+    ("three-rows", "current"): CoxFit(
+        beta_hat=-0.38360132107274675,
+        model_se=0.020074298565579983,
+        robust_se=0.020794467834109362,
+        iterations=4,
+        loglik=-175515.8616469293,
+    ),
+    ("three-rows", "duration"): CoxFit(
+        beta_hat=(-0.17402142084978384, -0.2684379042904278),
+        model_se=(0.028097729243055217, 0.026923573686470487),
+        robust_se=(0.028112123586426712, 0.02668706226912284),
+        iterations=4,
+        loglik=-175464.76398048367,
+    ),
+    ("shuffled", "current"): CoxFit(
+        beta_hat=-0.38360132107274675,
+        model_se=0.020074298565579983,
+        robust_se=0.020794467834109362,
+        iterations=4,
+        loglik=-175515.8616469293,
+    ),
+    ("shuffled", "duration"): CoxFit(
+        beta_hat=(-0.17402142084978384, -0.2684379042904278),
+        model_se=(0.028097729243055217, 0.026923573686470487),
+        robust_se=(0.02811212358642671, 0.026687062269122836),
+        iterations=4,
+        loglik=-175464.76398048367,
+    ),
+    ("tied", "current"): CoxFit(
+        beta_hat=-0.39042026314016154,
+        model_se=0.02017464876107641,
+        robust_se=0.020808326125482033,
+        iterations=4,
+        loglik=-172886.29671476537,
+    ),
+    ("tied", "duration"): CoxFit(
+        beta_hat=(-0.19038057870663516, -0.25390349131907547),
+        model_se=(0.028417226408321422, 0.027040834539014978),
+        robust_se=(0.028227909206007193, 0.026628425103573515),
+        iterations=4,
+        loglik=-172841.06485361938,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, covariates", list(EXTERNAL_TABLE_FITS), ids=[f"{n}-{c}" for n, c in EXTERNAL_TABLE_FITS]
+)
+def test_both_fits_on_external_tables_match_their_recorded_values_exactly(
+    three_row_table, name, covariates
+):
+    # subjects of three rows cut by the block edges; the same rows out of
+    # subject order, so that the ids are coded by a sort; and with times
+    # to 2 decimals, 18,019 events at 300 event times
+    table = {
+        "three-rows": lambda: three_row_table,
+        "shuffled": lambda: _shuffled(three_row_table, 8),
+        "tied": lambda: _rounded(three_row_table, 2),
+    }[name]()
+    assert _later_block_holds_two(three_row_table.id)
+    assert repr(cox_fit(table, covariates)) == repr(EXTERNAL_TABLE_FITS[name, covariates])
+
+
+@pytest.mark.parametrize("shuffle", [False, True], ids=["in-subject-order", "shuffled"])
+def test_subject_totals_sum_each_subject_in_row_order(three_row_table, shuffle):
+    # values spread over 16 orders of magnitude, so that a subject summed
+    # as a + (b + c) instead of (a + b) + c shows in the last bits
+    table = _shuffled(three_row_table, 8) if shuffle else three_row_table
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal(len(table)) * 10.0 ** rng.integers(-8, 8, len(table))
+    totals = estimators._subject_totals(
+        table.columns, estimators._risk_table(table), lambda rows, lo, hi: values[rows]
+    )
+    expected = np.bincount(np.unique(table.id, return_inverse=True)[1], weights=values)
+    assert totals.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("covariates, units", [("current", 8.2), ("duration", 10.5)])
 def test_cox_fit_runs_in_bounded_memory(rows_100k, covariates, units):
     # a fresh table: the fixture's own already holds its risk table
     table = CountingTable(**rows_100k.columns)
@@ -296,12 +423,23 @@ def test_cox_fit_runs_in_bounded_memory(rows_100k, covariates, units):
 
 def test_current_level_fit_on_a_built_risk_table_runs_in_bounded_memory(rows_100k):
     # as in reproduce, where NA has built the risk table before the fit:
-    # what remains is the fit's own working memory, about 5.9 row arrays;
+    # what remains is the fit's own working memory, about 4.4 row arrays,
+    # its residuals summed into subject totals a block of rows at a time;
     # row bounds searched for the whole table at once take it past 9
     table = CountingTable(**rows_100k.columns)
     estimators._risk_table(table)
     _, peak = traced_peak(lambda: cox_fit(table, "current"))
-    assert peak < 7.5 * 8 * len(table), f"peaked at {peak / (8 * len(table)):.1f} row arrays"
+    assert peak < 4.9 * 8 * len(table), f"peaked at {peak / (8 * len(table)):.1f} row arrays"
+
+
+def test_duration_fit_on_a_built_risk_table_runs_in_bounded_memory(rows_100k):
+    # about 6.7 row arrays: the Newton steps build their moments in place,
+    # and the robust part takes one covariate at a time, its residuals
+    # summed into subject totals a block of rows at a time
+    table = CountingTable(**rows_100k.columns)
+    estimators._risk_table(table)
+    _, peak = traced_peak(lambda: cox_fit(table, "duration"))
+    assert peak < 7.2 * 8 * len(table), f"peaked at {peak / (8 * len(table)):.1f} row arrays"
 
 
 def _searched_index(col, times):

@@ -284,9 +284,9 @@ def _exit_cells(model, e0, z=None):
 
 
 def _assert_cell_reads_equal_calls(model, t, cell):
-    t_safe = np.where(np.isnan(t), 0.0, t)
+    exits = ~np.isnan(t)  # no exit leaves t NaN, which reads NaN in any cell
     for f in (model.lambda01, model.lambda02):
-        assert np.array_equal(f.in_cell(cell, t_safe), f(t_safe))
+        assert np.array_equal(f.in_cell(cell[exits], t[exits]), f(t[exits]))
 
 
 @pytest.mark.parametrize("frailty", [None, hz.GammaFrailty(variance=1.0)])
@@ -329,11 +329,14 @@ def test_treat_probability_is_the_hazard_ratio(model, frailty, offset_step):
     e0 = np.concatenate([rng.exponential(size=50_000), exit_cum])
     z = None if frailty is None else frailty.sample(rng, e0.size)
     t, cell = _exit_cells(model, e0, z)
-    t_safe = np.where(np.isnan(t), 0.0, t)
-    lam01, lam02 = model.lambda01(t_safe), model.lambda02(t_safe) * (1.0 if z is None else z)
+    got = _treat_probability(model, z, cell, t)
+    exits = ~np.isnan(t)  # no exit leaves t NaN, which reads NaN in any cell
+    assert np.all(np.isnan(got[~exits]))
+    t = t[exits]
+    lam01, lam02 = model.lambda01(t), model.lambda02(t) * (1.0 if z is None else z[exits])
     total = lam01 + lam02
     want = np.where(total > 0, lam01 / np.where(total > 0, total, 1.0), 0.0)
-    assert np.array_equal(_treat_probability(model, z, cell, t_safe), want)
+    assert np.array_equal(got[exits], want)
 
 
 @pytest.mark.parametrize("frailty", [None, hz.GammaFrailty(variance=1.0)])
