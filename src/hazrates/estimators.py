@@ -4,12 +4,12 @@ Every estimator here shares one risk-set convention: a row (start,
 stop] with level a is at risk for a level-a event on the half-open
 interval, so Y_a(t) counts rows with start < t <= stop.  Events sit at
 row stops, and the level "at" an event time is the level recorded on
-the row where the event occurs.  Risk sets are evaluated by binary
-search over the sorted start and stop arrays, which keeps every
-estimator O(n log n) in the number of rows.  Both Cox models (current
-level, and with time since initiation) also read each row's bounds on
-the event-time axis, a block of rows at a time, from the risk table's
-event times and each event row's index among them.  Their robust score
+the row where the event occurs.  Every estimator's risk sets come from
+each row's window on the event-time axis (the event times in its
+(start, stop]), found _BLOCK rows at a time, which keeps every estimator
+O(n log n) in the number of rows: the risk table counts Y0 and Y1 from
+the windows, and both Cox models (current level, and with time since
+initiation) read them again for their robust parts.  Their robust score
 residuals are summed one covariate at a time, block by block: each
 block's residuals go into the subject totals as soon as the block is
 done, in row order, so no residual array for the whole table exists.
@@ -42,7 +42,7 @@ _MAX_NEWTON = 25
 _SCORE_TOL = 1e-9
 _STEP_TOL = 1e-6
 _DIVERGENCE_BOUND = 30.0
-_BLOCK = 32_768  # rows per block of the Cox fits' row bounds
+_BLOCK = 32_768  # rows per block of the row windows
 
 
 @dataclass(frozen=True)
@@ -102,19 +102,13 @@ class AalenAdditiveFit:
     singular_times: np.ndarray
 
 
-def _risk_counts(starts_sorted: np.ndarray, stops_sorted: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """#{rows with start < t <= stop} for each t, via two binary searches."""
-    entered = np.searchsorted(starts_sorted, times, side="left")
-    exited = np.searchsorted(stops_sorted, times, side="left")
-    return entered - exited
-
-
 def _risk_table(rows: CountingTable):
     """Risk-set statistics at every unique event time, for both levels.
 
     Returns (times, d0, d1, y0, y1, kidx): the sorted unique event
     stops, the untreated and treated event counts and at-risk counts
-    Y_a(t) there, and each event row's index into times.  Every
+    Y_a(t) there, and each event row's index into times.  Y_a is counted
+    from _row_blocks' row windows, _BLOCK rows at a time.  Every
     estimator except the duration-augmented Cox model is a function of
     the first five.  They are computed once per CountingTable and kept
     on it, read-only, so the estimators run on one table share them.
@@ -124,24 +118,27 @@ def _risk_table(rows: CountingTable):
 
 
 def _risk_arrays(col: dict[str, np.ndarray]) -> tuple[np.ndarray, ...]:
-    ev = col["event"]
+    ev, treat = col["event"], col["treat"]
     times, kidx = np.unique(col["stop"][ev], return_inverse=True)
     d = np.bincount(kidx, minlength=times.size)
-    d1 = np.bincount(kidx, weights=col["treat"][ev].astype(float), minlength=times.size)
-    y0, y1 = (
-        _risk_counts(np.sort(col["start"][in_level]), np.sort(col["stop"][in_level]), times)
-        .astype(float)
-        for in_level in (col["treat"] == 0, col["treat"] == 1)
-    )
+    d1 = np.bincount(kidx, weights=treat[ev].astype(float), minlength=times.size)
+    # a level-a row is at risk at times[lo:hi]: Y_a is the running sum of
+    # +1 at a * (times.size + 1) + lo and -1 at that + hi, in y's flat view
+    y = np.zeros((2, times.size + 1), dtype=np.intp)
+    for rows, lo, hi in _row_blocks(col, (times, kidx)):
+        at = treat[rows] * y.shape[1]
+        np.add.at(y.reshape(-1), np.add(lo, at, out=lo), 1)
+        np.subtract.at(y.reshape(-1), np.add(hi, at, out=hi), 1)
+    y0, y1 = np.cumsum(y[:, :-1], axis=1, dtype=float)  # exact: integers below 2**53
     return times, d - d1, d1, y0, y1, kidx
 
 
 def _row_blocks(col: dict[str, np.ndarray], risk):
-    """The Cox fits' row bounds, _BLOCK rows at a time: yields (rows,
+    """Every estimator's row windows, _BLOCK rows at a time: yields (rows,
     lo, hi) for each block, where times[lo:hi] are the event times in
-    each row's (start, stop].  Event times are positive, so a zero
-    start has lo = 0, and an event row's hi is its event-time index
-    + 1, read from the risk table: only the other bounds are searched.
+    each row's (start, stop], risk being (times, ..., event_k).  Event
+    times are positive, so a zero start has lo = 0, and an event row's
+    hi is its event-time index + 1: only the other bounds are searched.
     """
     times, *_, event_k = risk
     start, stop, ev = col["start"], col["stop"], col["event"]
@@ -442,7 +439,7 @@ def _event_covariates(col: dict[str, np.ndarray], treated, u: np.ndarray, risk) 
     rows = np.flatnonzero(ev)
     x = np.zeros((event_k.size, 2))
     x[rank, 0] = col["treat"][rows]
-    at_treated = np.flatnonzero(treated[rows])
+    at_treated = np.flatnonzero(col["treat"][rows])
     x[rank[at_treated], 1] = col["stop"][rows[at_treated]] - u[ev[treated]]
     return x
 
@@ -452,7 +449,7 @@ def _fit_duration(col: dict[str, np.ndarray], risk) -> CoxFit:
     uniq, d0, d1, *_ = risk
     d = d0 + d1
     ev, treat, stop = col["event"], col["treat"], col["stop"]
-    tr = treat == 1
+    tr = np.flatnonzero(treat == 1)  # the treated rows: gathers by an index beat a mask
     u_tr = _initiation_times(col, tr)
     # the score and the log-likelihood sum the event covariates in
     # event-time order; they are made again for the log-likelihood, so
@@ -484,8 +481,8 @@ def _fit_duration(col: dict[str, np.ndarray], risk) -> CoxFit:
     def residual(rows, lo, hi, level, xbar, p_untreated):
         """A block's per-row score residuals for the level covariate, or
         else for the duration."""
-        tr_b = tr[rows]
-        first = np.count_nonzero(tr[: rows.start])  # the block's u are u_tr[first:]
+        tr_b = treat[rows] == 1
+        first = np.searchsorted(tr, rows.start)  # the block's u are u_tr[first:]
         u_b = u_tr[first : first + np.count_nonzero(tr_b)]
         events = np.flatnonzero(ev[rows])
         x = np.zeros(events.size)  # the covariate at the events

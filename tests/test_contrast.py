@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import BETA, STEP, T_MAX
+from conftest import BETA, EARLY, LAG, LAM01, LATE, STEP, T_MAX
 
 import hazrates as hz
 from hazrates.contrast import (
@@ -135,6 +135,90 @@ class TestContrasts:
     def test_rate_based_survival_rejects_negative(self):
         with pytest.raises(ValueError):
             rate_based_survival(hz.GridFunction.constant(1.0, 0.5, -0.1))
+
+
+def delay_ode_contrasts(h):
+    """(true, rate-based) contrast at T_MAX of the standard model, from
+    its delay ODE, independently of the grid engines.
+
+    With p0(t) = exp(-c t - H02(t)) the untreated survival and A, B the
+    treated occupation started within the last lag and before it,
+    r12 = (e A + l B) / (A + B), lam02 = r12 / exp(beta) and
+    H02' = lam02, A' = c p0(t) - e A - c e^{-e L} p0(t - L),
+    B' = c e^{-e L} p0(t - L) - l B.  On [0, L] the solution is closed
+    form (B = 0, lam02 = e / exp(beta)); past it the method of steps runs
+    RK4 at step h, a divisor of L, reading p0(t - L) from the closed form
+    or, at a half step, from the cubic Hermite interpolant of the nodes
+    already solved (p0' = -(c + lam02) p0 there)."""
+    c, e, l, ratio = LAM01, EARLY, LATE, float(np.exp(BETA))
+    m, n_end = round(LAG / h), round(T_MAX / h)
+    k = c + e / ratio  # the untreated exit rate on [0, L]
+    inflow = c * np.exp(-e * LAG)  # times p0(t - L): the flow from A to B at t
+    p, dp = np.empty(n_end + 1), np.empty(n_end + 1)
+    p[: m + 1] = np.exp(-k * h * np.arange(m + 1))
+    dp[: m + 1] = -k * p[: m + 1]
+
+    def lagged(j, half):
+        """p0 at node j (+ h/2 if half)."""
+        if j < m:
+            return np.exp(-k * (j + 0.5 * half) * h)
+        if not half:
+            return p[j]
+        return 0.5 * (p[j] + p[j + 1]) + h * (dp[j] - dp[j + 1]) / 8
+
+    def f(t, y, q):
+        """(y', p0(t), p0'(t)) at time t, state y = (H02, A, B) and q = p0(t - L)."""
+        h02, a, b = y
+        lam02 = (e * a + l * b) / (a + b) / ratio
+        p0 = np.exp(-c * t - h02)
+        y_prime = np.array([lam02, c * p0 - e * a - inflow * q, inflow * q - l * b])
+        return y_prime, p0, -(c + lam02) * p0
+
+    y = np.array([e / ratio * LAG, c * (np.exp(-k * LAG) - np.exp(-e * LAG)) / (e - k), 0.0])
+    for i in range(m, n_end):
+        t = i * h
+        q0, q_half, q1 = lagged(i - m, False), lagged(i - m, True), lagged(i + 1 - m, False)
+        k1 = f(t, y, q0)[0]
+        k2 = f(t + h / 2, y + h / 2 * k1, q_half)[0]
+        k3 = f(t + h / 2, y + h / 2 * k2, q_half)[0]
+        k4 = f(t + h, y + h * k3, q1)[0]
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        _, p[i + 1], dp[i + 1] = f(t + h, y, q1)
+    s_never = np.exp(-y[0])
+    s_always = np.exp(-e * LAG - l * (T_MAX - LAG))
+    return float(s_always - s_never), float(s_never**ratio - s_never)
+
+
+def _standard_model(step):
+    lam01 = hz.GridFunction.constant(T_MAX, step, LAM01)
+    kernel = hz.TwoPieceKernel(early=EARLY, late=LATE, lag=LAG)
+    report = hz.build(lam01, kernel, BETA)
+    return hz.IllnessDeathModel(lambda01=lam01, lambda02=report.lambda02, lambda12=kernel)
+
+
+class TestDelayOdeReference:
+    TRUE, RATE = 0.2167301249140, 0.1456158238191
+
+    def test_reference_converges(self):
+        coarse, fine = delay_ode_contrasts(0.0025), delay_ode_contrasts(0.00125)
+        assert np.max(np.abs(np.subtract(coarse, fine))) < 1e-12
+        assert fine == pytest.approx((self.TRUE, self.RATE), abs=1e-12)
+
+    def test_engine_error_halves_with_the_step(self, model):
+        # the trapezoid reads the one-sided value early at the kernel's
+        # jump, so the grid contrasts are first order in the step
+        errors = []
+        for step in (0.01, 0.005, 0.0025):
+            m = model if step == STEP else _standard_model(step)
+            paths = (TreatmentPath.always(), TreatmentPath.never())
+            s_alw, s_nev = (potential_survival(m, path)(T_MAX) for path in paths)
+            rates = (rate_treated, rate_untreated)
+            s_t, s_u = (rate_based_survival(rate(m))(T_MAX) for rate in rates)
+            errors.append((s_alw - s_nev - self.TRUE, s_t - s_u - self.RATE))
+        errors = np.array(errors)
+        assert errors[1] == pytest.approx([1.78e-4, -1.49e-5], rel=0.01)
+        ratios = errors[:-1] / errors[1:]
+        assert np.all(np.abs(ratios - 2.0) < 0.02), ratios
 
 
 class TestCausalHazardRatio:

@@ -499,6 +499,93 @@ class TestRowIndex:
         assert np.array_equal(codes, np.unique(ids, return_inverse=True)[1])
 
 
+def _risk_table_by_sorted_bounds(col):
+    """The risk table by per-level sorted bounds: Y_a(t) = #{level-a
+    starts < t} - #{level-a stops < t}, two binary searches of the
+    event times into the level's sorted starts and sorted stops."""
+    ev, treat = col["event"], col["treat"]
+    times, kidx = np.unique(col["stop"][ev], return_inverse=True)
+    d = np.bincount(kidx, minlength=times.size)
+    d1 = np.bincount(kidx, weights=treat[ev].astype(float), minlength=times.size)
+    y0, y1 = (
+        (
+            np.searchsorted(np.sort(col["start"][treat == level]), times, side="left")
+            - np.searchsorted(np.sort(col["stop"][treat == level]), times, side="left")
+        ).astype(float)
+        for level in (0, 1)
+    )
+    return times, d - d1, d1, y0, y1, kidx
+
+
+def _subset(table, keep):
+    return CountingTable(**{name: values[keep] for name, values in table.columns.items()})
+
+
+def _cut_at_event_times(table):
+    """Each row with an event time inside its (start, stop) cut there, in
+    two rows, the event on the second: the second starts at an event
+    time, the first stops at one without an event."""
+    col = table.columns
+    times = estimators._risk_table(table)[0]
+    lo = np.searchsorted(times, col["start"], side="right")  # times[lo] is the first past start
+    inside = lo < times.size
+    inside[inside] = times[lo[inside]] < col["stop"][inside]
+    cut = np.flatnonzero(inside)
+    at = times[lo[cut]]
+    order = np.argsort(np.concatenate([np.arange(len(table)), cut]), kind="stable")
+    first = col["stop"].copy()
+    first[cut] = at
+    event = col["event"].copy()
+    event[cut] = False
+    return CountingTable(
+        id=np.concatenate([col["id"], col["id"][cut]])[order],
+        start=np.concatenate([col["start"], at])[order],
+        stop=np.concatenate([first, col["stop"][cut]])[order],
+        treat=np.concatenate([col["treat"], col["treat"][cut]])[order],
+        event=np.concatenate([event, col["event"][cut]])[order],
+    )
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "n=1e5", "three-rows", "shuffled", "tied",
+        "untreated-only", "treated-only", "cut-at-event-times",
+    ],
+)
+def test_risk_table_matches_the_sorted_bounds_method_exactly(rows_100k, three_row_table, name):
+    # the row windows of _row_blocks, summed as +1 where a row enters its
+    # level's risk set and -1 where it leaves, count Y0 and Y1 bit for bit
+    # as the event times searched into the per-level sorted bounds do
+    table = {
+        "n=1e5": lambda: rows_100k,
+        "three-rows": lambda: three_row_table,
+        "shuffled": lambda: _shuffled(three_row_table, 8),
+        "tied": lambda: _rounded(three_row_table, 2),
+        "untreated-only": lambda: _subset(rows_100k, rows_100k.treat == 0),
+        "treated-only": lambda: _subset(rows_100k, rows_100k.treat == 1),
+        "cut-at-event-times": lambda: _cut_at_event_times(rows_100k),
+    }[name]()
+    got = estimators._risk_arrays(table.columns)
+    expected = _risk_table_by_sorted_bounds(table.columns)
+    assert [(a.dtype, a.shape) for a in got] == [(b.dtype, b.shape) for b in expected]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
+    times, _, d1, _, y1, _ = got
+    if name == "untreated-only":
+        assert not d1.any() and not y1.any()
+    if name == "cut-at-event-times":
+        assert np.isin(table.start, times).sum() > 10_000
+
+
+def test_risk_table_runs_in_bounded_memory(rows_100k):
+    # about 5.5 row arrays: the row windows come _BLOCK rows at a time,
+    # so the temporaries of their accumulation stay at block size however
+    # many event times there are
+    table = CountingTable(**rows_100k.columns)
+    _, peak = traced_peak(lambda: estimators._risk_table(table))
+    assert peak < 5.8 * 8 * len(table), f"peaked at {peak / (8 * len(table)):.2f} row arrays"
+
+
 class TestRobustVariance:
     @staticmethod
     def _split_rows(rows):
