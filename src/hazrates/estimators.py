@@ -66,10 +66,12 @@ class StepFunction:
         vals.flags.writeable = False
 
     def __call__(self, t):
-        idx = np.searchsorted(self.jump_times, np.asarray(t, dtype=float), side="right")
+        t = np.asarray(t, dtype=float)
+        idx = np.searchsorted(self.jump_times, t, side="right")
         padded = np.concatenate([[self.initial], self.values])
-        out = padded[idx]
-        return float(out) if np.asarray(t).ndim == 0 else out
+        # searchsorted places NaN after every jump; a NaN time reads NaN
+        out = np.where(np.isnan(t), np.nan, padded[idx])
+        return float(out) if t.ndim == 0 else out
 
 
 @dataclass(frozen=True)

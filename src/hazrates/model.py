@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -551,24 +552,15 @@ def _load_rows(fh) -> np.ndarray:
     "link/.." is what the system resolves), so numpy cannot take it for
     a URL to fetch.  A file named by bytes or a descriptor, or whose name
     ends .gz, .bz2, .xz or .lzma, which numpy would decompress, is passed
-    open instead and read a line at a time.
+    open instead and read a line at a time.  numpy skips every blank
+    line, and a file with no rows reads as an empty table.
     """
-    # np.loadtxt warns on input with no rows, so step over blank lines
-    # to the first row and stop there if there is none
-    skip = 1
-    while True:
-        first = fh.tell()
-        line = fh.readline()
-        if not line:
-            return np.empty(0, dtype=_CSV_DTYPE)
-        if line.rstrip("\r\n"):
-            break
-        skip += 1
-    fh.seek(first)
     by_path = isinstance(fh.name, str) and not fh.name.endswith((".gz", ".bz2", ".xz", ".lzma"))
-    source, skip = (os.path.join(os.getcwd(), fh.name), skip) if by_path else (fh, 0)
+    source, skip = (os.path.join(os.getcwd(), fh.name), 1) if by_path else (fh, 0)
     try:
-        return np.loadtxt(source, dtype=_CSV_DTYPE, delimiter=",", comments=None, skiprows=skip, ndmin=1)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            return np.loadtxt(source, dtype=_CSV_DTYPE, delimiter=",", comments=None, skiprows=skip, ndmin=1)
     except ValueError as exc:
         raise _parse_error(fh, exc) from exc
 

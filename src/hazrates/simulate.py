@@ -177,13 +177,11 @@ def simulate_cohort(model: IllnessDeathModel, config: SimConfig) -> Cohort:
     t_death_treated = np.full(n, np.inf)
     # p_treat is NaN where no exit comes, so treated subjects all exited
     treated = np.flatnonzero(is_treat)
-    if treated.size:
-        e1 = rng.exponential(size=n)[treated]
-        if z is not None:
-            e1 /= z[treated]
-        t_death_treated[treated] = model.lambda12.invert_cumulative(t_exit[treated], e1)
-        del e1
-    del treated
+    e1 = rng.exponential(size=n)[treated]
+    if z is not None:
+        e1 /= z[treated]
+    t_death_treated[treated] = model.lambda12.invert_cumulative(t_exit[treated], e1)
+    del e1, treated
     return _assemble(t_exit, is_treat, t_death_treated, model.t_max, z)
 
 

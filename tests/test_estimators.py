@@ -28,6 +28,14 @@ class TestStepFunction:
         assert f(1.5) == 0.5
         np.testing.assert_allclose(f(np.array([0.0, 2.0, 9.0])), [0.0, 0.8, 0.8])
 
+    def test_nan_time_reads_nan(self):
+        # searchsorted sorts NaN last, which would read the final value
+        f = StepFunction(np.array([1.0, 2.0]), np.array([0.5, 0.7]))
+        assert np.isnan(f(np.nan))
+        np.testing.assert_array_equal(f(np.array([np.nan, 1.5])), [np.nan, 0.5])
+        with pytest.raises(ValueError):
+            log_surv_ratio(f, f, np.nan)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             StepFunction(np.array([2.0, 1.0]), np.array([0.1, 0.2]))

@@ -158,6 +158,32 @@ class TestMarkovViolationGap:
         fr = GammaFrailty(variance=1.0)
         assert markov_violation_gap(same, fr, 2.0, 0.0, 1.5) <= 1e-15
 
+    @pytest.mark.parametrize(
+        "frailty, h0, h1, markov",
+        [
+            (GammaFrailty(variance=0.5), 0.4, 0.4, True),
+            (GammaFrailty(variance=1.0), 0.4, 0.4, True),
+            (GammaFrailty(variance=2.0), 0.4, 0.4, True),
+            (DegenerateFrailty(1.0), 0.3, 0.5, True),
+            (GammaFrailty(variance=1.0), 0.3, 0.5, False),
+        ],
+        ids=["no-effect-v0.5", "no-effect-v1", "no-effect-v2", "degenerate", "gamma-with-effect"],
+    )
+    def test_gap_vanishes_only_without_effect_or_without_frailty(self, frailty, h0, h1, markov):
+        # the Markov property holds when the frailty is degenerate or the
+        # treatment has no effect; otherwise the two loads' hazards differ
+        spec = ConditionalHazardSpec(
+            h0=GridFunction.constant(3.0, 0.005, h0), h1=GridFunction.constant(3.0, 0.005, h1)
+        )
+        for t in np.linspace(0.25, 3.0, 12):
+            for f1 in (0.0, 0.3, 0.7, 1.0):
+                for f2 in (0.0, 0.5, 1.0):
+                    gap = markov_violation_gap(spec, frailty, t, f1 * t, f2 * t)
+                    if markov or f1 == f2:
+                        assert gap == 0.0
+                    else:
+                        assert 0.004 < gap < 0.064
+
     def test_argument_validation(self, demo_spec):
         fr = GammaFrailty(variance=1.0)
         with pytest.raises(ValueError):

@@ -352,19 +352,31 @@ def test_tables_that_differ_only_in_the_sign_of_a_zero_are_unequal():
     assert table(0.0) == table(0.0)
 
 
+def _both_routes(texts):
+    """(name, text) cases: each text by path, then under a .gz name.
+
+    numpy would decompress a file so named, so the reader passes it the
+    open handle instead; the plain text reads the same either way.
+    """
+    return [pytest.param("rows.csv", text, id=key) for key, text in texts.items()] + [
+        pytest.param("rows.csv.gz", text, id=f"{key}-by-handle") for key, text in texts.items()
+    ]
+
+
 @pytest.mark.parametrize(
-    "text",
-    [
-        f"{HEADER}\n7,0.0,0.1,0,0\n7,0.1,0.3,1,1\n",
-        f"{HEADER}\r\n7,0.0,0.1,0,0\r\n7,0.1,0.3,1,1\r\n",
-        f"{HEADER}\r7,0.0,0.1,0,0\r7,0.1,0.3,1,1\r",
-        f"{HEADER}\r\n\r\n\n7,0.0,0.1,0,0\r\n\n\r\n7,0.1,0.3,1,1\r\n\r\n\n",
-        f"{HEADER}\n7,0.0,0.1,0,0\n7,0.1,0.3,1,1",
-    ],
-    ids=["lf", "crlf", "cr", "blank-lines", "no-final-newline"],
+    "name, text",
+    _both_routes(
+        {
+            "lf": f"{HEADER}\n7,0.0,0.1,0,0\n7,0.1,0.3,1,1\n",
+            "crlf": f"{HEADER}\r\n7,0.0,0.1,0,0\r\n7,0.1,0.3,1,1\r\n",
+            "cr": f"{HEADER}\r7,0.0,0.1,0,0\r7,0.1,0.3,1,1\r",
+            "blank-lines": f"{HEADER}\r\n\r\n\n7,0.0,0.1,0,0\r\n\n\r\n7,0.1,0.3,1,1\r\n\r\n\n",
+            "no-final-newline": f"{HEADER}\n7,0.0,0.1,0,0\n7,0.1,0.3,1,1",
+        }
+    ),
 )
-def test_read_accepts_line_ends_and_blank_lines(tmp_path, text):
-    path = tmp_path / "rows.csv"
+def test_read_accepts_line_ends_and_blank_lines(tmp_path, name, text):
+    path = tmp_path / name
     path.write_bytes(text.encode())
     assert list(read_counting_rows(path)) == [
         CountingRow(7, 0.0, 0.1, 0, False),
@@ -373,13 +385,20 @@ def test_read_accepts_line_ends_and_blank_lines(tmp_path, text):
 
 
 @pytest.mark.parametrize(
-    "text",
-    [HEADER, f"{HEADER}\n", f"{HEADER}\r\n\r\n\n"],
-    ids=["no-line-end", "line-end", "blank-lines"],
+    "name, text",
+    _both_routes(
+        {
+            "no-line-end": HEADER,
+            "line-end": f"{HEADER}\n",
+            "cr-line-end": f"{HEADER}\r",
+            "blank-lines": f"{HEADER}\r\n\r\n\n",
+            "cr-blank-lines": f"{HEADER}\r\r\r",
+        }
+    ),
 )
-def test_read_of_a_file_without_rows_gives_an_empty_table(tmp_path, text):
+def test_read_of_a_file_without_rows_gives_an_empty_table(tmp_path, name, text):
     # the warnings gate in pyproject.toml turns loadtxt's "no data" warning into an error
-    path = tmp_path / "rows.csv"
+    path = tmp_path / name
     path.write_bytes(text.encode())
     table = read_counting_rows(path)
     assert isinstance(table, CountingTable) and len(table) == 0
