@@ -47,9 +47,10 @@ _CSV_DTYPE = np.dtype(
     [("id", "i8"), ("start", "f8"), ("stop", "f8"), ("treat", "i8"), ("event", "i8")]
 )
 
-# Rows converted from the columns to Python values at a time: records
-# when a table is iterated, CSV lines when write_csv writes rows.csv or
-# one of the CLI's tables (a rows block formats its distinct times once).
+# Rows converted from the columns at a time: records when a table is
+# iterated, and the lines of one block of bytes when write_csv writes
+# rows.csv (a block formats its distinct times once, by repr) or one of
+# the CLI's tables (numpy makes a block's %d and %.6g bytes).
 _CHUNK = 4096
 
 # The end of a counting-row CSV line, indexed by 2 * treat + event.
@@ -440,26 +441,18 @@ def _history_rules(col):
     ]
 
 
-def write_csv(path, header: list[str], line: str, n: int, block) -> None:
-    """Write a new CSV at path: the header, then n rows as ``line % row``.
+def write_csv(path, header: list[str], n: int, block) -> None:
+    """Write a new CSV at path: the header line, then n rows of bytes.
 
-    ``line`` is a %-format template with one field per column and its
-    own line end; ``block(lo, hi)`` returns the fields of rows lo..hi-1
-    as one Python list per column.  One %-format runs per block of _CHUNK
-    rows, and a block's strings are freed before the next block's are
-    made, so Python values exist for at most one block at a time.
+    ``block(lo, hi)`` returns the bytes of rows lo..hi-1 (any bytes-like
+    object), each line with its own end.  It is called for one block of
+    _CHUNK rows at a time, and a block's text is written before the next
+    block's is made, so the text of at most one block exists at a time.
     """
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode("ascii"))
         for lo in range(0, n, _CHUNK):
-            fields = block(lo, min(lo + _CHUNK, n))
-            k, m = len(fields), len(fields[0])
-            flat = [None] * (k * m)
-            for j in range(k):
-                flat[j::k] = fields[j]
-            del fields
-            fh.write((line * m) % tuple(flat))
-            del flat
+            fh.write(block(lo, min(lo + _CHUNK, n)))
 
 
 def write_counting_rows(rows: CountingTable, path) -> None:
@@ -479,21 +472,26 @@ def write_counting_rows(rows: CountingTable, path) -> None:
     double and have the same repr, so every row gets exactly the ``%r``
     string of its own time, and -0.0, whose bits differ from 0.0's,
     keeps its own "-0.0".  treat and event are written as one of four
-    preformatted line tails.
+    preformatted line tails, and one %-template formats a block's lines,
+    encoded as ASCII.
     """
     col = CountingTable.coerce(rows).columns
     ids, start, stop, treat, event = (col[name] for name in COUNTING_HEADER)
 
-    def block(lo: int, hi: int) -> list[list]:
+    def block(lo: int, hi: int) -> bytes:
         times = np.concatenate((start[lo:hi], stop[lo:hi]))
         bits, inverse = np.unique(times.view(np.int64), return_inverse=True)
         text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
         text = text[inverse].tolist()
         m = hi - lo
-        tails = _TAILS[2 * treat[lo:hi] + event[lo:hi]].tolist()
-        return [ids[lo:hi].tolist(), text[:m], text[m:], tails]
+        flat = [None] * (4 * m)  # each row's id, start, stop and line tail
+        flat[0::4] = ids[lo:hi].tolist()
+        flat[1::4] = text[:m]
+        flat[2::4] = text[m:]
+        flat[3::4] = _TAILS[2 * treat[lo:hi] + event[lo:hi]].tolist()
+        return (("%d,%s,%s%s" * m) % tuple(flat)).encode("ascii")
 
-    write_csv(path, COUNTING_HEADER, "%d,%s,%s%s", ids.size, block)
+    write_csv(path, COUNTING_HEADER, ids.size, block)
 
 
 _INT64 = np.iinfo(np.int64)

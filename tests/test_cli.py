@@ -184,6 +184,14 @@ class TestSimulateAndEstimate:
         assert read_counting_rows(tmp_path / name) == read_counting_rows(rows_file)
         assert run_cli("estimate", "--rows", name, "--method", "na") == 0
 
+    @pytest.mark.parametrize("method", ["na", "ekm", "aalen"])
+    def test_estimate_tables_of_1e5_subjects_run_in_bounded_memory(self, rows_100k, method):
+        # about 11.5, 11.5 and 13.2 MB traced: the rows, the estimator and
+        # one block of the table's text; a whole column's text exceeds it
+        write_counting_rows(rows_100k, "rows.csv")
+        rc, peak = traced_peak(lambda: run_cli("estimate", "--rows", "rows.csv", "--method", method))
+        assert rc == 0 and peak < 13.5e6, f"peaked at {peak / 1e6:.1f} MB"
+
     def test_estimate_of_an_unknown_method_is_one_error_line(self, capsys):
         # argparse's choices reject it before the command runs
         assert run_cli("estimate", "--rows", "rows.csv", "--method", "bogus") == 1
@@ -296,6 +304,13 @@ class TestWriteCsv:
             [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300, 1e-300, -1e300,
              0.1, 1 / 3, 123456.5, 1234567.0, 1e16, 2.5e-5, 0.0001, 1e-5]
         )
+        # values whose six digits round across a power of ten, on a tie of
+        # the sixth digit (123456.5 exactly: half to even) or clear of one
+        boundary = np.array(
+            [99999.95, 999999.5, 99999.5, 9.999995, 1.0000005, 9.999995e-5, 0.0009999995,
+             123456.5, 0.5, 2.5, 999999.7, 9.9999996]
+        )
+        special = np.concatenate((special, boundary, -boundary))
         self.assert_matches_reference(tmp_path, [np.arange(special.size), special])
         float32 = np.array([0.1, 1 / 3, -0.0, np.nan, np.inf, 1e-40], dtype=np.float32)
         self.assert_matches_reference(tmp_path, [float32])
@@ -304,6 +319,15 @@ class TestWriteCsv:
         rng = np.random.default_rng(7)
         x = rng.standard_normal(20_000) * 10.0 ** rng.uniform(-320, 307, 20_000)
         self.assert_matches_reference(tmp_path, [x, rng.uniform(size=x.size)])
+
+    @pytest.mark.parametrize("digits", [6, 7])
+    def test_values_of_fixed_notation_rounded_to_six_and_seven_digits(self, tmp_path, digits):
+        # 1e-4 <= |x| < 1e6 is where %.6g writes no exponent; seven digits
+        # put many values on or next to a tie of the sixth
+        rng = np.random.default_rng(29 + digits)
+        x = 10.0 ** rng.uniform(-4, 6, 20_000)
+        x = np.array([float(f"{v:.{digits - 1}e}") for v in x.tolist()])
+        self.assert_matches_reference(tmp_path, [x * rng.choice([-1.0, 1.0], x.size)])
 
     @pytest.mark.parametrize(
         "column", [np.array([True, False]), np.array(["a", "b"]), np.array([1, None], dtype=object)]
