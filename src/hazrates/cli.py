@@ -36,6 +36,8 @@ from .kernels import TwoPieceKernel
 from .model import (
     IllnessDeathModel,
     TreatmentPath,
+    _float_words,
+    _int_words,
     read_counting_rows,
     write_counting_rows,
     write_csv,
@@ -129,114 +131,14 @@ def _fmt(x: float) -> str:
     return "%.6g" % float(x)
 
 
-def _words(strings: list[bytes], k: int = 1) -> np.ndarray:
-    """(len(strings), k) little-endian 64-bit words holding each string,
-    NUL-padded; no string may be longer than 8 * k.
-
-    Byte j of a word is its bits 8j to 8j + 7, so shifting a word left by
-    8 * j bits moves its text j places on.
-    """
-    return np.array(strings, dtype=f"S{8 * k}").view("<u8").reshape(len(strings), k)
-
-
-# The text of 0..999 in one word each: three digits, zero-padded, and
-# its %d; _ZEROS[v] counts the trailing zero digits of the three.
-_DIGITS = _words([b"%03d" % v for v in range(1000)])[:, 0].astype(np.uint64)
-_INTS = _words([b"%d" % v for v in range(1000)])[:, 0]
-_ZEROS = sum(np.arange(1000) % p == 0 for p in (10, 100, 1000))
-_POW10 = 10.0 ** np.arange(10)  # exact doubles
-
-
-def _kept_bytes(e: int, z: int) -> int:
-    """How many bytes of six digits (the last z of them zeros), with the
-    point after the first e + 1 of them when 0 <= e <= 4, %.6g writes at
-    exponent e: no trailing zeros after the point, and no point with
-    nothing after it."""
-    digits = 6 - z
-    if e < 0:
-        return digits
-    return digits + 1 if digits > e + 1 else e + 1
-
-
-# Tables of the exponents e = -4..5 that %.6g writes in fixed notation.
-# By e + 4: _LOW keeps the e + 1 digits before the point and _POINT puts
-# the point after them (for e = 0..4; the six digits of another e hold
-# no point).  By e + 4 + 10 * (x < 0): the text before the digits ("-",
-# then "0." and -e - 1 zeros when e < 0) and its length in bits.  By
-# 6 * (e + 4) + z: the mask of the _kept_bytes(e, z).
-_LOW = np.array([(1 << 8 * e + 8) - 1 if 0 <= e <= 4 else 2**64 - 1 for e in range(-4, 6)], np.uint64)
-_POINT = np.array([46 << 8 * e + 8 if 0 <= e <= 4 else 0 for e in range(-4, 6)], np.uint64)
-_PREFIXES = [
-    sign + (b"0." + b"0" * (-e - 1) if e < 0 else b"") for sign in (b"", b"-") for e in range(-4, 6)
-]
-_PREFIX = _words(_PREFIXES)[:, 0].astype(np.uint64)
-_SHIFT = np.array([8 * len(p) for p in _PREFIXES], np.uint64)
-_KEEP = np.array([(1 << 8 * _kept_bytes(e, z)) - 1 for e in range(-4, 6) for z in range(6)], np.uint64)
-# a field's separator, in the last byte or two of its last word
-_COMMA, _CRLF = np.uint64(44 << 56), np.uint64(13 << 48 | 10 << 56)
-
-
-def _int_words(v: np.ndarray) -> np.ndarray:
-    """Words holding each of v's integers as %d, left-aligned, with room
-    for a separator."""
-    small = (v >= 0) & (v < 1000)
-    other = np.flatnonzero(~small)
-    text = [b"%d" % i for i in v[other].tolist()]
-    k = (max(map(len, text), default=0) + 9) // 8
-    out = np.zeros((v.size, k), "<u8")
-    out[:, 0] = _INTS[np.where(small, v, 0)]
-    out[other] = _words(text, k)
-    return out
-
-
-def _float_words(x: np.ndarray) -> np.ndarray:
-    """Two words holding each of x's values as %.6g, left-aligned: at most
-    13 bytes, so a separator fits.
-
-    A value of exponent e in -4..5 gets its six digits from rint(|x| *
-    10**(5 - e)): the power of ten is exact, so the product is |x| *
-    10**(5 - e) correctly rounded, and when it lies in [1e5, 999999.5)
-    and more than 1e-7 from a half-integer (its rounding error is below
-    1e-10 there) its rint is the digits %.6g rounds to.  They are laid
-    out in fixed notation, trailing fraction zeros dropped.  Every other
-    value (a near tie, exponent form, zero, nan, inf, a subnormal) gets
-    Python's own %.6g.
-    """
-    a = np.abs(x)
-    with np.errstate(all="ignore"):
-        e = np.floor(np.log10(a))
-        fast = (e >= -4) & (e <= 5)
-        e = np.where(fast, e, 0).astype(np.intp)
-        y = a * _POW10[5 - e]
-        r = np.rint(y)
-        fast &= (y >= 1e5) & (r < 1e6) & (np.abs(y - r) < 0.5 - 1e-7)
-    n = np.where(fast, r, 1e5).astype(np.intp)
-    hi = (n * 4294968) >> 32  # n // 1000 for n < 2**20
-    lo = n - 1000 * hi
-    digits = _DIGITS[hi] | (_DIGITS[lo] << np.uint64(24))
-    i = e + 4
-    low = _LOW[i]
-    body = (digits & low) | _POINT[i] | ((digits & ~low) << np.uint64(8))
-    body &= _KEEP[6 * i + _ZEROS[lo] + (lo == 0) * _ZEROS[hi]]
-    i += 10 * (x < 0)
-    shift = _SHIFT[i]
-    out = np.empty((x.size, 2), "<u8")
-    out[:, 0] = _PREFIX[i] | (body << shift)
-    out[:, 1] = (body >> np.uint64(1)) >> (np.uint64(63) - shift)
-    other = np.flatnonzero(~fast)
-    out[other] = _words([b"%.6g" % v for v in x[other].tolist()], 2)
-    return out
-
-
 def _write_csv(path: Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
     """Write equal-length 1-d columns under a header with model.write_csv,
     then print "wrote <path>".
 
     Integers are written as %d and floats as %.6g, the bytes Python's %
-    makes.  numpy formats a block of rows at a time: each field is a few
-    64-bit words of text, NUL-padded, with its comma or line end in its
-    last byte, and the block's text is those words' bytes without the
-    NULs.
+    makes: model's word formatters (_int_words, _float_words) make each
+    column's words a block of rows at a time, and model.write_csv joins
+    them into the block's lines.
     """
     columns = [np.asarray(c) for c in columns]
     if any(c.dtype.kind not in "iuf" for c in columns):
@@ -244,17 +146,11 @@ def _write_csv(path: Path, header: Sequence[str], columns: Sequence[np.ndarray])
     if len({c.shape for c in columns}) != 1 or columns[0].ndim != 1:
         raise ValueError("columns must be 1-d arrays of equal length")
 
-    def block(lo: int, hi: int) -> np.ndarray:
-        words = [
+    def block(lo: int, hi: int) -> list[np.ndarray]:
+        return [
             _int_words(c[lo:hi]) if c.dtype.kind in "iu" else _float_words(c[lo:hi].astype(np.float64))
             for c in columns
         ]
-        ends = np.cumsum([w.shape[1] for w in words]) - 1
-        text = np.concatenate(words, axis=1)
-        text[:, ends[:-1]] |= _COMMA
-        text[:, ends[-1]] |= _CRLF
-        text = text.view(np.uint8)
-        return text[text != 0]
 
     path.parent.mkdir(parents=True, exist_ok=True)
     write_csv(path, header, columns[0].size, block)

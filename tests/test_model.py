@@ -8,6 +8,9 @@ from hazrates.kernels import MarkovKernel, TwoPieceKernel
 from hazrates.model import (
     _CHUNK,
     COUNTING_HEADER,
+    _int_words,
+    _repr_words,
+    _words,
     Cohort,
     CountingRow,
     CountingTable,
@@ -315,6 +318,55 @@ def test_block_writer_writes_repeated_and_signed_times_as_repr(tmp_path):
     _old_write_counting_rows(back, tmp_path / "old_back.csv")
     assert (tmp_path / "back.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
     assert (tmp_path / "old_back.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def _assert_words_hold(words, texts):
+    """Each row of words holds its text, NUL-padded, with room for a line end."""
+    assert all(len(t) + 2 <= 8 * words.shape[1] for t in texts)
+    np.testing.assert_array_equal(words, _words(texts, words.shape[1]))
+
+
+def test_repr_words_are_the_bytes_of_repr(rows_100k):
+    rng = np.random.default_rng(35)
+    powers = 10.0 ** np.arange(-5, 17)
+    below = np.nextafter(powers, 0)  # log10 rounds some of them up to the power
+    x = np.concatenate([
+        # the distinct times of the n=1e5 rows, and values over the fast
+        # path's exponents -4..14 and beyond them
+        np.unique(np.concatenate((rows_100k.start, rows_100k.stop))),
+        rng.uniform(0, 3, 40_000),
+        10.0 ** rng.uniform(-4, 15, 40_000),
+        *(np.round(rng.uniform(0, 100, 2_000), d) for d in range(1, 15)),
+        powers, below, np.nextafter(below, 0), np.nextafter(powers, np.inf),
+        np.ldexp(1.0, np.arange(-20, 60)),
+        # exact ties of the 17-digit rounding (repr rounds them to even)
+        1 + (2 * rng.integers(0, 2**19, 500) + 1) * 2.0**-17,
+        # exact ties of the 16-digit rounding, where both 16-digit
+        # roundings read back and repr keeps the even one
+        rng.integers(6 * 10**14, 10**15, 500) + 0.75,
+        [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308, -1.5, 3.0],
+        -rng.uniform(0, 3, 1_000),
+        10.0 ** rng.uniform(-12, -4, 1_000),
+        10.0 ** rng.uniform(15, 30, 1_000),
+    ])
+    assert x.size >= 200_000
+    _assert_words_hold(_repr_words(x), [b"%r" % v for v in x.tolist()])
+
+
+def test_int_words_are_the_bytes_of_percent_d():
+    rng = np.random.default_rng(35)
+    powers = 10 ** np.arange(19)
+    extremes = np.iinfo(np.int64)
+    v = np.concatenate([
+        rng.integers(0, 10 ** rng.integers(1, 10, 150_000)),
+        rng.integers(extremes.min, extremes.max, 50_000),
+        powers - 1, powers, -powers, -powers + 1, [extremes.min, extremes.max],
+    ])
+    assert v.size >= 200_000
+    _assert_words_hold(_int_words(v), [b"%d" % i for i in v.tolist()])
+    # unsigned and boolean columns: event is written from its bytes
+    _assert_words_hold(_int_words(np.array([0, 2**64 - 1], np.uint64)), [b"0", b"18446744073709551615"])
+    _assert_words_hold(_int_words(np.array([True, False]).view(np.uint8)), [b"1", b"0"])
 
 
 def test_a_start_of_minus_zero_reads_back_with_its_sign(tmp_path):
